@@ -33,7 +33,7 @@ from .solvers import (
     SolveReport,
     enumerate_balanced_subsets,
     enumerate_placements,
-    solve_branch_and_bound,
+    solve_assignment,
     solve_brute_force,
     solve_lp_relax,
 )
@@ -69,7 +69,7 @@ __all__ = [
     "random_instance",
     "reward",
     "slot_blocks",
-    "solve_branch_and_bound",
+    "solve_assignment",
     "solve_brute_force",
     "solve_lp_relax",
     "total_variation",

@@ -16,7 +16,8 @@ def trivial_schedule(
 
     After a seeded shuffle the first k/2 ads go to the head insertion point
     (slot 0, before scene 1) and the rest to the slot before scene
-    ceil(N/2) + 1; ``rank`` encodes the play order inside each group.  The
+    ceil(N/2) + 1, or to the last usable slot when ``slot_count`` stops
+    short of it; ``rank`` encodes the play order inside each group.  The
     RNG is the stdlib Mersenne Twister, so equal seeds give equal schedules.
     """
     if k < 0 or k % 2:
@@ -33,7 +34,7 @@ def trivial_schedule(
     chosen = rng.sample(hv_ids, half) + rng.sample(lv_ids, half)
     rng.shuffle(chosen)
 
-    mid_slot = math.ceil(program.n_scenes / 2)  # the slot before scene N/2 + 1
+    mid_slot = min(math.ceil(program.n_scenes / 2), program.slot_count)
     entries = [ScheduleEntry(0, r, ad_id) for r, ad_id in enumerate(chosen[:half])]
     entries += [
         ScheduleEntry(mid_slot, r, ad_id) for r, ad_id in enumerate(chosen[half:])

@@ -41,7 +41,7 @@ from .profile import build_profile
 from .relevance import build_relevance_matrix, features_for
 from .solvers import (
     DEFAULT_CANDIDATE_CAP,
-    solve_branch_and_bound,
+    solve_assignment,
     solve_brute_force,
     solve_lp_relax,
 )
@@ -73,7 +73,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "out"
     cap: int = DEFAULT_CANDIDATE_CAP
-    threads: int = 1
 
 
 def _err(message: str) -> None:
@@ -141,11 +140,9 @@ def run(config: RunConfig) -> int:
 
         rel = _resolve_relevance(config, program, inventory)
         if config.solver == "brute":
-            report = solve_brute_force(
-                program, inventory, rel, params, cap=config.cap, threads=config.threads
-            )
+            report = solve_brute_force(program, inventory, rel, params, cap=config.cap)
         elif config.solver == "bnb":
-            report = solve_branch_and_bound(program, inventory, rel, params)
+            report = solve_assignment(program, inventory, rel, params)
         elif config.solver == "lp":
             report = solve_lp_relax(program, inventory, rel, params)
         else:
@@ -188,7 +185,7 @@ def benchmark(
     alpha: float = 0.5,
     cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> list[dict]:
-    """Run brute force (under the cap) and branch-and-bound over a (P, M, K) grid.
+    """Run brute force (under the cap) and the exact assignment over a (P, M, K) grid.
 
     Cell i uses the seeded instance ``random_instance(P, M, seed + i)``.
     """
@@ -209,15 +206,14 @@ def benchmark(
             }
         except InstanceTooLarge as exc:
             row["brute_force"] = {"skipped": True, "reason": str(exc)}
-        bb = solve_branch_and_bound(program, inventory, rel, params)
-        row["branch_and_bound"] = {
-            "reward": bb.reward,
-            "candidates_evaluated": bb.candidates_evaluated,
-            "nodes_pruned": bb.nodes_pruned,
-            "wall_time": bb.wall_time,
+        exact = solve_assignment(program, inventory, rel, params)
+        row[exact.solver] = {
+            "reward": exact.reward,
+            "candidates_evaluated": exact.candidates_evaluated,
+            "wall_time": exact.wall_time,
         }
         row["rewards_match"] = (
-            None if brute_reward is None else abs(bb.reward - brute_reward) <= REWARD_ATOL
+            None if brute_reward is None else abs(exact.reward - brute_reward) <= REWARD_ATOL
         )
         rows.append(row)
     return rows
@@ -260,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--seed", type=int, default=0, help="RNG seed for the trivial baseline")
     runp.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
                       help="brute-force candidate cap (default %(default)s)")
-    runp.add_argument("--threads", type=int, default=1,
-                      help="worker threads for brute-force scoring; never changes results")
     runp.add_argument("--out", default="out", metavar="DIR",
                       help="output directory (default ./out)")
 
@@ -294,7 +288,6 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             out_dir=args.out,
             cap=args.cap,
-            threads=args.threads,
         )
         return run(config)
     if args.command == "benchmark":

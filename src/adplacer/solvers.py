@@ -1,10 +1,10 @@
 """Solvers maximizing the placement reward under the strict constraints.
 
 Three routes: exhaustive enumeration over balanced ad subsets and their
-block-respecting placements (exact), depth-first branch-and-bound over
-block-by-block assignments (exact, usually far cheaper), and a continuous
-relaxation solved as an LP whose optimum is an upper bound and whose
-solution is rounded to a feasible schedule (approximate).
+block-respecting placements (the capped test oracle), and two exact
+polynomial routes built on the same block reduction - a quota-padded
+max-weight assignment and a sparse LP whose integral optimum doubles as
+an optimality certificate.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 from .core import (
@@ -40,8 +40,11 @@ from .errors import (
 #: Brute force refuses instances with more candidate schedules than this.
 DEFAULT_CANDIDATE_CAP = 10**8
 
+#: Largest distance from 0/1 tolerated in an LP vertex before it is rejected.
+_INTEGRALITY_TOL = 1e-6
+
 BRUTE_FORCE = "brute_force"
-BRANCH_AND_BOUND = "branch_and_bound"
+ASSIGNMENT = "assignment"
 LP_RELAX = "lp_relax"
 
 
@@ -49,9 +52,8 @@ LP_RELAX = "lp_relax"
 class SolveReport:
     """A solver's answer plus its work statistics.
 
-    ``candidates_evaluated`` counts fully scored schedules (for the LP route
-    that is the single rounded schedule); ``nodes_pruned`` is populated by
-    branch-and-bound only and ``upper_bound`` by the LP relaxation only.
+    ``candidates_evaluated`` counts fully scored schedules (1 for the two
+    polynomial routes); ``upper_bound`` is set by the LP route only.
     """
 
     schedule: Schedule
@@ -59,8 +61,13 @@ class SolveReport:
     solver: str
     candidates_evaluated: int
     wall_time: float
-    nodes_pruned: int | None = None
     upper_bound: float | None = None
+
+    @property
+    def nodes_pruned(self) -> None:
+        """Always None: no route prunes a search tree.  Report format
+        ``adplacer-report/1`` still carries the key."""
+        return None
 
 
 def _check_instance(
@@ -200,31 +207,6 @@ def enumerate_placements(
             yield Schedule.strict(zip(slot_choice, perm))
 
 
-def _scan_placements(
-    subsets: Iterable[tuple[int, ...]],
-    blocks: tuple[tuple[int, ...], ...],
-    c_rows: list[list[float]],
-    base_index: int,
-) -> tuple[float, int, tuple[tuple[int, int], ...] | None, int]:
-    """Score every placement of every subset; return (best value, its global
-    enumeration index, its placement, number of candidates scored)."""
-    best_val = -math.inf
-    best_idx = -1
-    best_placement = None
-    count = 0
-    for sub in subsets:
-        for placement in _iter_placements_idx(sub, blocks):
-            value = 0.0
-            for slot, j in placement:
-                value += c_rows[slot - 1][j]
-            if value > best_val:
-                best_val = value
-                best_idx = base_index + count
-                best_placement = placement
-            count += 1
-    return best_val, best_idx, best_placement, count
-
-
 def solve_brute_force(
     program: ProgramSpec,
     inventory: AdInventory,
@@ -232,197 +214,132 @@ def solve_brute_force(
     params: RewardParams,
     *,
     cap: int = DEFAULT_CANDIDATE_CAP,
-    threads: int = 1,
 ) -> SolveReport:
     """Exhaustively score every feasible schedule and keep the best.
 
     Ties go to the first schedule in enumeration order (lexicographic in
     subset, ad ordering, then slot choice).  Raises InstanceTooLarge when
-    the candidate count exceeds ``cap``.  ``threads`` only fans the scan
-    out over workers; the result is identical for any thread count.
+    the candidate count exceeds ``cap``.
     """
     start = time.perf_counter()
     rel = as_relevance(rel)
     _check_instance(program, inventory, rel, params)
     k = params.k
     blocks = slot_blocks(program.slot_count, k)
-    n_subsets = count_balanced_subsets(inventory, k)
-    per_subset = math.factorial(k) * math.prod(len(b) for b in blocks)
-    total = n_subsets * per_subset
+    total = (
+        count_balanced_subsets(inventory, k)
+        * math.factorial(k)
+        * math.prod(len(b) for b in blocks)
+    )
     if total > cap:
         raise InstanceTooLarge(
             f"{total} candidate schedules exceed the cap of {cap}; "
-            f"use branch-and-bound instead"
+            f"use --solver bnb"
         )
 
     c_rows = _contributions(program, inventory, rel, params).tolist()
-    if threads <= 1:
-        best_val, best_idx, best_placement, count = _scan_placements(
-            _iter_balanced_index_subsets(inventory, k), blocks, c_rows, 0
-        )
-    else:
-        subsets = list(_iter_balanced_index_subsets(inventory, k))
-        chunk = max(1, math.ceil(len(subsets) / threads))
-        jobs = [
-            (subsets[i : i + chunk], i * per_subset)
-            for i in range(0, len(subsets), chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda a: _scan_placements(a[0], blocks, c_rows, a[1]), jobs)
-            )
-        best_val, best_idx, best_placement, count = -math.inf, -1, None, 0
-        for val, idx, placement, n in results:
-            count += n
-            # same winner as the sequential scan: value first, then earliest index
-            if val > best_val or (val == best_val and idx < best_idx):
-                best_val, best_idx, best_placement = val, idx, placement
+    best_val = -math.inf
+    best_placement: tuple[tuple[int, int], ...] | None = None
+    count = 0
+    for subset in _iter_balanced_index_subsets(inventory, k):
+        for placement in _iter_placements_idx(subset, blocks):
+            value = 0.0
+            for slot, j in placement:
+                value += c_rows[slot - 1][j]
+            if value > best_val:
+                best_val = value
+                best_placement = placement
+            count += 1
 
     assert best_placement is not None and count == total
     schedule = Schedule.strict(
         (slot, inventory.ads[j].id) for slot, j in best_placement
     )
-    value = reward(schedule, program, inventory, rel, params)
     return SolveReport(
         schedule=schedule,
-        reward=value,
+        reward=reward(schedule, program, inventory, rel, params),
         solver=BRUTE_FORCE,
         candidates_evaluated=count,
         wall_time=time.perf_counter() - start,
     )
 
 
-def solve_branch_and_bound(
+def _block_values(
+    program: ProgramSpec,
+    inventory: AdInventory,
+    rel: RelevanceMatrix,
+    params: RewardParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block reduction shared by both exact routes.
+
+    Blocks are disjoint and each takes exactly one ad, so an ad placed in
+    block b always sits on the block's slot where it contributes most.
+    Returns the k x P values g[b, j] of those contributions, the k x P
+    1-indexed slots that attain them (earliest slot on ties), and the HV
+    mask over ads.
+    """
+    rel = as_relevance(rel)
+    _check_instance(program, inventory, rel, params)
+    c = _contributions(program, inventory, rel, params)
+    blocks = slot_blocks(program.slot_count, params.k)
+    n_ads = len(inventory)
+    cols = np.arange(n_ads)
+    g = np.empty((len(blocks), n_ads))
+    best_slot = np.empty((len(blocks), n_ads), dtype=int)
+    for b, block in enumerate(blocks):
+        rows = c[block[0] - 1 : block[-1]]
+        best = rows.argmax(axis=0)
+        g[b] = rows[best, cols]
+        best_slot[b] = block[0] + best
+    is_hv = np.array([p is Polarity.HV for p in inventory.polarities])
+    return g, best_slot, is_hv
+
+
+def _picked_schedule(
+    picks: Iterable[tuple[int, int]], best_slot: np.ndarray, inventory: AdInventory
+) -> Schedule:
+    """The strict schedule placing ad j in block b for every (b, j) pick."""
+    return Schedule.strict(
+        (int(best_slot[b, j]), inventory.ads[j].id) for b, j in picks
+    )
+
+
+def solve_assignment(
     program: ProgramSpec,
     inventory: AdInventory,
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> SolveReport:
-    """Exact block-by-block search with admissible pruning.
+    """Exact optimum as one quota-padded max-weight assignment.
 
-    Nodes assign one (ad, slot) pair per block in block order.  A node is
-    pruned when its bound cannot exceed the incumbent.  Three admissible
-    bounds run cheapest-first, each only if the previous failed to prune:
-    (1) per remaining block, the best contribution over unused ads and that
-    block's slots, ignoring both ad reuse and the polarity quota; (2) the
-    same per-block-per-polarity maxima combined under the exact HV/LV
-    quota split, still allowing reuse inside a polarity class; (3) a
-    max-weight assignment of remaining blocks to unused ads, forbidding
-    reuse but ignoring the quota.  Every relaxation only overestimates, so
-    the search stays exact.  Children are explored best-contribution-first
-    so a strong incumbent appears early.
+    One square P x P ``linear_sum_assignment`` has k block rows weighted by
+    the block values, |HV| - k/2 dummy rows that may take only HV ads and
+    |LV| - k/2 dummy rows that may take only LV ads, both at weight 0.
+    Every ad is matched, so the dummies absorb all but k/2 ads of each
+    polarity and exactly k/2 HV ads land in blocks.
     """
     start = time.perf_counter()
-    rel = as_relevance(rel)
-    _check_instance(program, inventory, rel, params)
-    k = params.k
-    blocks = slot_blocks(program.slot_count, k)
+    g, best_slot, is_hv = _block_values(program, inventory, rel, params)
+    k = len(g)
     half = k // 2
-    n_ads = len(inventory)
-    is_hv = [p is Polarity.HV for p in inventory.polarities]
-
-    c = _contributions(program, inventory, rel, params)
-    # children per block, best contribution first (ties: ad index, then slot)
-    children: list[list[tuple[float, int, int]]] = []
-    for block in blocks:
-        cand = [(float(c[i - 1, j]), i, j) for j in range(n_ads) for i in block]
-        cand.sort(key=lambda t: (-t[0], t[2], t[1]))
-        children.append(cand)
-    # per-block best value per ad, and ads ordered by it, for the bounds
-    g_matrix = (
-        np.stack([c[np.array(block) - 1].max(axis=0) for block in blocks])
-        if k
-        else np.zeros((0, n_ads))
+    n_hv = int(is_hv.sum())
+    hv_dummy = np.where(is_hv, 0.0, -np.inf)
+    lv_dummy = np.where(is_hv, -np.inf, 0.0)
+    weights = np.vstack(
+        [
+            g,
+            np.tile(hv_dummy, (n_hv - half, 1)),
+            np.tile(lv_dummy, (len(is_hv) - n_hv - half, 1)),
+        ]
     )
-    g: list[list[float]] = [row.tolist() for row in g_matrix]
-    g_order: list[list[int]] = [
-        np.argsort(-row, kind="stable").tolist() for row in g_matrix
-    ]
-
-    hv_pool = list(inventory.hv_indices)
-    lv_pool = list(inventory.lv_indices)
-    used = [False] * n_ads
-    path: list[tuple[int, int]] = []
-    best_val = -math.inf
-    best_leaf: tuple[tuple[int, int], ...] | None = None
-    leaves = 0
-    pruned = 0
-
-    def tail_bound(depth: int, partial: float) -> float:
-        value = partial
-        for b in range(depth, k):
-            for j in g_order[b]:
-                if not used[j]:
-                    value += g[b][j]
-                    break
-        return value
-
-    def quota_bound(depth: int, partial: float, hv_used: int) -> float:
-        hv_need = half - hv_used
-        lv_need = (k - depth) - hv_need
-        free_hv = [j for j in hv_pool if not used[j]]
-        free_lv = [j for j in lv_pool if not used[j]]
-        best_hv = g_matrix[depth:, free_hv].max(axis=1) if free_hv else None
-        best_lv = g_matrix[depth:, free_lv].max(axis=1) if free_lv else None
-        if hv_need == 0:
-            return partial + float(best_lv.sum())
-        if lv_need == 0:
-            return partial + float(best_hv.sum())
-        # give the hv_need blocks with the largest HV advantage to HV ads
-        gain = np.sort(best_hv - best_lv)[::-1]
-        return partial + float(best_lv.sum() + gain[:hv_need].sum())
-
-    def assignment_bound(depth: int, partial: float) -> float:
-        free = [j for j in range(n_ads) if not used[j]]
-        weights = g_matrix[depth:, free]
-        rows, cols = linear_sum_assignment(weights, maximize=True)
-        return partial + float(weights[rows, cols].sum())
-
-    def dfs(depth: int, partial: float, hv_used: int) -> None:
-        nonlocal best_val, best_leaf, leaves, pruned
-        if depth == k:
-            leaves += 1
-            if partial > best_val:
-                best_val = partial
-                best_leaf = tuple(path)
-            return
-        if tail_bound(depth, partial) <= best_val:
-            pruned += 1
-            return
-        if quota_bound(depth, partial, hv_used) <= best_val:
-            pruned += 1
-            return
-        if assignment_bound(depth, partial) <= best_val:
-            pruned += 1
-            return
-        allow_hv = hv_used < half
-        allow_lv = (depth - hv_used) < half
-        for value, slot, j in children[depth]:
-            if used[j]:
-                continue
-            hv_j = is_hv[j]
-            if hv_j:
-                if not allow_hv:
-                    continue
-            elif not allow_lv:
-                continue
-            used[j] = True
-            path.append((slot, j))
-            dfs(depth + 1, partial + value, hv_used + (1 if hv_j else 0))
-            path.pop()
-            used[j] = False
-
-    dfs(0, 0.0, 0)
-    assert best_leaf is not None
-    schedule = Schedule.strict((slot, inventory.ads[j].id) for slot, j in best_leaf)
-    value = reward(schedule, program, inventory, rel, params)
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    schedule = _picked_schedule(zip(rows[:k], cols[:k]), best_slot, inventory)
     return SolveReport(
         schedule=schedule,
-        reward=value,
-        solver=BRANCH_AND_BOUND,
-        candidates_evaluated=leaves,
+        reward=reward(schedule, program, inventory, rel, params),
+        solver=ASSIGNMENT,
+        candidates_evaluated=1,
         wall_time=time.perf_counter() - start,
-        nodes_pruned=pruned,
     )
 
 
@@ -432,25 +349,18 @@ def solve_lp_relax(
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> SolveReport:
-    """Continuous relaxation plus greedy rounding.
+    """Exact optimum as a sparse LP over block-by-ad variables.
 
-    The relaxation lets every slot-ad indicator range over [0, 1] under the
-    linearized constraints (at most one ad per slot, unit mass per block,
-    k/2 total mass on each polarity, total mass k); its optimum is recorded
-    as ``upper_bound``.  Rounding walks the blocks in order and picks the
-    unused (slot, ad) pair with the largest fractional mass whose polarity
-    quota is still open, so the result is always strict-feasible.
+    Variable x[b, j] in [0, 1] is the mass of ad j in block b.  Each block
+    holds unit mass, each ad at most unit mass, and HV ads exactly k/2.
+    The rows form two laminar families (blocks; ads nested in the HV row),
+    so the constraint matrix is totally unimodular (Hoffman & Kruskal) and
+    every vertex is integral.  The LP objective, which certifies that no
+    schedule scores more, is reported as ``upper_bound``.
     """
     start = time.perf_counter()
-    rel = as_relevance(rel)
-    _check_instance(program, inventory, rel, params)
-    k = params.k
-    m = program.slot_count
-    n_ads = len(inventory)
-    blocks = slot_blocks(m, k)
-    half = k // 2
-    is_hv = [p is Polarity.HV for p in inventory.polarities]
-
+    g, best_slot, is_hv = _block_values(program, inventory, rel, params)
+    k, n_ads = g.shape
     if k == 0:
         return SolveReport(
             schedule=Schedule.empty(),
@@ -461,73 +371,31 @@ def solve_lp_relax(
             upper_bound=0.0,
         )
 
-    c = _contributions(program, inventory, rel, params)
-    n_vars = m * n_ads  # variable (i, j) lives at index (i-1)*n_ads + j
-
-    a_ub = np.zeros((m, n_vars))
-    for i in range(m):
-        a_ub[i, i * n_ads : (i + 1) * n_ads] = 1.0
-    b_ub = np.ones(m)
-
-    a_eq = np.zeros((k + 3, n_vars))
-    b_eq = np.empty(k + 3)
-    for b, block in enumerate(blocks):
-        for slot in block:
-            a_eq[b, (slot - 1) * n_ads : slot * n_ads] = 1.0
-        b_eq[b] = 1.0
-    hv_row = a_eq[k].reshape(m, n_ads)
-    lv_row = a_eq[k + 1].reshape(m, n_ads)
-    for j in range(n_ads):
-        (hv_row if is_hv[j] else lv_row)[:, j] = 1.0
-    b_eq[k] = half
-    b_eq[k + 1] = half
-    a_eq[k + 2, :] = 1.0
-    b_eq[k + 2] = float(k)
-
+    # variable (b, j) lives at index b * n_ads + j
+    one_per_block = sparse.kron(sparse.eye(k), np.ones((1, n_ads)))
+    hv_mass = sparse.csr_matrix(np.tile(is_hv, k).astype(float))
+    at_most_once = sparse.kron(np.ones((1, k)), sparse.eye(n_ads))
     res = linprog(
-        -c.ravel(),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
+        -g.ravel(),
+        A_ub=at_most_once,
+        b_ub=np.ones(n_ads),
+        A_eq=sparse.vstack([one_per_block, hv_mass]),
+        b_eq=np.append(np.ones(k), k // 2),
         bounds=(0.0, 1.0),
         method="highs",
     )
     if not res.success:
-        raise RuntimeError(f"LP relaxation failed to solve: {res.message}")
-    mass = res.x.reshape(m, n_ads)
-    upper_bound = float(np.dot(c.ravel(), res.x))
-
-    used: set[int] = set()
-    hv_used = 0
-    placements: list[tuple[int, int]] = []
-    for block in blocks:
-        best_mass = -math.inf
-        pick: tuple[int, int] | None = None
-        for slot in block:
-            for j in range(n_ads):
-                if j in used:
-                    continue
-                if is_hv[j]:
-                    if hv_used >= half:
-                        continue
-                elif (len(placements) - hv_used) >= half:
-                    continue
-                if mass[slot - 1, j] > best_mass:
-                    best_mass = mass[slot - 1, j]
-                    pick = (slot, j)
-        assert pick is not None
-        placements.append(pick)
-        used.add(pick[1])
-        hv_used += 1 if is_hv[pick[1]] else 0
-
-    schedule = Schedule.strict((slot, inventory.ads[j].id) for slot, j in placements)
-    value = reward(schedule, program, inventory, rel, params)
+        raise RuntimeError(f"LP failed to solve: {res.message}")
+    off = float(np.abs(res.x - np.round(res.x)).max())
+    if off > _INTEGRALITY_TOL:
+        raise RuntimeError(f"LP returned a fractional vertex ({off:.3g} from integral)")
+    picks = zip(*np.nonzero(res.x.reshape(k, n_ads) > 0.5))
+    schedule = _picked_schedule(picks, best_slot, inventory)
     return SolveReport(
         schedule=schedule,
-        reward=value,
+        reward=reward(schedule, program, inventory, rel, params),
         solver=LP_RELAX,
         candidates_evaluated=1,
         wall_time=time.perf_counter() - start,
-        upper_bound=upper_bound,
+        upper_bound=float(-res.fun),
     )

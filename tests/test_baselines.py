@@ -33,6 +33,17 @@ def test_small_program_midpoint():
     assert sorted(e.slot for e in schedule.entries) == [0, 2]
 
 
+def test_midpoint_clamped_to_slot_count():
+    # N = 10 puts the midpoint at slot 5, past the 3 usable slots
+    program = make_program(*[0.1 * i for i in range(1, 11)], slot_count=3)
+    inventory = make_inventory(0.9, 0.8, 0.1, 0.2)
+    params = RewardParams(0.5, 0.5, 2)
+    for seed in range(20):
+        schedule = trivial_schedule(program, inventory, 2, seed)
+        assert sorted(e.slot for e in schedule.entries) == [0, 3]
+        assert validate_schedule(schedule, program, inventory, params, mode="baseline")
+
+
 def test_k_zero_is_empty():
     program = twelve_scene_program()
     inventory = make_inventory(0.9, 0.1)

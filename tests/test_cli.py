@@ -206,6 +206,21 @@ class TestRunCommand:
             outs.append((out / "schedule.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_trivial_with_short_slot_count_exits_0(self, tmp_path):
+        program = make_program(*[0.1 * i for i in range(1, 11)], slot_count=3)
+        inventory = make_inventory(0.9, 0.1)
+        io.save_program(program, tmp_path / "program.json")
+        io.save_inventory(inventory, tmp_path / "inventory.json")
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "run", "--program", tmp_path / "program.json",
+            "--inventory", tmp_path / "inventory.json",
+            "--k", 2, "--solver", "trivial", "--out", out,
+        )
+        assert code == 0
+        schedule = io.load_schedule(out / "schedule.json")
+        assert sorted(e.slot for e in schedule.entries) == [0, 3]
+
     def test_odd_k_exits_2_naming_balance(self, tmp_path, capsys):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         code = self.run_cli(
@@ -302,8 +317,9 @@ class TestBenchmark:
         rows = benchmark([(20, 11, 8)], seed=0, cap=1000)
         row = rows[0]
         assert row["brute_force"]["skipped"] is True
+        assert "--solver bnb" in row["brute_force"]["reason"]
         assert row["rewards_match"] is None
-        assert "reward" in row["branch_and_bound"]
+        assert set(row["assignment"]) == {"reward", "candidates_evaluated", "wall_time"}
 
     def test_cli_empty_grid(self, capsys):
         assert main(["benchmark"]) == 0

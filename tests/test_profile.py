@@ -7,7 +7,7 @@ from adplacer.core import RewardParams, Schedule, ScheduleEntry
 from adplacer.errors import TooShort, UnknownAdId
 from adplacer.instances import random_instance
 from adplacer.profile import ProfilePoint, VpsProfile, build_profile, total_variation
-from adplacer.solvers import solve_branch_and_bound
+from adplacer.solvers import solve_assignment
 
 from util import make_inventory, make_program
 
@@ -58,7 +58,7 @@ def test_point_count_and_scene_recovery():
 def test_solved_schedule_profile_positions():
     program, inventory, rel = random_instance(12, 11, 15)
     params = RewardParams(0.5, 0.5, 4)
-    report = solve_branch_and_bound(program, inventory, rel, params)
+    report = solve_assignment(program, inventory, rel, params)
     profile = build_profile(report.schedule, program, inventory)
     assert len(profile.points) == program.n_scenes + 4
     ad_points = [p for p in profile.points if p.kind == "ad"]
@@ -99,7 +99,7 @@ def test_total_variation_needs_two_points():
 def test_embedding_contrasting_ads_raises_variation():
     program, inventory, rel = random_instance(16, 9, 77)
     params = RewardParams(0.5, 0.5, 4)
-    report = solve_branch_and_bound(program, inventory, rel, params)
+    report = solve_assignment(program, inventory, rel, params)
     with_ads = total_variation(build_profile(report.schedule, program, inventory))
     without = total_variation(build_profile(Schedule.empty(), program, inventory))
     assert with_ads > without

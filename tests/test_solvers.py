@@ -1,15 +1,20 @@
-"""Enumeration, brute force, branch-and-bound and the LP relaxation."""
+"""Enumeration, brute force, the exact assignment and the exact sparse LP."""
 
 import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from adplacer.core import (
+    Ad,
+    AdInventory,
     Polarity,
+    ProgramSpec,
     RewardParams,
     Schedule,
     reward,
+    Valence,
     slot_blocks,
     validate_schedule,
 )
@@ -18,7 +23,7 @@ from adplacer.instances import random_instance
 from adplacer.solvers import (
     enumerate_balanced_subsets,
     enumerate_placements,
-    solve_branch_and_bound,
+    solve_assignment,
     solve_brute_force,
     solve_lp_relax,
 )
@@ -168,21 +173,11 @@ class TestBruteForce:
 
     def test_candidate_cap(self):
         program, inventory, rel, params = two_ad_instance()
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(InstanceTooLarge, match="--solver bnb"):
             solve_brute_force(program, inventory, rel, params, cap=1)
 
-    @pytest.mark.parametrize("threads", [2, 3, 8])
-    def test_thread_count_never_changes_result(self, threads):
-        program, inventory, rel = random_instance(8, 6, 303)
-        params = RewardParams(0.4, 0.6, 4)
-        base = solve_brute_force(program, inventory, rel, params)
-        fanned = solve_brute_force(program, inventory, rel, params, threads=threads)
-        assert fanned.schedule == base.schedule
-        assert fanned.reward == base.reward
-        assert fanned.candidates_evaluated == base.candidates_evaluated
 
-
-class TestBranchAndBound:
+class TestAssignment:
     def test_matches_brute_force_on_small_instances(self):
         for seed in range(40):
             p = 4 + seed % 7
@@ -193,39 +188,30 @@ class TestBranchAndBound:
             program, inventory, rel = random_instance(p, m, 900 + seed)
             params = RewardParams(0.5, 0.5, k)
             bf = solve_brute_force(program, inventory, rel, params)
-            bb = solve_branch_and_bound(program, inventory, rel, params)
-            assert abs(bf.reward - bb.reward) <= 1e-9
-            assert validate_schedule(bb.schedule, program, inventory, params)
+            exact = solve_assignment(program, inventory, rel, params)
+            assert abs(bf.reward - exact.reward) <= 1e-9
+            assert validate_schedule(exact.schedule, program, inventory, params)
 
     def test_identical_ads_resolve_deterministically(self):
         program = make_program(0.9, 0.1, 0.8)
         inventory = make_inventory(0.7, 0.7, 0.3, 0.3)
         params = RewardParams(0.5, 0.5, 2)
         rel = const_rel(3, 4, 0.5)
-        bb1 = solve_branch_and_bound(program, inventory, rel, params)
-        bb2 = solve_branch_and_bound(program, inventory, rel, params)
-        assert bb1.schedule == bb2.schedule
+        first = solve_assignment(program, inventory, rel, params)
+        second = solve_assignment(program, inventory, rel, params)
+        assert first.schedule == second.schedule
         bf = solve_brute_force(program, inventory, rel, params)
-        assert abs(bb1.reward - bf.reward) <= 1e-9
-
-    def test_pruning_fires_with_dominant_ad(self):
-        program = make_program(0.5, 0.5, 0.5, 0.5, 0.5)  # M = 4
-        inventory = make_inventory(0.9, 0.8, 0.7, 0.05, 0.3, 0.4)
-        params = RewardParams(1.0, 0.0, 2)
-        report = solve_branch_and_bound(program, inventory, const_rel(5, 6), params)
-        assert report.nodes_pruned is not None and report.nodes_pruned > 0
-        bf = solve_brute_force(program, inventory, const_rel(5, 6), params)
-        assert abs(report.reward - bf.reward) <= 1e-9
+        assert abs(first.reward - bf.reward) <= 1e-9
 
     def test_k_zero(self):
         program, inventory, rel, _ = two_ad_instance()
-        report = solve_branch_and_bound(program, inventory, rel, RewardParams(0.5, 0.5, 0))
+        report = solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 0))
         assert report.reward == 0.0 and len(report.schedule) == 0
 
     def test_reward_matches_reevaluation(self):
         program, inventory, rel = random_instance(10, 8, 97)
         params = RewardParams(0.5, 0.5, 4)
-        report = solve_branch_and_bound(program, inventory, rel, params)
+        report = solve_assignment(program, inventory, rel, params)
         assert report.reward == pytest.approx(
             reward(report.schedule, program, inventory, rel, params), abs=1e-9
         )
@@ -238,7 +224,7 @@ class TestLpRelax:
         bf = solve_brute_force(program, inventory, rel, params)
         assert lp.schedule == bf.schedule
         assert lp.reward == pytest.approx(bf.reward, abs=1e-9)
-        assert lp.upper_bound == pytest.approx(bf.reward, abs=1e-7)
+        assert lp.upper_bound == pytest.approx(bf.reward, abs=1e-9)
 
     def test_k_zero(self):
         program, inventory, rel, _ = two_ad_instance()
@@ -256,8 +242,8 @@ class TestLpRelax:
             params = RewardParams(0.5, 0.5, k)
             lp = solve_lp_relax(program, inventory, rel, params)
             bf = solve_brute_force(program, inventory, rel, params)
-            assert lp.reward <= bf.reward + 1e-9
-            assert bf.reward <= lp.upper_bound + 1e-9
+            assert abs(lp.reward - bf.reward) <= 1e-9
+            assert abs(lp.upper_bound - bf.reward) <= 1e-9
             assert validate_schedule(lp.schedule, program, inventory, params)
 
     def test_infeasibility_checks(self):
@@ -265,12 +251,72 @@ class TestLpRelax:
         with pytest.raises(InfeasibleK):
             solve_lp_relax(program, inventory, rel, RewardParams(0.5, 0.5, 4))
 
+    def test_integrality_guard_rejects_fractional_vertex(self, monkeypatch):
+        program, inventory, rel, params = two_ad_instance()
+
+        def half_integral(c, **kwargs):
+            x = np.full(len(c), 0.5)  # feasible: both ads half in both blocks
+            return OptimizeResult(success=True, x=x, fun=float(np.dot(c, x)))
+
+        monkeypatch.setattr("adplacer.solvers.linprog", half_integral)
+        with pytest.raises(RuntimeError, match="fractional"):
+            solve_lp_relax(program, inventory, rel, params)
+
+
+def small_grid():
+    """Every cell P <= 8, M <= 6, even k <= M, with edge-case variants.
+
+    Each cell is solved on random relevance, constant relevance, ads that
+    share one valence per polarity, and (where k still fits) one fewer
+    slot than scene transitions, each under alpha in {0, 0.5, 1}.
+    """
+    for p in range(2, 9):
+        for m in range(1, 7):
+            for k in range(0, m + 1, 2):
+                if k // 2 > p // 2:  # random_instance holds floor(P/2) LV ads
+                    continue
+                program, inventory, rel = random_instance(p, m, 100 * p + 10 * m + k)
+                identical = AdInventory(tuple(
+                    Ad(a.id, Valence(0.75 if a.polarity is Polarity.HV else 0.25))
+                    for a in inventory.ads
+                ))
+                variants = {
+                    "random": (program, inventory, rel),
+                    "constant_rel": (program, inventory, const_rel(m + 1, p, 0.5)),
+                    "identical_ads": (program, identical, rel),
+                }
+                if k < m:
+                    variants["slot_count"] = (ProgramSpec(program.scenes, m - 1), inventory, rel)
+                for name, instance in variants.items():
+                    for alpha in (0.0, 0.5, 1.0):
+                        params = RewardParams(alpha, 1.0 - alpha, k)
+                        yield f"P={p} M={m} k={k} {name} alpha={alpha}", *instance, params
+
+
+def test_exact_routes_match_brute_force_on_small_grid():
+    failures = []
+    cells = 0
+    for where, program, inventory, rel, params in small_grid():
+        cells += 1
+        bf = solve_brute_force(program, inventory, rel, params)
+        exact = solve_assignment(program, inventory, rel, params)
+        lp = solve_lp_relax(program, inventory, rel, params)
+        for name, report in (("assignment", exact), ("lp", lp)):
+            if abs(report.reward - bf.reward) > 1e-9:
+                failures.append(f"{where}: {name} {report.reward!r} != brute {bf.reward!r}")
+            if not validate_schedule(report.schedule, program, inventory, params):
+                failures.append(f"{where}: {name} schedule is not strict-valid")
+        if abs(lp.upper_bound - bf.reward) > 1e-9:
+            failures.append(f"{where}: lp bound {lp.upper_bound!r} != brute {bf.reward!r}")
+    assert cells > 1000
+    assert not failures, failures[:10]
+
 
 class TestSolverProperties:
     def test_repeat_solves_are_identical(self):
         program, inventory, rel = random_instance(9, 7, 555)
         params = RewardParams(0.5, 0.5, 4)
-        for solve in (solve_brute_force, solve_branch_and_bound, solve_lp_relax):
+        for solve in (solve_brute_force, solve_assignment, solve_lp_relax):
             first = solve(program, inventory, rel, params)
             second = solve(program, inventory, rel, params)
             assert first.schedule == second.schedule
