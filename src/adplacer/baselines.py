@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 import random
 
-from .core import AdInventory, Polarity, ProgramSpec, Schedule, ScheduleEntry
-from .errors import InfeasibleInventory, InfeasibleK
+from .core import AdInventory, ProgramSpec, Schedule, ScheduleEntry, _check_balance
 
 
 def trivial_schedule(
@@ -20,16 +19,9 @@ def trivial_schedule(
     short of it; ``rank`` encodes the play order inside each group.  The
     RNG is the stdlib Mersenne Twister, so equal seeds give equal schedules.
     """
-    if k < 0 or k % 2:
-        raise InfeasibleK(f"k must be even and non-negative, got {k}")
-    half = k // 2
-    hv_ids = [ad.id for ad in inventory.ads if ad.polarity is Polarity.HV]
-    lv_ids = [ad.id for ad in inventory.ads if ad.polarity is Polarity.LV]
-    if len(hv_ids) < half or len(lv_ids) < half:
-        raise InfeasibleInventory(
-            f"need {half} HV and {half} LV ads, inventory has "
-            f"{len(hv_ids)} HV / {len(lv_ids)} LV"
-        )
+    half = _check_balance(inventory, k)
+    hv_ids = [inventory.ads[i].id for i in inventory.hv_indices]
+    lv_ids = [inventory.ads[i].id for i in inventory.lv_indices]
     rng = random.Random(seed)
     chosen = rng.sample(hv_ids, half) + rng.sample(lv_ids, half)
     rng.shuffle(chosen)

@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     DuplicateAdId,
     DuplicateSceneId,
+    InfeasibleInventory,
     InfeasibleK,
     InfeasibleSchedule,
     UnknownAdId,
@@ -178,6 +179,19 @@ class AdInventory:
     @cached_property
     def lv_indices(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.polarities) if p is Polarity.LV)
+
+
+def _check_balance(inventory: AdInventory, k: int) -> int:
+    """k // 2, after checking that k/2 HV and k/2 LV ads can be picked."""
+    if k < 0 or k % 2:
+        raise InfeasibleK(f"k must be even and non-negative, got {k}")
+    half = k // 2
+    hv, lv = len(inventory.hv_indices), len(inventory.lv_indices)
+    if hv < half or lv < half:
+        raise InfeasibleInventory(
+            f"need {half} HV and {half} LV ads, inventory has {hv} HV / {lv} LV"
+        )
+    return half
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Feature extraction itself happens upstream; this module only consumes the
 per-entity stacks of frame vectors (typically 40 frames x 512 dims, but any
-consistent shape works) and turns them into a relevance matrix.
+consistent shape works) and turns them into a relevance matrix: for either
+frame pairing, one product of per-entity summaries of the unit-norm frames.
 """
 
 from __future__ import annotations
@@ -78,34 +79,14 @@ def pair_relevance(
     ad_feats: KeyframeFeatures,
     pairing: Pairing = "aligned",
 ) -> float:
-    """Mean cosine similarity between two entities' keyframe features.
+    """Mean keyframe cosine of two entities: :func:`build_relevance_matrix`, 1 x 1."""
+    return float(build_relevance_matrix([scene_feats], [ad_feats], pairing).values[0, 0])
 
-    ``aligned`` pairs frame k with frame k (requires equal frame counts);
-    ``all_pairs`` averages over the full cross product of frames.
-    """
-    a, b = scene_feats.frames, ad_feats.frames
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"feature dims differ: {scene_feats.entity_id!r} has {a.shape[1]}, "
-            f"{ad_feats.entity_id!r} has {b.shape[1]}"
-        )
-    if pairing == "aligned":
-        if a.shape[0] != b.shape[0]:
-            raise FrameCountMismatch(
-                f"aligned pairing needs equal frame counts: "
-                f"{scene_feats.entity_id!r} has {a.shape[0]}, "
-                f"{ad_feats.entity_id!r} has {b.shape[0]}"
-            )
-        total = 0.0
-        for k in range(a.shape[0]):
-            total += cosine_similarity(a[k], b[k])
-        return total / a.shape[0]
-    if pairing == "all_pairs":
-        an = a / np.linalg.norm(a, axis=1, keepdims=True)
-        bn = b / np.linalg.norm(b, axis=1, keepdims=True)
-        sims = np.clip(an @ bn.T, -1.0, 1.0)
-        return float(sims.mean())
-    raise ValueError(f"unknown pairing mode {pairing!r}")
+
+def _summary(feats: KeyframeFeatures, pairing: Pairing) -> np.ndarray:
+    """One vector per entity whose inner products give the mean frame cosine."""
+    unit = feats.frames / np.linalg.norm(feats.frames, axis=1, keepdims=True)
+    return unit.ravel() if pairing == "aligned" else unit.mean(axis=0)
 
 
 def build_relevance_matrix(
@@ -113,16 +94,38 @@ def build_relevance_matrix(
     ad_feats: Sequence[KeyframeFeatures],
     pairing: Pairing = "aligned",
 ) -> RelevanceMatrix:
-    """Relevance matrix with entry (i, j) = pair_relevance(scene i, ad j).
+    """Relevance matrix whose entry (i, j) is the mean keyframe cosine
+    between scene i and ad j.
 
+    ``aligned`` pairs frame f with frame f (all entities need one frame
+    count F); ``all_pairs`` averages over the full cross product of frames.
+    By linearity, with unit frames a_f and b_f, mean_f <a_f, b_f> =
+    <vec A, vec B> / F and mean_{f,g} <a_f, b_g> = <mean A, mean B>, so the
+    matrix is one product of per-entity summaries, clipped into [-1, 1].
     Rows and columns follow the order of the given sequences; use
     :func:`features_for` to arrange features by program/inventory ids first.
     """
-    values = np.empty((len(scene_feats), len(ad_feats)), dtype=float)
-    for i, sf in enumerate(scene_feats):
-        for j, af in enumerate(ad_feats):
-            values[i, j] = pair_relevance(sf, af, pairing)
-    return RelevanceMatrix(values)
+    if pairing not in ("aligned", "all_pairs"):
+        raise ValueError(f"unknown pairing mode {pairing!r}")
+    if not scene_feats or not ad_feats:
+        return RelevanceMatrix(np.empty((len(scene_feats), len(ad_feats))))
+    ref = scene_feats[0]
+    for f in [*scene_feats, *ad_feats]:
+        if f.dim != ref.dim:
+            raise DimensionMismatch(
+                f"feature dims differ: {ref.entity_id!r} has {ref.dim}, "
+                f"{f.entity_id!r} has {f.dim}"
+            )
+        if pairing == "aligned" and f.frame_count != ref.frame_count:
+            raise FrameCountMismatch(
+                f"aligned pairing needs equal frame counts: "
+                f"{ref.entity_id!r} has {ref.frame_count}, "
+                f"{f.entity_id!r} has {f.frame_count}"
+            )
+    n_frames = ref.frame_count if pairing == "aligned" else 1
+    scenes = np.stack([_summary(f, pairing) for f in scene_feats])
+    ads = np.stack([_summary(f, pairing) for f in ad_feats])
+    return RelevanceMatrix(np.clip(scenes @ ads.T / n_frames, -1.0, 1.0))
 
 
 def features_for(

@@ -26,13 +26,13 @@ from .core import (
     RelevanceMatrix,
     RewardParams,
     Schedule,
+    _check_balance,
     as_relevance,
     reward,
     slot_blocks,
 )
 from .errors import (
     DimensionMismatch,
-    InfeasibleInventory,
     InfeasibleK,
     InstanceTooLarge,
 )
@@ -85,12 +85,7 @@ def _check_instance(
         raise InfeasibleK(
             f"k={params.k} exceeds the {program.slot_count} available slots"
         )
-    half = params.k // 2
-    hv, lv = len(inventory.hv_indices), len(inventory.lv_indices)
-    if hv < half or lv < half:
-        raise InfeasibleInventory(
-            f"need {half} HV and {half} LV ads, inventory has {hv} HV / {lv} LV"
-        )
+    _check_balance(inventory, params.k)
 
 
 def _contributions(
@@ -114,15 +109,7 @@ def _iter_balanced_index_subsets(
     inventory: AdInventory, k: int
 ) -> Iterator[tuple[int, ...]]:
     """All k-subsets of ad indices with k/2 of each polarity, lexicographic."""
-    if k < 0 or k % 2:
-        raise InfeasibleK(f"k must be even and non-negative, got {k}")
-    half = k // 2
-    hv_total, lv_total = len(inventory.hv_indices), len(inventory.lv_indices)
-    if hv_total < half or lv_total < half:
-        raise InfeasibleInventory(
-            f"need {half} HV and {half} LV ads, inventory has "
-            f"{hv_total} HV / {lv_total} LV"
-        )
+    half = _check_balance(inventory, k)
     is_hv = [p is Polarity.HV for p in inventory.polarities]
     n = len(is_hv)
     # suffix availability for pruning dead branches early
@@ -175,14 +162,14 @@ def enumerate_balanced_subsets(
 
 
 def _iter_placements_idx(
-    ad_indices: Sequence[int], blocks: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All (slot, ad_index) assignments, one ad per block, deterministic order.
+    ads: Sequence, blocks: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[tuple[int, object], ...]]:
+    """All (slot, ad) assignments, one ad per block, deterministic order.
 
     Orderings of the given ads come first (lexicographic relative to the
     input sequence), then the slot choice within each block, block by block.
     """
-    for perm in itertools.permutations(ad_indices):
+    for perm in itertools.permutations(ads):
         for slot_choice in itertools.product(*blocks):
             yield tuple(zip(slot_choice, perm))
 
@@ -202,9 +189,7 @@ def enumerate_placements(
     if len(ads) != k:
         raise ValueError(f"subset has {len(ads)} ads, expected k={k}")
     blocks = slot_blocks(program.slot_count, k)
-    for perm in itertools.permutations(ads):
-        for slot_choice in itertools.product(*blocks):
-            yield Schedule.strict(zip(slot_choice, perm))
+    yield from map(Schedule.strict, _iter_placements_idx(ads, blocks))
 
 
 def solve_brute_force(

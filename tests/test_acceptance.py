@@ -21,7 +21,12 @@ from adplacer.core import (
 )
 from adplacer.instances import random_instance
 from adplacer.profile import build_profile, total_variation
-from adplacer.relevance import KeyframeFeatures, cosine_similarity, pair_relevance
+from adplacer.relevance import (
+    KeyframeFeatures,
+    build_relevance_matrix,
+    cosine_similarity,
+    pair_relevance,
+)
 from adplacer.solvers import (
     solve_assignment,
     solve_brute_force,
@@ -252,11 +257,31 @@ def test_relevance_against_scalar_oracle():
         expected /= f
         got = pair_relevance(a, b)
         pairs_worst = max(pairs_worst, abs(got - expected) / abs(expected))
-    ok = worst <= 1e-12 and pairs_worst <= 1e-12
+    matrix_worst = 0.0
+    for pairing in ("aligned", "all_pairs"):
+        for _ in range(20):
+            # all_pairs takes ragged frame counts; aligned needs one shared F
+            counts = rng.integers(1, 9, size=9) if pairing == "all_pairs" else [f] * 9
+            entities = [
+                KeyframeFeatures(f"e{n}", rng.uniform(0.1, 1.0, size=(c, 16)))
+                for n, c in enumerate(counts)
+            ]
+            scenes, ads = entities[:4], entities[4:]
+            got = build_relevance_matrix(scenes, ads, pairing).values
+            for i, sf in enumerate(scenes):
+                for j, af in enumerate(ads):
+                    if pairing == "aligned":
+                        cosines = [cosine_similarity(x, y) for x, y in zip(sf.frames, af.frames)]
+                    else:
+                        cosines = [cosine_similarity(x, y) for x in sf.frames for y in af.frames]
+                    expected = sum(cosines) / len(cosines)
+                    matrix_worst = max(matrix_worst, abs(got[i, j] - expected) / abs(expected))
+    worst = max(worst, pairs_worst, matrix_worst)
     _criterion(
-        "relevance correctness: cosine and frame-pair means match scalar loops",
-        ok,
-        f"worst relative error {max(worst, pairs_worst):.2e}",
+        "relevance correctness: cosine, frame-pair means and both pairings of "
+        "the relevance matrix match scalar loops",
+        worst <= 1e-12,
+        f"worst relative error {worst:.2e}",
     )
 
 

@@ -304,6 +304,29 @@ class TestRunCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "pairing, shapes",
+        [
+            ("aligned", {"a2": (4, 8)}),  # ragged frame counts
+            ("aligned", {"s2": (5, 6)}),  # mixed feature dims
+            ("all_pairs", {"a1": (5, 6)}),
+        ],
+    )
+    def test_inconsistent_features_exit_1(self, tmp_path, pairing, shapes):
+        program, inventory, _ = write_two_ad_instance(tmp_path)
+        rng = np.random.default_rng(46)
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        for eid in ("s1", "s2", "s3", "a1", "a2"):
+            frames = rng.normal(size=shapes.get(eid, (5, 8)))
+            np.savetxt(feat_dir / f"{eid}.txt", frames, fmt="%.17g")
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--features", feat_dir, "--pairing", pairing, "--k", 2,
+            "--out", tmp_path / "out",
+        )
+        assert code == 1
+
 
 class TestBenchmark:
     def test_small_grid_agrees(self, capsys):

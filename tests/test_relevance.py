@@ -187,6 +187,27 @@ class TestMatrix:
         rel_perm = build_relevance_matrix(scenes, [ads[j] for j in perm])
         assert np.array_equal(rel_perm.values, rel.values[:, perm])
 
+    def test_frame_count_mismatch(self):
+        rng = np.random.default_rng(67)
+        scenes = [feats(f"s{i}", rng.normal(size=(3, 4))) for i in range(2)]
+        ads = [feats("ad0", rng.normal(size=(3, 4))), feats("ad1", rng.normal(size=(2, 4)))]
+        with pytest.raises(FrameCountMismatch, match="ad1"):
+            build_relevance_matrix(scenes, ads)
+        assert build_relevance_matrix(scenes, ads, "all_pairs").values.shape == (2, 2)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(71)
+        scenes = [feats("s0", rng.normal(size=(3, 4))), feats("s1", rng.normal(size=(3, 5)))]
+        ads = [feats("ad0", rng.normal(size=(3, 4)))]
+        for pairing in ("aligned", "all_pairs"):
+            with pytest.raises(DimensionMismatch, match="s1"):
+                build_relevance_matrix(scenes, ads, pairing)
+
+    def test_unknown_pairing(self):
+        a = feats("s", [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="nope"):
+            build_relevance_matrix([a], [a], pairing="nope")
+
     def test_features_for_missing_entity(self):
         table = {"s1": feats("s1", [[1.0]])}
         assert features_for(["s1"], table) == [table["s1"]]

@@ -266,7 +266,7 @@ class TestLpRelax:
 def small_grid():
     """Every cell P <= 8, M <= 6, even k <= M, with edge-case variants.
 
-    Each cell is solved on random relevance, constant relevance, ads that
+    Each cell is solved on random, constant and zero relevance, ads that
     share one valence per polarity, and (where k still fits) one fewer
     slot than scene transitions, each under alpha in {0, 0.5, 1}.
     """
@@ -283,6 +283,7 @@ def small_grid():
                 variants = {
                     "random": (program, inventory, rel),
                     "constant_rel": (program, inventory, const_rel(m + 1, p, 0.5)),
+                    "zero_rel": (program, inventory, const_rel(m + 1, p, 0.0)),
                     "identical_ads": (program, identical, rel),
                 }
                 if k < m:
