@@ -35,7 +35,6 @@ from .solvers import (
     enumerate_placements,
     solve_assignment,
     solve_brute_force,
-    solve_lp_relax,
 )
 
 __version__ = "0.1.0"
@@ -71,7 +70,6 @@ __all__ = [
     "slot_blocks",
     "solve_assignment",
     "solve_brute_force",
-    "solve_lp_relax",
     "total_variation",
     "trivial_schedule",
     "validate_schedule",

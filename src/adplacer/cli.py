@@ -43,7 +43,6 @@ from .solvers import (
     DEFAULT_CANDIDATE_CAP,
     solve_assignment,
     solve_brute_force,
-    solve_lp_relax,
 )
 
 EXIT_OK = 0
@@ -52,7 +51,7 @@ EXIT_INFEASIBLE = 2
 EXIT_TOO_LARGE = 3
 EXIT_INTERNAL = 4
 
-_CONFIG_ERRORS = (ParseError, MissingEntity, FileNotFoundError, IsADirectoryError, ValueError)
+_CONFIG_ERRORS = (ParseError, MissingEntity, OSError, ValueError)
 _INFEASIBLE_ERRORS = (InfeasibleK, InfeasibleInventory)
 
 
@@ -65,7 +64,7 @@ class RunConfig:
     k: int
     alpha: float = 0.5
     beta: float = 0.5
-    solver: str = "brute"  # brute | bnb | lp | trivial
+    solver: str = "bnb"  # bnb | lp (both the exact assignment) | brute | trivial
     features_dir: str | None = None
     rel_file: str | None = None
     pairing: str = "aligned"
@@ -92,11 +91,6 @@ def _resolve_relevance(config: RunConfig, program, inventory) -> RelevanceMatrix
         rel = RelevanceMatrix(np.zeros((program.n_scenes, len(inventory))))
     else:
         raise ParseError("beta > 0 requires --rel-file or --features")
-    if rel.values.shape != (program.n_scenes, len(inventory)):
-        raise ParseError(
-            f"relevance matrix shape {rel.values.shape} does not match "
-            f"{program.n_scenes} scenes x {len(inventory)} ads"
-        )
     return rel
 
 
@@ -141,10 +135,8 @@ def run(config: RunConfig) -> int:
         rel = _resolve_relevance(config, program, inventory)
         if config.solver == "brute":
             report = solve_brute_force(program, inventory, rel, params, cap=config.cap)
-        elif config.solver == "bnb":
+        elif config.solver in ("bnb", "lp"):
             report = solve_assignment(program, inventory, rel, params)
-        elif config.solver == "lp":
-            report = solve_lp_relax(program, inventory, rel, params)
         else:
             raise ParseError(f"unknown solver {config.solver!r}")
 
@@ -244,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--alpha", type=float, default=0.5,
                       help="late-placement weight; beta = 1 - alpha (default 0.5)")
     runp.add_argument("--solver", choices=["brute", "bnb", "lp", "trivial"],
-                      default="brute", help="solver to use (default brute)")
+                      default="bnb",
+                      help="solver to use; bnb and lp both run the exact assignment "
+                           "(default bnb)")
     runp.add_argument("--features", default=None, metavar="DIR",
                       help="directory of per-entity keyframe feature grids")
     runp.add_argument("--rel-file", default=None, metavar="FILE",

@@ -174,7 +174,7 @@ def report_dict(report: SolveReport, mode: str = "strict") -> dict:
         "reward": report.reward,
         "candidates_evaluated": report.candidates_evaluated,
         "nodes_pruned": report.nodes_pruned,
-        "upper_bound": report.upper_bound,
+        "upper_bound": None,  # adplacer-report/1 keeps the key; no solver reports a bound
         "wall_time": report.wall_time,
         "schedule": schedule_dict(report.schedule, mode),
     }

@@ -1,10 +1,10 @@
 """Solvers maximizing the placement reward under the strict constraints.
 
-Three routes: exhaustive enumeration over balanced ad subsets and their
-block-respecting placements (the capped test oracle), and two exact
-polynomial routes built on the same block reduction - a quota-padded
-max-weight assignment and a sparse LP whose integral optimum doubles as
-an optimality certificate.
+Two routes: exhaustive enumeration over balanced ad subsets and their
+block-respecting placements (the capped test oracle), and the exact
+polynomial route - a block reduction solved as one quota-padded max-weight
+assignment.  Each route reports the objective it optimized; callers
+re-score the schedule to check it.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 
 from .core import (
     AdInventory,
@@ -28,7 +27,6 @@ from .core import (
     Schedule,
     _check_balance,
     as_relevance,
-    reward,
     slot_blocks,
 )
 from .errors import (
@@ -40,20 +38,17 @@ from .errors import (
 #: Brute force refuses instances with more candidate schedules than this.
 DEFAULT_CANDIDATE_CAP = 10**8
 
-#: Largest distance from 0/1 tolerated in an LP vertex before it is rejected.
-_INTEGRALITY_TOL = 1e-6
-
 BRUTE_FORCE = "brute_force"
 ASSIGNMENT = "assignment"
-LP_RELAX = "lp_relax"
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """A solver's answer plus its work statistics.
 
-    ``candidates_evaluated`` counts fully scored schedules (1 for the two
-    polynomial routes); ``upper_bound`` is set by the LP route only.
+    ``reward`` is the objective the solver optimized, summed from its own
+    per-(slot, ad) contributions; ``candidates_evaluated`` counts fully
+    scored schedules (1 for the assignment).
     """
 
     schedule: Schedule
@@ -61,7 +56,6 @@ class SolveReport:
     solver: str
     candidates_evaluated: int
     wall_time: float
-    upper_bound: float | None = None
 
     @property
     def nodes_pruned(self) -> None:
@@ -242,7 +236,7 @@ def solve_brute_force(
     )
     return SolveReport(
         schedule=schedule,
-        reward=reward(schedule, program, inventory, rel, params),
+        reward=best_val,
         solver=BRUTE_FORCE,
         candidates_evaluated=count,
         wall_time=time.perf_counter() - start,
@@ -255,7 +249,7 @@ def _block_values(
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block reduction shared by both exact routes.
+    """The block reduction behind the exact assignment.
 
     Blocks are disjoint and each takes exactly one ad, so an ad placed in
     block b always sits on the block's slot where it contributes most.
@@ -280,15 +274,6 @@ def _block_values(
     return g, best_slot, is_hv
 
 
-def _picked_schedule(
-    picks: Iterable[tuple[int, int]], best_slot: np.ndarray, inventory: AdInventory
-) -> Schedule:
-    """The strict schedule placing ad j in block b for every (b, j) pick."""
-    return Schedule.strict(
-        (int(best_slot[b, j]), inventory.ads[j].id) for b, j in picks
-    )
-
-
 def solve_assignment(
     program: ProgramSpec,
     inventory: AdInventory,
@@ -302,6 +287,13 @@ def solve_assignment(
     |LV| - k/2 dummy rows that may take only LV ads, both at weight 0.
     Every ad is matched, so the dummies absorb all but k/2 ads of each
     polarity and exactly k/2 HV ads land in blocks.
+
+    This solves the placement LP over block-by-ad variables x[b, j] in
+    [0, 1] (unit mass per block, at most unit mass per ad, HV mass k/2)
+    exactly: its constraint rows form two laminar families, so the matrix
+    is totally unimodular (Hoffman & Kruskal) and the LP optimum is attained
+    at an integral vertex, which is a schedule.  The reported reward is the
+    sum of g over the chosen (block, ad) pairs.
     """
     start = time.perf_counter()
     g, best_slot, is_hv = _block_values(program, inventory, rel, params)
@@ -318,69 +310,14 @@ def solve_assignment(
         ]
     )
     rows, cols = linear_sum_assignment(weights, maximize=True)
-    schedule = _picked_schedule(zip(rows[:k], cols[:k]), best_slot, inventory)
+    rows, cols = rows[:k], cols[:k]
+    schedule = Schedule.strict(
+        (int(best_slot[b, j]), inventory.ads[j].id) for b, j in zip(rows, cols)
+    )
     return SolveReport(
         schedule=schedule,
-        reward=reward(schedule, program, inventory, rel, params),
+        reward=float(g[rows, cols].sum()),
         solver=ASSIGNMENT,
         candidates_evaluated=1,
         wall_time=time.perf_counter() - start,
-    )
-
-
-def solve_lp_relax(
-    program: ProgramSpec,
-    inventory: AdInventory,
-    rel: RelevanceMatrix,
-    params: RewardParams,
-) -> SolveReport:
-    """Exact optimum as a sparse LP over block-by-ad variables.
-
-    Variable x[b, j] in [0, 1] is the mass of ad j in block b.  Each block
-    holds unit mass, each ad at most unit mass, and HV ads exactly k/2.
-    The rows form two laminar families (blocks; ads nested in the HV row),
-    so the constraint matrix is totally unimodular (Hoffman & Kruskal) and
-    every vertex is integral.  The LP objective, which certifies that no
-    schedule scores more, is reported as ``upper_bound``.
-    """
-    start = time.perf_counter()
-    g, best_slot, is_hv = _block_values(program, inventory, rel, params)
-    k, n_ads = g.shape
-    if k == 0:
-        return SolveReport(
-            schedule=Schedule.empty(),
-            reward=0.0,
-            solver=LP_RELAX,
-            candidates_evaluated=1,
-            wall_time=time.perf_counter() - start,
-            upper_bound=0.0,
-        )
-
-    # variable (b, j) lives at index b * n_ads + j
-    one_per_block = sparse.kron(sparse.eye(k), np.ones((1, n_ads)))
-    hv_mass = sparse.csr_matrix(np.tile(is_hv, k).astype(float))
-    at_most_once = sparse.kron(np.ones((1, k)), sparse.eye(n_ads))
-    res = linprog(
-        -g.ravel(),
-        A_ub=at_most_once,
-        b_ub=np.ones(n_ads),
-        A_eq=sparse.vstack([one_per_block, hv_mass]),
-        b_eq=np.append(np.ones(k), k // 2),
-        bounds=(0.0, 1.0),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"LP failed to solve: {res.message}")
-    off = float(np.abs(res.x - np.round(res.x)).max())
-    if off > _INTEGRALITY_TOL:
-        raise RuntimeError(f"LP returned a fractional vertex ({off:.3g} from integral)")
-    picks = zip(*np.nonzero(res.x.reshape(k, n_ads) > 0.5))
-    schedule = _picked_schedule(picks, best_slot, inventory)
-    return SolveReport(
-        schedule=schedule,
-        reward=reward(schedule, program, inventory, rel, params),
-        solver=LP_RELAX,
-        candidates_evaluated=1,
-        wall_time=time.perf_counter() - start,
-        upper_bound=float(-res.fun),
     )

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from adplacer import io
+from adplacer import io, solvers
 from adplacer.cli import benchmark, main
 from adplacer.core import RewardParams
 from adplacer.errors import (
@@ -15,6 +15,7 @@ from adplacer.errors import (
 )
 from adplacer.instances import random_instance
 from adplacer.relevance import KeyframeFeatures
+from adplacer.solvers import solve_assignment
 
 from util import make_inventory, make_program, two_ad_instance
 
@@ -181,6 +182,40 @@ class TestRunCommand:
         assert code == 0
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
+        assert report["solver"] == "assignment"
+        assert report["upper_bound"] is None
+
+    def test_default_solver_handles_paper_scale(self, tmp_path):
+        # 24 ads / 11 slots / k=8 has ~7.9e10 candidate schedules, far over
+        # the brute-force cap, so only the exact assignment can be the default
+        program, inventory, rel = random_instance(24, 11, 12)
+        io.save_program(program, tmp_path / "program.json")
+        io.save_inventory(inventory, tmp_path / "inventory.json")
+        io.save_relevance(rel, tmp_path / "rel.txt")
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "run", "--program", tmp_path / "program.json",
+            "--inventory", tmp_path / "inventory.json",
+            "--rel-file", tmp_path / "rel.txt", "--k", 8, "--out", out,
+        )
+        assert code == 0
+        report = io.load_report(out / "report.json")
+        expected = solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 8))
+        assert report["solver"] == "assignment"
+        assert report["reward"] == pytest.approx(expected.reward, abs=1e-9)
+
+    @pytest.mark.parametrize("solver", ["bnb", "brute"])
+    def test_objective_disagreeing_with_reward_exits_4(self, tmp_path, capsys, monkeypatch, solver):
+        # a solver optimizing the wrong objective must be caught by the re-score
+        contributions = solvers._contributions
+        monkeypatch.setattr(solvers, "_contributions", lambda *args: contributions(*args) + 1.0)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
+        )
+        assert code == 4
+        assert "violating its own contract" in capsys.readouterr().err
 
     def test_hundred_scale_flag(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path, scale="hundred")
@@ -266,9 +301,39 @@ class TestRunCommand:
         program, inventory, rel = write_two_ad_instance(tmp_path)
         code = self.run_cli(
             "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--cap", 1, "--out", tmp_path / "out",
+            "--rel-file", rel, "--k", 2, "--solver", "brute", "--cap", 1,
+            "--out", tmp_path / "out",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("solver", ["brute", "bnb"])
+    def test_relevance_missing_an_ad_column_exits_1(self, tmp_path, capsys, solver):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        np.savetxt(rel, np.ones((3, 1)), fmt="%.17g")
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert "does not match 3 scenes x 2 ads" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_1(self, tmp_path):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / "out"
+        out.write_text("")
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", out,
+        )
+        assert code == 1
+
+    def test_input_under_a_regular_file_exits_1(self, tmp_path):
+        _, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", inventory / "p.json", "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
 
     def test_features_pipeline(self, tmp_path):
         program, inventory, _ = write_two_ad_instance(tmp_path)

@@ -1,10 +1,9 @@
-"""Enumeration, brute force, the exact assignment and the exact sparse LP."""
+"""Enumeration, brute force and the exact assignment."""
 
 import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from adplacer.core import (
     Ad,
@@ -25,7 +24,6 @@ from adplacer.solvers import (
     enumerate_placements,
     solve_assignment,
     solve_brute_force,
-    solve_lp_relax,
 )
 
 from util import const_rel, make_inventory, make_program, two_ad_instance
@@ -216,51 +214,10 @@ class TestAssignment:
             reward(report.schedule, program, inventory, rel, params), abs=1e-9
         )
 
-
-class TestLpRelax:
-    def test_integral_instance_matches_brute_force(self):
-        program, inventory, rel, params = two_ad_instance()
-        lp = solve_lp_relax(program, inventory, rel, params)
-        bf = solve_brute_force(program, inventory, rel, params)
-        assert lp.schedule == bf.schedule
-        assert lp.reward == pytest.approx(bf.reward, abs=1e-9)
-        assert lp.upper_bound == pytest.approx(bf.reward, abs=1e-9)
-
-    def test_k_zero(self):
-        program, inventory, rel, _ = two_ad_instance()
-        lp = solve_lp_relax(program, inventory, rel, RewardParams(0.5, 0.5, 0))
-        assert lp.reward == 0.0 and lp.upper_bound == 0.0
-
-    def test_bound_sandwich_on_random_instances(self):
-        for seed in range(50):
-            p = 4 + seed % 6
-            m = 2 + seed % 6
-            k = (2, 4)[seed % 2]
-            if k > m:
-                k = 2
-            program, inventory, rel = random_instance(p, m, 1300 + seed)
-            params = RewardParams(0.5, 0.5, k)
-            lp = solve_lp_relax(program, inventory, rel, params)
-            bf = solve_brute_force(program, inventory, rel, params)
-            assert abs(lp.reward - bf.reward) <= 1e-9
-            assert abs(lp.upper_bound - bf.reward) <= 1e-9
-            assert validate_schedule(lp.schedule, program, inventory, params)
-
     def test_infeasibility_checks(self):
         program, inventory, rel, _ = two_ad_instance()
         with pytest.raises(InfeasibleK):
-            solve_lp_relax(program, inventory, rel, RewardParams(0.5, 0.5, 4))
-
-    def test_integrality_guard_rejects_fractional_vertex(self, monkeypatch):
-        program, inventory, rel, params = two_ad_instance()
-
-        def half_integral(c, **kwargs):
-            x = np.full(len(c), 0.5)  # feasible: both ads half in both blocks
-            return OptimizeResult(success=True, x=x, fun=float(np.dot(c, x)))
-
-        monkeypatch.setattr("adplacer.solvers.linprog", half_integral)
-        with pytest.raises(RuntimeError, match="fractional"):
-            solve_lp_relax(program, inventory, rel, params)
+            solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 4))
 
 
 def small_grid():
@@ -301,14 +258,10 @@ def test_exact_routes_match_brute_force_on_small_grid():
         cells += 1
         bf = solve_brute_force(program, inventory, rel, params)
         exact = solve_assignment(program, inventory, rel, params)
-        lp = solve_lp_relax(program, inventory, rel, params)
-        for name, report in (("assignment", exact), ("lp", lp)):
-            if abs(report.reward - bf.reward) > 1e-9:
-                failures.append(f"{where}: {name} {report.reward!r} != brute {bf.reward!r}")
-            if not validate_schedule(report.schedule, program, inventory, params):
-                failures.append(f"{where}: {name} schedule is not strict-valid")
-        if abs(lp.upper_bound - bf.reward) > 1e-9:
-            failures.append(f"{where}: lp bound {lp.upper_bound!r} != brute {bf.reward!r}")
+        if abs(exact.reward - bf.reward) > 1e-9:
+            failures.append(f"{where}: assignment {exact.reward!r} != brute {bf.reward!r}")
+        if not validate_schedule(exact.schedule, program, inventory, params):
+            failures.append(f"{where}: assignment schedule is not strict-valid")
     assert cells > 1000
     assert not failures, failures[:10]
 
@@ -317,14 +270,13 @@ class TestSolverProperties:
     def test_repeat_solves_are_identical(self):
         program, inventory, rel = random_instance(9, 7, 555)
         params = RewardParams(0.5, 0.5, 4)
-        for solve in (solve_brute_force, solve_assignment, solve_lp_relax):
+        for solve in (solve_brute_force, solve_assignment):
             first = solve(program, inventory, rel, params)
             second = solve(program, inventory, rel, params)
             assert first.schedule == second.schedule
             assert first.reward == second.reward
             assert first.candidates_evaluated == second.candidates_evaluated
             assert first.nodes_pruned == second.nodes_pruned
-            assert first.upper_bound == second.upper_bound
 
     def test_pure_alpha_tail_placement(self):
         # with only the positional term, each ad sits on its block's last
