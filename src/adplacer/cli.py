@@ -1,4 +1,10 @@
-"""Command-line front end: solve a single instance or sweep a benchmark grid.
+"""Command-line front end: ``adplacer run`` solves one instance.
+
+Every ``--solver`` route yields a ``SolveReport``; the run then validates its
+schedule (strict, or baseline for ``trivial``), re-scores the objective of
+the strict routes with ``core.reward``, and writes ``schedule.json``,
+``report.json`` and ``profile.json``.  Timing across solvers and instance
+sizes lives in ``perfbench/``, not in the package.
 
 Exit codes:
     0  success
@@ -11,7 +17,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import dataclass
@@ -36,11 +41,11 @@ from .errors import (
     MissingEntity,
     ParseError,
 )
-from .instances import random_instance
 from .profile import build_profile
 from .relevance import build_relevance_matrix, features_for
 from .solvers import (
     DEFAULT_CANDIDATE_CAP,
+    SolveReport,
     solve_assignment,
     solve_brute_force,
 )
@@ -105,57 +110,49 @@ def run(config: RunConfig) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if config.solver == "trivial":
+            # the baseline ignores relevance and optimizes nothing
+            mode = "baseline"
             started = time.perf_counter()
             schedule = trivial_schedule(program, inventory, config.k, config.seed)
-            wall = time.perf_counter() - started
-            check = validate_schedule(schedule, program, inventory, params, "baseline")
-            if not check:
-                raise AdPlacerError(f"baseline emitted an invalid schedule: {check.message}")
-            io.save_schedule(schedule, out_dir / "schedule.json", mode="baseline")
-            io.save_report(
-                {
-                    "format": io.REPORT_FORMAT,
-                    "solver": "trivial",
-                    "reward": None,
-                    "seed": config.seed,
-                    "candidates_evaluated": 1,
-                    "nodes_pruned": None,
-                    "upper_bound": None,
-                    "wall_time": wall,
-                    "schedule": io.schedule_dict(schedule, "baseline"),
-                },
-                out_dir / "report.json",
-            )
-            io.save_profile(
-                build_profile(schedule, program, inventory), out_dir / "profile.json"
-            )
-            print(f"trivial baseline: {config.k} ads placed, outputs in {out_dir}")
-            return EXIT_OK
-
-        rel = _resolve_relevance(config, program, inventory)
-        if config.solver == "brute":
-            report = solve_brute_force(program, inventory, rel, params, cap=config.cap)
-        elif config.solver in ("bnb", "lp"):
-            report = solve_assignment(program, inventory, rel, params)
+            report = SolveReport(schedule, None, "trivial", 1, time.perf_counter() - started)
         else:
-            raise ParseError(f"unknown solver {config.solver!r}")
+            mode = "strict"
+            rel = _resolve_relevance(config, program, inventory)
+            if config.solver == "brute":
+                report = solve_brute_force(program, inventory, rel, params, cap=config.cap)
+            elif config.solver in ("bnb", "lp"):
+                report = solve_assignment(program, inventory, rel, params)
+            else:
+                raise ParseError(f"unknown solver {config.solver!r}")
 
-        check = validate_schedule(report.schedule, program, inventory, params)
-        recomputed = reward(report.schedule, program, inventory, rel, params)
-        if not check or abs(recomputed - report.reward) > REWARD_ATOL:
-            raise AdPlacerError("solver emitted a schedule violating its own contract")
+        check = validate_schedule(report.schedule, program, inventory, params, mode)
+        problem = None if check else check.message
+        if problem is None and report.reward is not None:  # re-score what was optimized
+            recomputed = reward(report.schedule, program, inventory, rel, params)
+            if abs(recomputed - report.reward) > REWARD_ATOL:
+                problem = f"reported reward {report.reward!r}, re-scored {recomputed!r}"
+        if problem is not None:
+            raise AdPlacerError(
+                f"{report.solver} emitted a schedule violating its own contract: {problem}"
+            )
 
-        io.save_schedule(report.schedule, out_dir / "schedule.json", mode="strict")
-        io.save_report(io.report_dict(report), out_dir / "report.json")
+        doc = io.report_dict(report, mode)
+        if report.reward is None:
+            doc["seed"] = config.seed
+            summary = f"trivial baseline: {config.k} ads placed,"
+        else:
+            summary = (
+                f"{report.solver}: reward={report.reward:.12g} "
+                f"candidates={report.candidates_evaluated} "
+                f"time={report.wall_time:.3f}s"
+            )
+        io.save_schedule(report.schedule, out_dir / "schedule.json", mode=mode)
+        io.save_report(doc, out_dir / "report.json")
         io.save_profile(
             build_profile(report.schedule, program, inventory),
             out_dir / "profile.json",
         )
-        print(
-            f"{report.solver}: reward={report.reward:.12g} "
-            f"candidates={report.candidates_evaluated} "
-            f"time={report.wall_time:.3f}s outputs in {out_dir}"
-        )
+        print(f"{summary} outputs in {out_dir}")
         return EXIT_OK
     except _INFEASIBLE_ERRORS as exc:
         _err(str(exc))
@@ -169,57 +166,6 @@ def run(config: RunConfig) -> int:
     except Exception as exc:  # anything else means a broken internal invariant
         _err(f"internal error: {exc}")
         return EXIT_INTERNAL
-
-
-def benchmark(
-    cells: list[tuple[int, int, int]],
-    seed: int = 0,
-    alpha: float = 0.5,
-    cap: int = DEFAULT_CANDIDATE_CAP,
-) -> list[dict]:
-    """Run brute force (under the cap) and the exact assignment over a (P, M, K) grid.
-
-    Cell i uses the seeded instance ``random_instance(P, M, seed + i)``.
-    """
-    rows: list[dict] = []
-    for idx, (p, m, k) in enumerate(cells):
-        program, inventory, rel = random_instance(p, m, seed + idx)
-        params = RewardParams(alpha, 1.0 - alpha, k)
-        row: dict = {"p": p, "m": m, "k": k, "seed": seed + idx}
-        brute_reward = None
-        try:
-            bf = solve_brute_force(program, inventory, rel, params, cap=cap)
-            brute_reward = bf.reward
-            row["brute_force"] = {
-                "skipped": False,
-                "reward": bf.reward,
-                "candidates_evaluated": bf.candidates_evaluated,
-                "wall_time": bf.wall_time,
-            }
-        except InstanceTooLarge as exc:
-            row["brute_force"] = {"skipped": True, "reason": str(exc)}
-        exact = solve_assignment(program, inventory, rel, params)
-        row[exact.solver] = {
-            "reward": exact.reward,
-            "candidates_evaluated": exact.candidates_evaluated,
-            "wall_time": exact.wall_time,
-        }
-        row["rewards_match"] = (
-            None if brute_reward is None else abs(exact.reward - brute_reward) <= REWARD_ATOL
-        )
-        rows.append(row)
-    return rows
-
-
-def _parse_cell(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected P,M,K - got {text!r}")
-    try:
-        p, m, k = (int(x) for x in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers P,M,K - got {text!r}")
-    return (p, m, k)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,23 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="brute-force candidate cap (default %(default)s)")
     runp.add_argument("--out", default="out", metavar="DIR",
                       help="output directory (default ./out)")
-
-    bench = sub.add_parser("benchmark", help="compare solvers over a (P,M,K) grid")
-    bench.add_argument("--cell", dest="cells", action="append", type=_parse_cell,
-                       default=[], metavar="P,M,K",
-                       help="grid cell; repeat for more cells")
-    bench.add_argument("--seed", type=int, default=0, help="base instance seed")
-    bench.add_argument("--alpha", type=float, default=0.5)
-    bench.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP)
-    bench.add_argument("--out", default=None, metavar="FILE",
-                       help="also write the JSON table to this file")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        config = RunConfig(
+    return run(
+        RunConfig(
             program_path=args.program,
             inventory_path=args.inventory,
             k=args.k,
@@ -283,22 +219,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=args.out,
             cap=args.cap,
         )
-        return run(config)
-    if args.command == "benchmark":
-        try:
-            rows = benchmark(args.cells, seed=args.seed, alpha=args.alpha, cap=args.cap)
-        except _INFEASIBLE_ERRORS as exc:
-            _err(str(exc))
-            return EXIT_INFEASIBLE
-        except _CONFIG_ERRORS as exc:
-            _err(str(exc))
-            return EXIT_CONFIG
-        text = json.dumps(rows, indent=2, sort_keys=True)
-        print(text)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
-        return EXIT_OK
-    raise AssertionError(f"unhandled command {args.command!r}")
+    )
 
 
 def entrypoint() -> None:

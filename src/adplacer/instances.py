@@ -1,4 +1,4 @@
-"""Seeded random problem instances shared by the benchmark harness and tests."""
+"""Seeded random problem instances for the tests and library users."""
 
 from __future__ import annotations
 

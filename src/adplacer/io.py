@@ -51,6 +51,8 @@ def _load_json(path, expected_format: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
     if doc.get("format") != expected_format:
@@ -63,6 +65,8 @@ def _load_json(path, expected_format: str) -> dict:
 
 def _parse_valence(raw, scale: Scale, where: str) -> Valence:
     try:
+        if isinstance(raw, bool):
+            raise TypeError
         x = float(raw)
     except (TypeError, ValueError):
         raise ParseError(f"{where}: valence is not a number: {raw!r}") from None
@@ -86,9 +90,12 @@ def load_program(path, scale: Scale = "unit") -> ProgramSpec:
         if not isinstance(item, dict) or "id" not in item or "valence" not in item:
             raise ParseError(f"{where}: expected an object with 'id' and 'valence'")
         scenes.append(Scene(str(item["id"]), _parse_valence(item["valence"], scale, where)))
+    slot_count = doc.get("slot_count", 0)
+    if isinstance(slot_count, bool) or not isinstance(slot_count, int):
+        raise ParseError(f"{path}: 'slot_count' must be an integer, got {slot_count!r}")
     try:
-        return ProgramSpec(tuple(scenes), int(doc.get("slot_count", 0)))
-    except (ValueError, TypeError) as exc:
+        return ProgramSpec(tuple(scenes), slot_count)
+    except ValueError as exc:
         if isinstance(exc, AdPlacerError):
             raise
         raise ParseError(f"{path}: {exc}") from exc
@@ -181,8 +188,6 @@ def report_dict(report: SolveReport, mode: str = "strict") -> dict:
 
 
 def save_report(doc: dict, path) -> None:
-    if doc.get("format") != REPORT_FORMAT:
-        doc = {"format": REPORT_FORMAT, **doc}
     _dump_json(doc, path)
 
 

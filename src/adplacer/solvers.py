@@ -47,12 +47,13 @@ class SolveReport:
     """A solver's answer plus its work statistics.
 
     ``reward`` is the objective the solver optimized, summed from its own
-    per-(slot, ad) contributions; ``candidates_evaluated`` counts fully
-    scored schedules (1 for the assignment).
+    per-(slot, ad) contributions, or None for the trivial baseline, which
+    optimizes nothing; ``candidates_evaluated`` counts fully scored
+    schedules (1 for the assignment).
     """
 
     schedule: Schedule
-    reward: float
+    reward: float | None
     solver: str
     candidates_evaluated: int
     wall_time: float

@@ -1,13 +1,13 @@
-"""File formats, the run pipeline, exit codes and the benchmark harness."""
+"""File formats, the run pipeline and its exit codes."""
 
 import json
 
 import numpy as np
 import pytest
 
-from adplacer import io, solvers
-from adplacer.cli import benchmark, main
-from adplacer.core import RewardParams
+from adplacer import cli, io, solvers
+from adplacer.cli import main
+from adplacer.core import RewardParams, Schedule, ScheduleEntry
 from adplacer.errors import (
     DuplicateSceneId,
     ParseError,
@@ -90,6 +90,16 @@ class TestProgramFiles:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DuplicateSceneId):
+            io.load_program(path)
+
+    def test_boolean_valence(self, tmp_path):
+        doc = {
+            "format": io.PROGRAM_FORMAT,
+            "scenes": [{"id": "s1", "valence": True}, {"id": "s2", "valence": 0.1}],
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="not a number"):
             io.load_program(path)
 
     def test_bad_json_and_wrong_header(self, tmp_path):
@@ -217,6 +227,37 @@ class TestRunCommand:
         assert code == 4
         assert "violating its own contract" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["brute", "bnb", "lp", "trivial"])
+    def test_artifact_shape(self, tmp_path, solver):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
+        )
+        assert code == 0
+        trivial = solver == "trivial"
+        report = io.load_report(out / "report.json")
+        keys = {"format", "solver", "reward", "candidates_evaluated", "nodes_pruned",
+                "upper_bound", "wall_time", "schedule"}
+        assert set(report) == (keys | {"seed"} if trivial else keys)
+        assert (report["reward"] is None) == trivial
+        schedule = json.loads((out / "schedule.json").read_text())
+        assert schedule["mode"] == ("baseline" if trivial else "strict")
+        assert report["schedule"] == schedule
+
+    def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
+        # two ads stacked on one (slot, rank) break even the baseline contract
+        stacked = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")))
+        monkeypatch.setattr(cli, "trivial_schedule", lambda *args: stacked)
+        program, inventory, _ = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--k", 2, "--solver", "trivial", "--out", tmp_path / "out",
+        )
+        assert code == 4
+        assert "violating its own contract" in capsys.readouterr().err
+
     def test_hundred_scale_flag(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path, scale="hundred")
         out = tmp_path / "out"
@@ -269,6 +310,27 @@ class TestRunCommand:
         _, inventory, rel = write_two_ad_instance(tmp_path)
         code = self.run_cli(
             "run", "--program", tmp_path / "nope.json", "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize("raw", ["1e400", "2.7", "true", '"2"', "null"])
+    def test_non_integer_slot_count_exits_1(self, tmp_path, capsys, raw):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        doc = {**json.loads(program.read_text()), "slot_count": "SLOTS"}
+        program.write_text(json.dumps(doc).replace('"SLOTS"', raw))
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert "slot_count" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exits_1(self, tmp_path):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        program.write_text("[" * 100_000 + "]" * 100_000)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
             "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
         )
         assert code == 1
@@ -391,33 +453,3 @@ class TestRunCommand:
             "--out", tmp_path / "out",
         )
         assert code == 1
-
-
-class TestBenchmark:
-    def test_small_grid_agrees(self, capsys):
-        rows = benchmark([(6, 4, 2), (8, 5, 2)], seed=0)
-        assert len(rows) == 2
-        for row in rows:
-            assert row["rewards_match"] is True
-            assert row["brute_force"]["skipped"] is False
-
-    def test_cap_skips_brute_force_but_not_bnb(self):
-        rows = benchmark([(20, 11, 8)], seed=0, cap=1000)
-        row = rows[0]
-        assert row["brute_force"]["skipped"] is True
-        assert "--solver bnb" in row["brute_force"]["reason"]
-        assert row["rewards_match"] is None
-        assert set(row["assignment"]) == {"reward", "candidates_evaluated", "wall_time"}
-
-    def test_cli_empty_grid(self, capsys):
-        assert main(["benchmark"]) == 0
-        assert json.loads(capsys.readouterr().out) == []
-
-    def test_cli_grid_with_output_file(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main(["benchmark", "--cell", "6,4,2", "--seed", "1", "--out", str(out)])
-        assert code == 0
-        stdout_rows = json.loads(capsys.readouterr().out)
-        file_rows = json.loads(out.read_text())
-        assert stdout_rows == file_rows
-        assert file_rows[0]["p"] == 6
