@@ -2,9 +2,9 @@
 
 Every ``--solver`` route yields a ``SolveReport``; the run then validates its
 schedule (strict, or baseline for ``trivial``), re-scores the objective of
-the strict routes with ``core.reward``, and writes ``schedule.json``,
-``report.json`` and ``profile.json``.  Timing across solvers and instance
-sizes lives in ``perfbench/``, not in the package.
+the strict routes with the scoring loop of ``core.reward`` (validated once),
+and writes ``schedule.json``, ``report.json`` and ``profile.json``.  Timing
+across solvers and instance sizes lives in ``perfbench/``, not in the package.
 
 Exit codes:
     0  success
@@ -30,7 +30,7 @@ from .core import (
     REWARD_ATOL,
     RelevanceMatrix,
     RewardParams,
-    reward,
+    _score,
     validate_schedule,
 )
 from .errors import (
@@ -128,7 +128,7 @@ def run(config: RunConfig) -> int:
         check = validate_schedule(report.schedule, program, inventory, params, mode)
         problem = None if check else check.message
         if problem is None and report.reward is not None:  # re-score what was optimized
-            recomputed = reward(report.schedule, program, inventory, rel, params)
+            recomputed = _score(report.schedule, program, inventory, rel, params)
             if abs(recomputed - report.reward) > REWARD_ATOL:
                 problem = f"reported reward {report.reward!r}, re-scored {recomputed!r}"
         if problem is not None:

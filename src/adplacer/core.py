@@ -467,6 +467,18 @@ def reward(
             f"relevance matrix shape {rel.values.shape} does not match "
             f"{program.n_scenes} scenes x {len(inventory)} ads"
         )
+    return _score(schedule, program, inventory, rel, params)
+
+
+def _score(
+    schedule: Schedule,
+    program: ProgramSpec,
+    inventory: AdInventory,
+    rel: RelevanceMatrix,
+    params: RewardParams,
+) -> float:
+    """``reward`` without its checks, for a schedule already validated
+    strict against an N x P relevance matrix."""
     alpha, beta = params.alpha, params.beta
     scene_vals = program.valences
     total = 0.0

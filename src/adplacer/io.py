@@ -63,13 +63,20 @@ def _load_json(path, expected_format: str) -> dict:
     return doc
 
 
+def _is_int(raw) -> bool:
+    """A JSON integer (``json`` decodes booleans as ``bool``, an ``int`` subclass)."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _is_number(raw) -> bool:
+    """A JSON number, integer or not, and not a boolean."""
+    return _is_int(raw) or isinstance(raw, float)
+
+
 def _parse_valence(raw, scale: Scale, where: str) -> Valence:
-    try:
-        if isinstance(raw, bool):
-            raise TypeError
-        x = float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: valence is not a number: {raw!r}") from None
+    if not _is_number(raw):
+        raise ParseError(f"{where}: valence is not a number: {raw!r}")
+    x = float(raw)
     limit = 1.0 if scale == "unit" else 100.0
     if not 0.0 <= x <= limit:
         raise ValenceOutOfRange(
@@ -91,7 +98,7 @@ def load_program(path, scale: Scale = "unit") -> ProgramSpec:
             raise ParseError(f"{where}: expected an object with 'id' and 'valence'")
         scenes.append(Scene(str(item["id"]), _parse_valence(item["valence"], scale, where)))
     slot_count = doc.get("slot_count", 0)
-    if isinstance(slot_count, bool) or not isinstance(slot_count, int):
+    if not _is_int(slot_count):
         raise ParseError(f"{path}: 'slot_count' must be an integer, got {slot_count!r}")
     try:
         return ProgramSpec(tuple(scenes), slot_count)
@@ -166,10 +173,16 @@ def load_schedule(path) -> Schedule:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: 'entries' must be a list")
     try:
-        entries = tuple(
-            ScheduleEntry(int(e["slot"]), int(e["rank"]), str(e["ad_id"])) for e in raw
-        )
-        return Schedule(entries)
+        entries = []
+        for e in raw:
+            slot, rank = e["slot"], e["rank"]
+            if not (_is_int(slot) and _is_int(rank)):
+                raise ParseError(
+                    f"{path}: schedule 'slot' and 'rank' must be integers, "
+                    f"got {slot!r} and {rank!r}"
+                )
+            entries.append(ScheduleEntry(slot, rank, str(e["ad_id"])))
+        return Schedule(tuple(entries))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad schedule entry: {exc}") from exc
 
@@ -219,18 +232,20 @@ def load_profile(path) -> VpsProfile:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: 'points' must be a list")
     try:
-        points = tuple(
-            ProfilePoint(
-                int(p["position"]),
-                str(p["kind"]),
-                str(p["entity_id"]),
-                float(p["valence_0_100"]),
+        points = []
+        for p in raw:
+            position, value = p["position"], p["valence_0_100"]
+            if not (_is_int(position) and _is_number(value)):
+                raise ParseError(
+                    f"{path}: profile 'position' must be an integer and "
+                    f"'valence_0_100' a number, got {position!r} and {value!r}"
+                )
+            points.append(
+                ProfilePoint(position, str(p["kind"]), str(p["entity_id"]), float(value))
             )
-            for p in raw
-        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad profile point: {exc}") from exc
-    return VpsProfile(points)
+    return VpsProfile(tuple(points))
 
 
 def _load_grid(path) -> np.ndarray:

@@ -2,9 +2,10 @@
 
 Two routes: exhaustive enumeration over balanced ad subsets and their
 block-respecting placements (the capped test oracle), and the exact
-polynomial route - a block reduction solved as one quota-padded max-weight
-assignment.  Each route reports the objective it optimized; callers
-re-score the schedule to check it.
+polynomial route - a block reduction, pruned to the ads an optimum needs
+and solved as a min-cost flow by successive shortest paths in numpy.  Each
+route reports the objective it optimized; callers re-score the schedule to
+check it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     AdInventory,
@@ -275,49 +275,160 @@ def _block_values(
     return g, best_slot, is_hv
 
 
+def _kept_columns(g: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
+    """Ads that suffice for an optimum: each block's k/2 best of each polarity.
+
+    Exact: if block b holds a polarity-p ad outside its k/2 best p-ads, the
+    schedule's other k/2 - 1 p-ads leave one of those best unused, and
+    swapping it in keeps the balance without lowering the reward.  Ties rank
+    the lower ad index first, so the kept set is deterministic.  At most
+    min(P, k^2) ads are kept.
+    """
+    half = len(g) // 2
+    kept = [
+        idx[np.argsort(-g[:, idx], axis=1, kind="stable")[:, :half]].ravel()
+        for idx in (np.flatnonzero(is_hv), np.flatnonzero(~is_hv))
+    ]
+    return np.unique(np.concatenate(kept))
+
+
+def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
+    """The column of each row in a min-cost assignment with k/2 HV columns.
+
+    ``cost`` is k x C and non-negative.  This is a min-cost flow of k units
+    on source -> row -> column -> polarity hub -> sink, with unit capacities
+    except the two hub -> sink edges (k/2 each), solved by k successive
+    shortest paths under Johnson potentials (Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, ch. 9).  Each path comes from one Dijkstra in the
+    manner of Jonker & Volgenant (1987), keyed by reduced distance:
+
+    - every free row is a source at distance 0, relaxed in one vector step;
+    - a matched column leads over a tight reverse edge to its row, so popping
+      it relaxes that row's forward edges to every column;
+    - an unmatched column's only out-edge goes to its hub, so its key is the
+      hub's distance through it, and popping it pops the hub: the hub's other
+      unmatched columns retire, its reverse edges reach the matched columns
+      of its polarity (swapping one out) and, below capacity, the sink.
+
+    Costs are non-negative, so zero starting potentials are valid.  Columns
+    carry path costs (reduced distance plus potential).  A matched row is
+    reached only from its column, over a reverse edge that the potentials
+    keep tight, so the row is popped with the column.  A popped node is
+    never relabelled, so float round-off cannot break the predecessor chain.
+    """
+    k, n = cost.shape
+    half = k // 2
+    pol = np.where(is_hv, 0, 1)
+    col_of = np.full(k, -1)
+    row_of = np.full(n, -1)
+    pi = np.zeros(n)
+    pi_hub = np.zeros(2)
+    pi_sink = 0.0
+    used = [0, 0]
+    cols = np.arange(n)
+    inf = math.inf
+    for _ in range(k):  # one augmenting path per row
+        matched = row_of >= 0
+        unmatched_of = [~matched & (pol == p) for p in (0, 1)]
+        matched_of = [np.flatnonzero(matched & (pol == p)) for p in (0, 1)]
+        free = np.flatnonzero(col_of < 0)
+        best = cost[free].argmin(axis=0)
+        dist = cost[free[best], cols]  # path cost to each column; -inf once popped
+        pred = free[best]  # row feeding each column, or -1 - p for hub p
+        # key: a matched column's reduced distance, or its hub's through an
+        # unmatched one; inf once popped or retired
+        offset = np.where(matched, -pi, -pi_hub[pol])
+        key = dist + offset
+        hub_d = [inf, inf]
+        hub_pred = [-1, -1]
+        sink_d, sink_pred = inf, -1
+        popped: list[tuple[int, float]] = []
+        while True:
+            j = int(key.argmin())
+            dj = float(key[j])
+            if sink_d <= dj:
+                break
+            reach = float(dist[j])
+            popped.append((j, reach))
+            dist[j] = -inf
+            if matched[j]:
+                key[j] = offset[j] = inf
+                b = row_of[j]
+                reach = (reach - cost[b, j]) + cost[b]
+                pred[reach < dist] = b
+                np.minimum(dist, reach, out=dist)
+                np.minimum(key, reach + offset, out=key)
+                continue
+            p = pol[j]
+            hub_d[p] = dj
+            hub_pred[p] = j
+            retired = unmatched_of[p]
+            key[retired] = offset[retired] = inf
+            if used[p] < half and dj + pi_hub[p] - pi_sink < sink_d:
+                sink_d, sink_pred = dj + pi_hub[p] - pi_sink, p
+            reach = dj + pi_hub[p]
+            idx = matched_of[p]
+            upd = idx[dist[idx] > reach]
+            dist[upd] = reach
+            key[upd] = reach - pi[upd]
+            pred[upd] = -1 - p
+        if sink_pred < 0:
+            raise RuntimeError("no augmenting path: the flow network is infeasible")
+
+        shift = np.minimum(dist - pi, sink_d)
+        for j, reach in popped:
+            shift[j] = reach - pi[j]
+        pi += shift
+        pi_hub += np.minimum(hub_d, sink_d)
+        pi_sink += sink_d
+
+        used[sink_pred] += 1
+        j = hub_pred[sink_pred]
+        while True:
+            b = pred[j]
+            old = col_of[b]
+            col_of[b] = j
+            row_of[j] = b
+            if old < 0:
+                break
+            row_of[old] = -1
+            j = old if pred[old] >= 0 else hub_pred[-1 - pred[old]]
+    return col_of
+
+
 def solve_assignment(
     program: ProgramSpec,
     inventory: AdInventory,
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> SolveReport:
-    """Exact optimum as one quota-padded max-weight assignment.
+    """Exact optimum as a min-cost flow over the block reduction.
 
-    One square P x P ``linear_sum_assignment`` has k block rows weighted by
-    the block values, |HV| - k/2 dummy rows that may take only HV ads and
-    |LV| - k/2 dummy rows that may take only LV ads, both at weight 0.
-    Every ad is matched, so the dummies absorb all but k/2 ads of each
-    polarity and exactly k/2 HV ads land in blocks.
+    The k x P block values g are first pruned to the ads some optimum needs
+    (``_kept_columns``); the blocks are then assigned to distinct kept ads,
+    exactly k/2 of them HV, by ``_min_cost_assignment`` on the costs
+    max(g) - g.
 
     This solves the placement LP over block-by-ad variables x[b, j] in
     [0, 1] (unit mass per block, at most unit mass per ad, HV mass k/2)
     exactly: its constraint rows form two laminar families, so the matrix
     is totally unimodular (Hoffman & Kruskal) and the LP optimum is attained
-    at an integral vertex, which is a schedule.  The reported reward is the
-    sum of g over the chosen (block, ad) pairs.
+    at an integral vertex, which is a schedule; the flow network is that LP,
+    and successive shortest paths end on such a vertex.  The reported reward
+    is the sum of g over the chosen (block, ad) pairs.
     """
     start = time.perf_counter()
     g, best_slot, is_hv = _block_values(program, inventory, rel, params)
-    k = len(g)
-    half = k // 2
-    n_hv = int(is_hv.sum())
-    hv_dummy = np.where(is_hv, 0.0, -np.inf)
-    lv_dummy = np.where(is_hv, -np.inf, 0.0)
-    weights = np.vstack(
-        [
-            g,
-            np.tile(hv_dummy, (n_hv - half, 1)),
-            np.tile(lv_dummy, (len(is_hv) - n_hv - half, 1)),
-        ]
-    )
-    rows, cols = linear_sum_assignment(weights, maximize=True)
-    rows, cols = rows[:k], cols[:k]
+    cols = _kept_columns(g, is_hv)
+    kept = g[:, cols]
+    picks = cols[_min_cost_assignment(kept.max(initial=0.0) - kept, is_hv[cols])]
+    blocks = np.arange(len(g))
     schedule = Schedule.strict(
-        (int(best_slot[b, j]), inventory.ads[j].id) for b, j in zip(rows, cols)
+        (int(best_slot[b, j]), inventory.ads[j].id) for b, j in zip(blocks, picks)
     )
     return SolveReport(
         schedule=schedule,
-        reward=float(g[rows, cols].sum()),
+        reward=float(g[blocks, picks].sum()),
         solver=ASSIGNMENT,
         candidates_evaluated=1,
         wall_time=time.perf_counter() - start,

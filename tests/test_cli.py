@@ -1,10 +1,15 @@
 """File formats, the run pipeline and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adplacer
 from adplacer import cli, io, solvers
 from adplacer.cli import main
 from adplacer.core import RewardParams, Schedule, ScheduleEntry
@@ -102,6 +107,23 @@ class TestProgramFiles:
         with pytest.raises(ParseError, match="not a number"):
             io.load_program(path)
 
+    @pytest.mark.parametrize("raw", ["0.9", " 1e-1 ", None, [0.5]])
+    @pytest.mark.parametrize("kind", ["program", "inventory"])
+    def test_non_number_valence(self, tmp_path, kind, raw):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        path = program if kind == "program" else inventory
+        doc = json.loads(path.read_text())
+        doc["scenes" if kind == "program" else "ads"][0]["valence"] = raw
+        path.write_text(json.dumps(doc))
+        load = io.load_program if kind == "program" else io.load_inventory
+        with pytest.raises(ParseError, match="not a number"):
+            load(path)
+        code = main([
+            "run", "--program", str(program), "--inventory", str(inventory),
+            "--rel-file", str(rel), "--k", "2", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+
     def test_bad_json_and_wrong_header(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("{nope")
@@ -127,6 +149,18 @@ class TestOtherFormats:
         io.save_schedule(schedule, path)
         again = io.load_schedule(path)
         assert again.in_slot_order == schedule.in_slot_order
+
+    @pytest.mark.parametrize("field, raw", [
+        ("slot", 2.7), ("slot", True), ("slot", "2"), ("rank", 0.0), ("rank", True),
+    ])
+    def test_schedule_non_integer_field(self, tmp_path, field, raw):
+        path = tmp_path / "schedule.json"
+        io.save_schedule(Schedule.strict([(2, "a1"), (1, "a2")]), path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0][field] = raw
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="must be integers"):
+            io.load_schedule(path)
 
     def test_relevance_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -159,6 +193,22 @@ class TestOtherFormats:
         path = tmp_path / "profile.json"
         io.save_profile(profile, path)
         assert io.load_profile(path) == profile
+
+    @pytest.mark.parametrize("field, raw", [
+        ("position", 1.5), ("position", False), ("position", "1"),
+        ("valence_0_100", "80"), ("valence_0_100", True), ("valence_0_100", None),
+    ])
+    def test_profile_non_number_field(self, tmp_path, field, raw):
+        from adplacer.profile import build_profile
+
+        program, inventory, _, _ = two_ad_instance()
+        path = tmp_path / "profile.json"
+        io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
+        doc = json.loads(path.read_text())
+        doc["points"][0][field] = raw
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="must be an integer"):
+            io.load_profile(path)
 
 
 class TestRunCommand:
@@ -245,6 +295,27 @@ class TestRunCommand:
         schedule = json.loads((out / "schedule.json").read_text())
         assert schedule["mode"] == ("baseline" if trivial else "strict")
         assert report["schedule"] == schedule
+
+    @pytest.mark.parametrize("solver", ["brute", "bnb"])
+    def test_schedule_is_validated_once(self, tmp_path, monkeypatch, solver):
+        from adplacer import core
+
+        calls = []
+        validate = core.validate_schedule
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(core, "validate_schedule", counted)
+        monkeypatch.setattr(cli, "validate_schedule", counted)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
+        )
+        assert code == 0
+        assert len(calls) == 1
 
     def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
         # two ads stacked on one (slot, rank) break even the baseline contract
@@ -453,3 +524,14 @@ class TestRunCommand:
             "--out", tmp_path / "out",
         )
         assert code == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    # the exact solver is plain numpy, so a run pays no scipy import
+    src = str(Path(adplacer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, adplacer.cli; sys.exit(int('scipy' in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr or "scipy was imported"

@@ -5,11 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from adplacer import solvers
 from adplacer.core import (
     Ad,
     AdInventory,
     Polarity,
     ProgramSpec,
+    RelevanceMatrix,
     RewardParams,
     Schedule,
     reward,
@@ -218,6 +220,59 @@ class TestAssignment:
         program, inventory, rel, _ = two_ad_instance()
         with pytest.raises(InfeasibleK):
             solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 4))
+
+    def test_pruning_keeps_an_optimum_among_tied_ads(self):
+        # more ads than the k^2 that pruning can keep (60 at k=2, 22 at k=4),
+        # and one-decimal valences and relevance tie many of them, so the
+        # kept ones are picked among ties
+        for seed in range(8):
+            p, m, k = (60, 6, 2) if seed % 2 else (22, 4, 4)
+            program, inventory, rel = random_instance(p, m, 4000 + seed)
+            inventory = AdInventory(tuple(
+                Ad(a.id, Valence(round(a.valence.value, 1))) for a in inventory.ads
+            ))
+            rel = RelevanceMatrix(np.round(rel.values, 1))
+            params = RewardParams(0.5, 0.5, k)
+            g, _, is_hv = solvers._block_values(program, inventory, rel, params)
+            assert len(solvers._kept_columns(g, is_hv)) <= k * k < p
+            bf = solve_brute_force(program, inventory, rel, params)
+            exact = solve_assignment(program, inventory, rel, params)
+            assert abs(exact.reward - bf.reward) <= 1e-9
+            assert validate_schedule(exact.schedule, program, inventory, params)
+
+    def test_flow_without_augmenting_path_raises(self):
+        # two rows but only HV columns: the LV hub can never reach the sink
+        with pytest.raises(RuntimeError, match="no augmenting path"):
+            solvers._min_cost_assignment(np.zeros((2, 3)), np.ones(3, dtype=bool))
+
+    def test_matches_quota_padded_linear_sum_assignment(self):
+        # an independent oracle beyond brute-force sizes: scipy's assignment
+        # on the k block rows padded to P x P with weight-0 dummy rows that
+        # take only HV or only LV ads, so that k/2 of each land in blocks
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(61)
+        for case in range(150):
+            p = int(rng.integers(2, 61))
+            k = 2 * int(rng.integers(0, min(p // 2, 10) + 1))
+            m = max(k, 1) + int(rng.integers(0, 2 * k + 2))
+            program, inventory, rel = random_instance(p, m, 5000 + case)
+            if case % 3 == 0:  # ties
+                rel = RelevanceMatrix(np.round(rel.values, 1))
+            alpha = float(rng.choice([0.0, 0.5, 1.0]))
+            params = RewardParams(alpha, 1.0 - alpha, k)
+            g, _, is_hv = solvers._block_values(program, inventory, rel, params)
+            half, n_hv = k // 2, int(is_hv.sum())
+            weights = np.vstack([
+                g,
+                np.tile(np.where(is_hv, 0.0, -np.inf), (n_hv - half, 1)),
+                np.tile(np.where(is_hv, -np.inf, 0.0), (p - n_hv - half, 1)),
+            ])
+            rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
+            expected = g[rows[:k], cols[:k]].sum()
+            exact = solve_assignment(program, inventory, rel, params)
+            where = f"case {case}: P={p} M={m} k={k}"
+            assert abs(exact.reward - expected) <= 1e-9, where
+            assert validate_schedule(exact.schedule, program, inventory, params), where
 
 
 def small_grid():
