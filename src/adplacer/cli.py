@@ -1,10 +1,12 @@
 """Command-line front end: ``adplacer run`` solves one instance.
 
-Every ``--solver`` route yields a ``SolveReport``; the run then validates its
-schedule (strict, or baseline for ``trivial``), re-scores the objective of
-the strict routes with the scoring loop of ``core.reward`` (validated once),
-and writes ``schedule.json``, ``report.json`` and ``profile.json``.  Timing
-across solvers and instance sizes lives in ``perfbench/``, not in the package.
+Every run input and its default is declared once, in ``build_parser``, and
+``run`` reads the parsed flags.  Every ``--solver`` route yields a
+``SolveReport``; the run then validates its schedule (strict, or baseline for
+``trivial``), re-scores the objective of the strict routes with the scoring
+loop of ``core.reward`` (validated once), and writes ``schedule.json``,
+``report.json`` and ``profile.json``.  Timing across solvers and instance
+sizes lives in ``perfbench/``, not in the package.
 
 Exit codes:
     0  success
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,38 +61,19 @@ _CONFIG_ERRORS = (ParseError, MissingEntity, OSError, ValueError)
 _INFEASIBLE_ERRORS = (InfeasibleK, InfeasibleInventory)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one solve run needs; mirrors the CLI flags."""
-
-    program_path: str
-    inventory_path: str
-    k: int
-    alpha: float = 0.5
-    beta: float = 0.5
-    solver: str = "bnb"  # bnb | lp (both the exact assignment) | brute | trivial
-    features_dir: str | None = None
-    rel_file: str | None = None
-    pairing: str = "aligned"
-    scale: str = "unit"
-    seed: int = 0
-    out_dir: str = "out"
-    cap: int = DEFAULT_CANDIDATE_CAP
-
-
 def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _resolve_relevance(config: RunConfig, program, inventory) -> RelevanceMatrix:
-    if config.rel_file:
-        rel = io.load_relevance(config.rel_file)
-    elif config.features_dir:
-        feats = io.load_features_dir(config.features_dir)
+def _resolve_relevance(args, params: RewardParams, program, inventory) -> RelevanceMatrix:
+    if args.rel_file:
+        rel = io.load_relevance(args.rel_file)
+    elif args.features:
+        feats = io.load_features_dir(args.features)
         scene_feats = features_for([s.id for s in program.scenes], feats)
         ad_feats = features_for([a.id for a in inventory.ads], feats)
-        rel = build_relevance_matrix(scene_feats, ad_feats, pairing=config.pairing)
-    elif config.beta == 0.0:
+        rel = build_relevance_matrix(scene_feats, ad_feats, pairing=args.pairing)
+    elif params.beta == 0.0:
         # the matching term is switched off, so relevance never matters
         rel = RelevanceMatrix(np.zeros((program.n_scenes, len(inventory))))
     else:
@@ -99,31 +81,30 @@ def _resolve_relevance(config: RunConfig, program, inventory) -> RelevanceMatrix
     return rel
 
 
-def run(config: RunConfig) -> int:
-    """Load the instance, solve it, and write schedule/report/profile files."""
+def run(args: argparse.Namespace) -> int:
+    """Load the instance that ``build_parser()`` parsed into ``args``, solve it,
+    and write schedule/report/profile files."""
     try:
-        program = io.load_program(config.program_path, config.scale)
-        inventory = io.load_inventory(config.inventory_path, config.scale)
-        params = RewardParams(config.alpha, config.beta, config.k)
+        program = io.load_program(args.program, args.scale)
+        inventory = io.load_inventory(args.inventory, args.scale)
+        params = RewardParams(args.alpha, 1.0 - args.alpha, args.k)
 
-        out_dir = Path(config.out_dir)
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-        if config.solver == "trivial":
+        if args.solver == "trivial":
             # the baseline ignores relevance and optimizes nothing
             mode = "baseline"
             started = time.perf_counter()
-            schedule = trivial_schedule(program, inventory, config.k, config.seed)
+            schedule = trivial_schedule(program, inventory, args.k, args.seed)
             report = SolveReport(schedule, None, "trivial", 1, time.perf_counter() - started)
         else:
             mode = "strict"
-            rel = _resolve_relevance(config, program, inventory)
-            if config.solver == "brute":
-                report = solve_brute_force(program, inventory, rel, params, cap=config.cap)
-            elif config.solver in ("bnb", "lp"):
+            rel = _resolve_relevance(args, params, program, inventory)
+            if args.solver == "brute":
+                report = solve_brute_force(program, inventory, rel, params, cap=args.cap)
+            else:  # bnb and lp both run the exact assignment
                 report = solve_assignment(program, inventory, rel, params)
-            else:
-                raise ParseError(f"unknown solver {config.solver!r}")
 
         check = validate_schedule(report.schedule, program, inventory, params, mode)
         problem = None if check else check.message
@@ -138,8 +119,8 @@ def run(config: RunConfig) -> int:
 
         doc = io.report_dict(report, mode)
         if report.reward is None:
-            doc["seed"] = config.seed
-            summary = f"trivial baseline: {config.k} ads placed,"
+            doc["seed"] = args.seed
+            summary = f"trivial baseline: {args.k} ads placed,"
         else:
             summary = (
                 f"{report.solver}: reward={report.reward:.12g} "
@@ -202,24 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(
-        RunConfig(
-            program_path=args.program,
-            inventory_path=args.inventory,
-            k=args.k,
-            alpha=args.alpha,
-            beta=1.0 - args.alpha,
-            solver=args.solver,
-            features_dir=args.features,
-            rel_file=args.rel_file,
-            pairing=args.pairing,
-            scale=args.scale,
-            seed=args.seed,
-            out_dir=args.out,
-            cap=args.cap,
-        )
-    )
+    return run(build_parser().parse_args(argv))
 
 
 def entrypoint() -> None:

@@ -268,10 +268,6 @@ class Schedule:
     def in_slot_order(self) -> tuple[ScheduleEntry, ...]:
         return tuple(sorted(self.entries))
 
-    @cached_property
-    def ad_ids(self) -> tuple[str, ...]:
-        return tuple(e.ad_id for e in self.in_slot_order)
-
 
 class RelevanceMatrix:
     """Dense scene-by-ad content-similarity matrix with entries in [-1, 1].
@@ -315,6 +311,17 @@ def as_relevance(values) -> RelevanceMatrix:
     return RelevanceMatrix(values)
 
 
+def _check_relevance_shape(
+    rel: RelevanceMatrix, program: ProgramSpec, inventory: AdInventory
+) -> None:
+    """Raise unless ``rel`` has one row per scene and one column per ad."""
+    if rel.values.shape != (program.n_scenes, len(inventory)):
+        raise DimensionMismatch(
+            f"relevance matrix shape {rel.values.shape} does not match "
+            f"{program.n_scenes} scenes x {len(inventory)} ads"
+        )
+
+
 def slot_blocks(slot_count: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Partition slots 1..slot_count into k contiguous blocks.
 
@@ -340,7 +347,6 @@ class ValidationResult:
     constraint: str | None = None
     message: str = ""
     slots: tuple[int, ...] = ()
-    ad_ids: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -349,8 +355,8 @@ class ValidationResult:
 _PASS = ValidationResult(True)
 
 
-def _fail(constraint: str, message: str, slots=(), ad_ids=()) -> ValidationResult:
-    return ValidationResult(False, constraint, message, tuple(slots), tuple(ad_ids))
+def _fail(constraint: str, message: str, slots=()) -> ValidationResult:
+    return ValidationResult(False, constraint, message, tuple(slots))
 
 
 def validate_schedule(
@@ -376,10 +382,10 @@ def validate_schedule(
     seen_ads: set[str] = set()
     for e in entries:
         if e.ad_id in seen_ads:
-            return _fail("duplicate_ad", f"ad {e.ad_id!r} appears twice", ad_ids=[e.ad_id])
+            return _fail("duplicate_ad", f"ad {e.ad_id!r} appears twice")
         seen_ads.add(e.ad_id)
         if e.ad_id not in inventory:
-            return _fail("unknown_ad", f"ad {e.ad_id!r} not in inventory", ad_ids=[e.ad_id])
+            return _fail("unknown_ad", f"ad {e.ad_id!r} not in inventory")
 
     if mode == "baseline":
         bad = [e.slot for e in entries if not 0 <= e.slot <= m]
@@ -407,8 +413,7 @@ def validate_schedule(
         return _fail("slot_range", f"slots {bad} outside 1..{m}", slots=bad)
     nonzero = [e.ad_id for e in entries if e.rank != 0]
     if nonzero:
-        return _fail("rank", f"strict schedules require rank 0, got ranks for {nonzero}",
-                     ad_ids=nonzero)
+        return _fail("rank", f"strict schedules require rank 0, got ranks for {nonzero}")
 
     # (a) at most one ad per slot
     slots = [e.slot for e in entries]
@@ -429,7 +434,6 @@ def validate_schedule(
                 f"block {b} (slots {block[0]}..{block[-1]}) holds "
                 f"{len(inside)} ads, expected 1",
                 slots=block,
-                ad_ids=[e.ad_id for e in inside],
             )
 
     # (d) equal high- and low-valence counts
@@ -439,7 +443,6 @@ def validate_schedule(
         return _fail(
             "polarity_balance",
             f"schedule holds {hv} HV and {lv} LV ads, expected {k // 2} of each",
-            ad_ids=[e.ad_id for e in entries],
         )
     return _PASS
 
@@ -462,11 +465,7 @@ def reward(
     check = validate_schedule(schedule, program, inventory, params, mode="strict")
     if not check:
         raise InfeasibleSchedule(f"{check.constraint}: {check.message}")
-    if rel.values.shape != (program.n_scenes, len(inventory)):
-        raise DimensionMismatch(
-            f"relevance matrix shape {rel.values.shape} does not match "
-            f"{program.n_scenes} scenes x {len(inventory)} ads"
-        )
+    _check_relevance_shape(rel, program, inventory)
     return _score(schedule, program, inventory, rel, params)
 
 

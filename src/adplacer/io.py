@@ -85,27 +85,48 @@ def _parse_valence(raw, scale: Scale, where: str) -> Valence:
     return Valence(x / limit)
 
 
-def load_program(path, scale: Scale = "unit") -> ProgramSpec:
-    """Parse a program file, normalizing valences to the unit scale."""
-    doc = _load_json(path, PROGRAM_FORMAT)
-    raw_scenes = doc.get("scenes")
-    if not isinstance(raw_scenes, list) or not raw_scenes:
-        raise ParseError(f"{path}: 'scenes' must be a non-empty list")
-    scenes = []
-    for idx, item in enumerate(raw_scenes):
-        where = f"{path}: scenes[{idx}]"
+def _parse_str(raw, what: str) -> str:
+    """A JSON string, as every id is; ``str()`` would turn ``null`` into ``"None"``."""
+    if not isinstance(raw, str):
+        raise ParseError(f"{what} must be a string, got {raw!r}")
+    return raw
+
+
+def _load_entities(path, expected_format: str, key: str, entity, scale: Scale, build):
+    """Parse the non-empty ``key`` list of ``{"id", "valence"}`` objects in a
+    ``format``-headed file into ``entity`` records, normalizing valences to
+    the unit scale, and return ``build(doc, records)``."""
+    doc = _load_json(path, expected_format)
+    raw_items = doc.get(key)
+    if not isinstance(raw_items, list) or not raw_items:
+        raise ParseError(f"{path}: {key!r} must be a non-empty list")
+    records = []
+    for idx, item in enumerate(raw_items):
+        where = f"{path}: {key}[{idx}]"
         if not isinstance(item, dict) or "id" not in item or "valence" not in item:
             raise ParseError(f"{where}: expected an object with 'id' and 'valence'")
-        scenes.append(Scene(str(item["id"]), _parse_valence(item["valence"], scale, where)))
-    slot_count = doc.get("slot_count", 0)
-    if not _is_int(slot_count):
-        raise ParseError(f"{path}: 'slot_count' must be an integer, got {slot_count!r}")
+        records.append(entity(
+            _parse_str(item["id"], f"{where}: 'id'"),
+            _parse_valence(item["valence"], scale, where),
+        ))
     try:
-        return ProgramSpec(tuple(scenes), slot_count)
-    except ValueError as exc:
+        return build(doc, tuple(records))
+    except (ValueError, TypeError) as exc:
         if isinstance(exc, AdPlacerError):
             raise
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def load_program(path, scale: Scale = "unit") -> ProgramSpec:
+    """Parse a program file, normalizing valences to the unit scale."""
+
+    def build(doc: dict, scenes: tuple[Scene, ...]) -> ProgramSpec:
+        slot_count = doc.get("slot_count", 0)
+        if not _is_int(slot_count):
+            raise ParseError(f"{path}: 'slot_count' must be an integer, got {slot_count!r}")
+        return ProgramSpec(scenes, slot_count)
+
+    return _load_entities(path, PROGRAM_FORMAT, "scenes", Scene, scale, build)
 
 
 def save_program(program: ProgramSpec, path) -> None:
@@ -123,22 +144,9 @@ def save_program(program: ProgramSpec, path) -> None:
 
 def load_inventory(path, scale: Scale = "unit") -> AdInventory:
     """Parse an ad inventory file, normalizing valences to the unit scale."""
-    doc = _load_json(path, INVENTORY_FORMAT)
-    raw_ads = doc.get("ads")
-    if not isinstance(raw_ads, list) or not raw_ads:
-        raise ParseError(f"{path}: 'ads' must be a non-empty list")
-    ads = []
-    for idx, item in enumerate(raw_ads):
-        where = f"{path}: ads[{idx}]"
-        if not isinstance(item, dict) or "id" not in item or "valence" not in item:
-            raise ParseError(f"{where}: expected an object with 'id' and 'valence'")
-        ads.append(Ad(str(item["id"]), _parse_valence(item["valence"], scale, where)))
-    try:
-        return AdInventory(tuple(ads))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, AdPlacerError):
-            raise
-        raise ParseError(f"{path}: {exc}") from exc
+    return _load_entities(
+        path, INVENTORY_FORMAT, "ads", Ad, scale, lambda doc, ads: AdInventory(ads)
+    )
 
 
 def save_inventory(inventory: AdInventory, path) -> None:
@@ -181,7 +189,8 @@ def load_schedule(path) -> Schedule:
                     f"{path}: schedule 'slot' and 'rank' must be integers, "
                     f"got {slot!r} and {rank!r}"
                 )
-            entries.append(ScheduleEntry(slot, rank, str(e["ad_id"])))
+            ad_id = _parse_str(e["ad_id"], f"{path}: schedule 'ad_id'")
+            entries.append(ScheduleEntry(slot, rank, ad_id))
         return Schedule(tuple(entries))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad schedule entry: {exc}") from exc
@@ -240,9 +249,9 @@ def load_profile(path) -> VpsProfile:
                     f"{path}: profile 'position' must be an integer and "
                     f"'valence_0_100' a number, got {position!r} and {value!r}"
                 )
-            points.append(
-                ProfilePoint(position, str(p["kind"]), str(p["entity_id"]), float(value))
-            )
+            kind = _parse_str(p["kind"], f"{path}: profile 'kind'")
+            entity_id = _parse_str(p["entity_id"], f"{path}: profile 'entity_id'")
+            points.append(ProfilePoint(position, kind, entity_id, float(value)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad profile point: {exc}") from exc
     return VpsProfile(tuple(points))

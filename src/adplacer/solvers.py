@@ -26,14 +26,11 @@ from .core import (
     RewardParams,
     Schedule,
     _check_balance,
+    _check_relevance_shape,
     as_relevance,
     slot_blocks,
 )
-from .errors import (
-    DimensionMismatch,
-    InfeasibleK,
-    InstanceTooLarge,
-)
+from .errors import InfeasibleK, InstanceTooLarge
 
 #: Brute force refuses instances with more candidate schedules than this.
 DEFAULT_CANDIDATE_CAP = 10**8
@@ -71,11 +68,7 @@ def _check_instance(
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> None:
-    if rel.values.shape != (program.n_scenes, len(inventory)):
-        raise DimensionMismatch(
-            f"relevance matrix shape {rel.values.shape} does not match "
-            f"{program.n_scenes} scenes x {len(inventory)} ads"
-        )
+    _check_relevance_shape(rel, program, inventory)
     if params.k > program.slot_count:
         raise InfeasibleK(
             f"k={params.k} exceeds the {program.slot_count} available slots"
@@ -249,30 +242,22 @@ def _block_values(
     inventory: AdInventory,
     rel: RelevanceMatrix,
     params: RewardParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
     """The block reduction behind the exact assignment.
 
     Blocks are disjoint and each takes exactly one ad, so an ad placed in
     block b always sits on the block's slot where it contributes most.
-    Returns the k x P values g[b, j] of those contributions, the k x P
-    1-indexed slots that attain them (earliest slot on ties), and the HV
-    mask over ads.
+    Returns the M x P contributions c (row i-1 is slot i), the row of c
+    where each block starts, the k x P values g[b, j] = the max of c[:, j]
+    over block b's rows, and the HV mask over ads.
     """
     rel = as_relevance(rel)
     _check_instance(program, inventory, rel, params)
     c = _contributions(program, inventory, rel, params)
-    blocks = slot_blocks(program.slot_count, params.k)
-    n_ads = len(inventory)
-    cols = np.arange(n_ads)
-    g = np.empty((len(blocks), n_ads))
-    best_slot = np.empty((len(blocks), n_ads), dtype=int)
-    for b, block in enumerate(blocks):
-        rows = c[block[0] - 1 : block[-1]]
-        best = rows.argmax(axis=0)
-        g[b] = rows[best, cols]
-        best_slot[b] = block[0] + best
+    starts = [block[0] - 1 for block in slot_blocks(program.slot_count, params.k)]
+    g = np.maximum.reduceat(c, starts, axis=0)
     is_hv = np.array([p is Polarity.HV for p in inventory.polarities])
-    return g, best_slot, is_hv
+    return c, starts, g, is_hv
 
 
 def _kept_columns(g: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
@@ -418,17 +403,19 @@ def solve_assignment(
     is the sum of g over the chosen (block, ad) pairs.
     """
     start = time.perf_counter()
-    g, best_slot, is_hv = _block_values(program, inventory, rel, params)
+    c, starts, g, is_hv = _block_values(program, inventory, rel, params)
     cols = _kept_columns(g, is_hv)
     kept = g[:, cols]
     picks = cols[_min_cost_assignment(kept.max(initial=0.0) - kept, is_hv[cols])]
-    blocks = np.arange(len(g))
+    ends = starts[1:] + [len(c)]
+    # each pick sits on its block's best slot for it, the earliest on ties
     schedule = Schedule.strict(
-        (int(best_slot[b, j]), inventory.ads[j].id) for b, j in zip(blocks, picks)
+        (int(start + c[start:end, j].argmax()) + 1, inventory.ads[j].id)
+        for start, end, j in zip(starts, ends, picks)
     )
     return SolveReport(
         schedule=schedule,
-        reward=float(g[blocks, picks].sum()),
+        reward=float(g[np.arange(len(g)), picks].sum()),
         solver=ASSIGNMENT,
         candidates_evaluated=1,
         wall_time=time.perf_counter() - start,

@@ -12,7 +12,7 @@ import pytest
 import adplacer
 from adplacer import cli, io, solvers
 from adplacer.cli import main
-from adplacer.core import RewardParams, Schedule, ScheduleEntry
+from adplacer.core import RewardParams, Schedule, ScheduleEntry, reward
 from adplacer.errors import (
     DuplicateSceneId,
     ParseError,
@@ -124,6 +124,25 @@ class TestProgramFiles:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("raw", [None, True, 3, ["x"], {"a": 1}])
+    @pytest.mark.parametrize("kind", ["program", "inventory"])
+    def test_non_string_id(self, tmp_path, kind, raw):
+        # str() would have loaded these as the ids "None", "True", "3", ...
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        path = program if kind == "program" else inventory
+        doc = json.loads(path.read_text())
+        doc["scenes" if kind == "program" else "ads"][0]["id"] = raw
+        path.write_text(json.dumps(doc))
+        load = io.load_program if kind == "program" else io.load_inventory
+        with pytest.raises(ParseError, match="'id' must be a string"):
+            load(path)
+        code = main([
+            "run", "--program", str(program), "--inventory", str(inventory),
+            "--rel-file", str(rel), "--k", "2", "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_json_and_wrong_header(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("{nope")
@@ -160,6 +179,16 @@ class TestOtherFormats:
         doc["entries"][0][field] = raw
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="must be integers"):
+            io.load_schedule(path)
+
+    @pytest.mark.parametrize("raw", [None, 3, ["x"]])
+    def test_schedule_non_string_ad_id(self, tmp_path, raw):
+        path = tmp_path / "schedule.json"
+        io.save_schedule(Schedule.strict([(2, "a1"), (1, "a2")]), path)
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["ad_id"] = raw
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="'ad_id' must be a string"):
             io.load_schedule(path)
 
     def test_relevance_round_trip(self, tmp_path):
@@ -208,6 +237,20 @@ class TestOtherFormats:
         doc["points"][0][field] = raw
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match="must be an integer"):
+            io.load_profile(path)
+
+    @pytest.mark.parametrize("raw", [None, 3, ["x"]])
+    @pytest.mark.parametrize("field", ["kind", "entity_id"])
+    def test_profile_non_string_field(self, tmp_path, field, raw):
+        from adplacer.profile import build_profile
+
+        program, inventory, _, _ = two_ad_instance()
+        path = tmp_path / "profile.json"
+        io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
+        doc = json.loads(path.read_text())
+        doc["points"][0][field] = raw
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"'{field}' must be a string"):
             io.load_profile(path)
 
 
@@ -263,6 +306,25 @@ class TestRunCommand:
         expected = solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 8))
         assert report["solver"] == "assignment"
         assert report["reward"] == pytest.approx(expected.reward, abs=1e-9)
+
+    @pytest.mark.parametrize("alpha_args, alpha", [((), 0.5), (("--alpha", 0.25), 0.25)])
+    def test_parser_defaults(self, tmp_path, monkeypatch, alpha_args, alpha):
+        # every default lives in build_parser: solver, --out, alpha and beta
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, *alpha_args,
+        )
+        assert code == 0
+        schedule = io.load_schedule(tmp_path / "out" / "schedule.json")
+        report = io.load_report(tmp_path / "out" / "report.json")
+        assert report["solver"] == "assignment"
+        expected = reward(
+            schedule, io.load_program(program), io.load_inventory(inventory),
+            io.load_relevance(rel), RewardParams(alpha, 1.0 - alpha, 2),
+        )
+        assert report["reward"] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("solver", ["bnb", "brute"])
     def test_objective_disagreeing_with_reward_exits_4(self, tmp_path, capsys, monkeypatch, solver):

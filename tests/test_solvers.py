@@ -233,7 +233,7 @@ class TestAssignment:
             ))
             rel = RelevanceMatrix(np.round(rel.values, 1))
             params = RewardParams(0.5, 0.5, k)
-            g, _, is_hv = solvers._block_values(program, inventory, rel, params)
+            _, _, g, is_hv = solvers._block_values(program, inventory, rel, params)
             assert len(solvers._kept_columns(g, is_hv)) <= k * k < p
             bf = solve_brute_force(program, inventory, rel, params)
             exact = solve_assignment(program, inventory, rel, params)
@@ -260,7 +260,7 @@ class TestAssignment:
                 rel = RelevanceMatrix(np.round(rel.values, 1))
             alpha = float(rng.choice([0.0, 0.5, 1.0]))
             params = RewardParams(alpha, 1.0 - alpha, k)
-            g, _, is_hv = solvers._block_values(program, inventory, rel, params)
+            _, _, g, is_hv = solvers._block_values(program, inventory, rel, params)
             half, n_hv = k // 2, int(is_hv.sum())
             weights = np.vstack([
                 g,
