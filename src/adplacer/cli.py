@@ -1,18 +1,20 @@
 """Command-line front end: ``adplacer run`` solves one instance.
 
 Every run input and its default is declared once, in ``build_parser``, and
-``run`` reads the parsed flags.  Every ``--solver`` route yields a
+``run`` reads the parsed flags.  ``--solver`` picks the exact assignment
+(``bnb``, ``lp``) or the ``trivial`` baseline; the strict routes check that k
+is feasible before reading any relevance.  Each route yields a
 ``SolveReport``; the run then validates its schedule (strict, or baseline for
 ``trivial``), re-scores the objective of the strict routes with the scoring
-loop of ``core.reward`` (validated once), and writes ``schedule.json``,
-``report.json`` and ``profile.json``.  Timing across solvers and instance
-sizes lives in ``perfbench/``, not in the package.
+loop of ``core.reward`` (validated once), and only then creates the output
+directory and writes ``schedule.json``, ``report.json`` and ``profile.json``.
+Timing across solvers and instance sizes lives in ``perfbench/``, not in the
+package.
 
 Exit codes:
     0  success
     1  unreadable or malformed input, bad configuration
     2  infeasible instance (odd k, k > slots, unbalanced inventory)
-    3  brute force refused: candidate count over the cap
     4  internal invariant violation
 """
 
@@ -38,23 +40,16 @@ from .errors import (
     AdPlacerError,
     InfeasibleInventory,
     InfeasibleK,
-    InstanceTooLarge,
     MissingEntity,
     ParseError,
 )
 from .profile import build_profile
 from .relevance import build_relevance_matrix, features_for
-from .solvers import (
-    DEFAULT_CANDIDATE_CAP,
-    SolveReport,
-    solve_assignment,
-    solve_brute_force,
-)
+from .solvers import SolveReport, _check_feasible, solve_assignment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
-EXIT_TOO_LARGE = 3
 EXIT_INTERNAL = 4
 
 _CONFIG_ERRORS = (ParseError, MissingEntity, OSError, ValueError)
@@ -89,9 +84,6 @@ def run(args: argparse.Namespace) -> int:
         inventory = io.load_inventory(args.inventory, args.scale)
         params = RewardParams(args.alpha, 1.0 - args.alpha, args.k)
 
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
         if args.solver == "trivial":
             # the baseline ignores relevance and optimizes nothing
             mode = "baseline"
@@ -100,11 +92,10 @@ def run(args: argparse.Namespace) -> int:
             report = SolveReport(schedule, None, "trivial", 1, time.perf_counter() - started)
         else:
             mode = "strict"
+            _check_feasible(program, inventory, args.k)  # before any relevance is read
             rel = _resolve_relevance(args, params, program, inventory)
-            if args.solver == "brute":
-                report = solve_brute_force(program, inventory, rel, params, cap=args.cap)
-            else:  # bnb and lp both run the exact assignment
-                report = solve_assignment(program, inventory, rel, params)
+            # bnb and lp both run the exact assignment
+            report = solve_assignment(program, inventory, rel, params)
 
         check = validate_schedule(report.schedule, program, inventory, params, mode)
         problem = None if check else check.message
@@ -127,6 +118,8 @@ def run(args: argparse.Namespace) -> int:
                 f"candidates={report.candidates_evaluated} "
                 f"time={report.wall_time:.3f}s"
             )
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         io.save_schedule(report.schedule, out_dir / "schedule.json", mode=mode)
         io.save_report(doc, out_dir / "report.json")
         io.save_profile(
@@ -138,9 +131,6 @@ def run(args: argparse.Namespace) -> int:
     except _INFEASIBLE_ERRORS as exc:
         _err(str(exc))
         return EXIT_INFEASIBLE
-    except InstanceTooLarge as exc:
-        _err(str(exc))
-        return EXIT_TOO_LARGE
     except _CONFIG_ERRORS as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -162,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--k", type=int, required=True, help="number of ads to embed (even)")
     runp.add_argument("--alpha", type=float, default=0.5,
                       help="late-placement weight; beta = 1 - alpha (default 0.5)")
-    runp.add_argument("--solver", choices=["brute", "bnb", "lp", "trivial"],
+    runp.add_argument("--solver", choices=["bnb", "lp", "trivial"],
                       default="bnb",
                       help="solver to use; bnb and lp both run the exact assignment "
                            "(default bnb)")
@@ -175,8 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--scale", choices=["unit", "hundred"], default="unit",
                       help="valence scale of the input files (default unit)")
     runp.add_argument("--seed", type=int, default=0, help="RNG seed for the trivial baseline")
-    runp.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
-                      help="brute-force candidate cap (default %(default)s)")
     runp.add_argument("--out", default="out", metavar="DIR",
                       help="output directory (default ./out)")
     return parser

@@ -33,7 +33,7 @@ from .solvers import SolveReport
 PROGRAM_FORMAT = "adplacer-program/1"
 INVENTORY_FORMAT = "adplacer-inventory/1"
 SCHEDULE_FORMAT = "adplacer-schedule/1"
-REPORT_FORMAT = "adplacer-report/1"
+REPORT_FORMAT = "adplacer-report/2"
 PROFILE_FORMAT = "adplacer-profile/1"
 RELEVANCE_HEADER = "adplacer-rel/1"
 FEATURES_HEADER = "adplacer-features/1"
@@ -202,8 +202,6 @@ def report_dict(report: SolveReport, mode: str = "strict") -> dict:
         "solver": report.solver,
         "reward": report.reward,
         "candidates_evaluated": report.candidates_evaluated,
-        "nodes_pruned": report.nodes_pruned,
-        "upper_bound": None,  # adplacer-report/1 keeps the key; no solver reports a bound
         "wall_time": report.wall_time,
         "schedule": schedule_dict(report.schedule, mode),
     }

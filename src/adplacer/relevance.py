@@ -40,9 +40,10 @@ class KeyframeFeatures:
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{self.entity_id!r}: feature values must be finite")
-        norms = np.linalg.norm(arr, axis=1)
-        if np.any(norms == 0.0):
-            zero = np.flatnonzero(norms == 0.0).tolist()
+        # the largest |value|, not the norm, which can underflow to 0 on a valid row
+        zero_rows = np.abs(arr).max(axis=1) == 0.0
+        if np.any(zero_rows):
+            zero = np.flatnonzero(zero_rows).tolist()
             raise ZeroNormVector(
                 f"{self.entity_id!r}: all-zero frame vector(s) at rows {zero}"
             )
@@ -58,6 +59,13 @@ class KeyframeFeatures:
         return self.frames.shape[1]
 
 
+def _pow2_scaled(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """x times the power of two that brings its largest |value| (per row with
+    ``axis=1``) into [0.5, 1).  Exact, so cosines are unchanged, and the norm
+    neither overflows nor underflows."""
+    return np.ldexp(x, -np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))[1])
+
+
 def cosine_similarity(u, v) -> float:
     """dot(u, v) / (||u|| * ||v||), clipped into [-1, 1] against rounding."""
     u = np.asarray(u, dtype=float)
@@ -66,6 +74,7 @@ def cosine_similarity(u, v) -> float:
         raise DimensionMismatch(
             f"vectors must share one dimension, got shapes {u.shape} and {v.shape}"
         )
+    u, v = _pow2_scaled(u), _pow2_scaled(v)
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
@@ -85,7 +94,8 @@ def pair_relevance(
 
 def _summary(feats: KeyframeFeatures, pairing: Pairing) -> np.ndarray:
     """One vector per entity whose inner products give the mean frame cosine."""
-    unit = feats.frames / np.linalg.norm(feats.frames, axis=1, keepdims=True)
+    frames = _pow2_scaled(feats.frames, axis=1)
+    unit = frames / np.linalg.norm(frames, axis=1, keepdims=True)
     return unit.ravel() if pairing == "aligned" else unit.mean(axis=0)
 
 

@@ -1,9 +1,10 @@
 """Solvers maximizing the placement reward under the strict constraints.
 
 Two routes: exhaustive enumeration over balanced ad subsets and their
-block-respecting placements (the capped test oracle), and the exact
-polynomial route - a block reduction, pruned to the ads an optimum needs
-and solved as a min-cost flow by successive shortest paths in numpy.  Each
+block-respecting placements (the capped test oracle; no CLI route runs it),
+and the exact polynomial route - a block reduction, pruned to the ads an
+optimum needs and solved as a min-cost flow by successive shortest paths in
+numpy.  Each
 route reports the objective it optimized; callers re-score the schedule to
 check it.
 """
@@ -55,11 +56,12 @@ class SolveReport:
     candidates_evaluated: int
     wall_time: float
 
-    @property
-    def nodes_pruned(self) -> None:
-        """Always None: no route prunes a search tree.  Report format
-        ``adplacer-report/1`` still carries the key."""
-        return None
+
+def _check_feasible(program: ProgramSpec, inventory: AdInventory, k: int) -> None:
+    """Raise unless k ads fit the program's slots and the inventory's balance."""
+    if k > program.slot_count:
+        raise InfeasibleK(f"k={k} exceeds the {program.slot_count} available slots")
+    _check_balance(inventory, k)
 
 
 def _check_instance(
@@ -69,11 +71,7 @@ def _check_instance(
     params: RewardParams,
 ) -> None:
     _check_relevance_shape(rel, program, inventory)
-    if params.k > program.slot_count:
-        raise InfeasibleK(
-            f"k={params.k} exceeds the {program.slot_count} available slots"
-        )
-    _check_balance(inventory, params.k)
+    _check_feasible(program, inventory, params.k)
 
 
 def _contributions(
@@ -99,36 +97,9 @@ def _iter_balanced_index_subsets(
     """All k-subsets of ad indices with k/2 of each polarity, lexicographic."""
     half = _check_balance(inventory, k)
     is_hv = [p is Polarity.HV for p in inventory.polarities]
-    n = len(is_hv)
-    # suffix availability for pruning dead branches early
-    hv_left = [0] * (n + 1)
-    lv_left = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        hv_left[i] = hv_left[i + 1] + (1 if is_hv[i] else 0)
-        lv_left[i] = lv_left[i + 1] + (0 if is_hv[i] else 1)
-
-    acc: list[int] = []
-
-    def rec(start: int, need_hv: int, need_lv: int) -> Iterator[tuple[int, ...]]:
-        if need_hv == 0 and need_lv == 0:
-            yield tuple(acc)
-            return
-        if need_hv > hv_left[start] or need_lv > lv_left[start]:
-            return
-        for i in range(start, n):
-            if is_hv[i]:
-                if need_hv == 0:
-                    continue
-                take_hv, take_lv = 1, 0
-            else:
-                if need_lv == 0:
-                    continue
-                take_hv, take_lv = 0, 1
-            acc.append(i)
-            yield from rec(i + 1, need_hv - take_hv, need_lv - take_lv)
-            acc.pop()
-
-    yield from rec(0, half, half)
+    for subset in itertools.combinations(range(len(is_hv)), k):
+        if sum(is_hv[i] for i in subset) == half:
+            yield subset
 
 
 def count_balanced_subsets(inventory: AdInventory, k: int) -> int:
@@ -207,7 +178,7 @@ def solve_brute_force(
     if total > cap:
         raise InstanceTooLarge(
             f"{total} candidate schedules exceed the cap of {cap}; "
-            f"use --solver bnb"
+            "use solve_assignment"
         )
 
     c_rows = _contributions(program, inventory, rel, params).tolist()

@@ -288,7 +288,7 @@ def test_solver_determinism(tmp_path):
     ]
     ok = True
     details = []
-    for solver in ("brute", "bnb", "lp", "trivial"):
+    for solver in ("bnb", "lp", "trivial"):
         blobs = []
         for run_idx in range(2):
             out = tmp_path / f"{solver}-{run_idx}"

@@ -259,20 +259,38 @@ class TestRunCommand:
         return main([str(a) for a in args])
 
     def test_brute_force_end_to_end(self, tmp_path, capsys):
+        # the run's artifacts match the library's brute-force oracle
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
         code = self.run_cli(
             "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", "brute", "--out", out,
+            "--rel-file", rel, "--k", 2, "--out", out,
         )
         assert code == 0
+        oracle = solvers.solve_brute_force(
+            io.load_program(program), io.load_inventory(inventory),
+            io.load_relevance(rel), RewardParams(0.5, 0.5, 2),
+        )
         schedule = io.load_schedule(out / "schedule.json")
         assert [(e.slot, e.ad_id) for e in schedule.in_slot_order] == [(1, "a2"), (2, "a1")]
+        assert schedule.in_slot_order == oracle.schedule.in_slot_order
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
-        assert report["solver"] == "brute_force"
+        assert report["reward"] == pytest.approx(oracle.reward, abs=1e-12)
+        assert report["solver"] == "assignment"
         profile = io.load_profile(out / "profile.json")
         assert len(profile.points) == 5
+
+    @pytest.mark.parametrize("flags", [("--solver", "brute"), ("--cap", 5)], ids=["brute", "cap"])
+    def test_brute_force_flags_are_gone(self, tmp_path, capsys, flags):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli(
+                "run", "--program", program, "--inventory", inventory,
+                "--rel-file", rel, "--k", 2, *flags, "--out", tmp_path / "out",
+            )
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_other_solvers_agree(self, tmp_path, solver):
@@ -286,7 +304,7 @@ class TestRunCommand:
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
         assert report["solver"] == "assignment"
-        assert report["upper_bound"] is None
+        assert "upper_bound" not in report
 
     def test_default_solver_handles_paper_scale(self, tmp_path):
         # 24 ads / 11 slots / k=8 has ~7.9e10 candidate schedules, far over
@@ -326,7 +344,7 @@ class TestRunCommand:
         )
         assert report["reward"] == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("solver", ["bnb", "brute"])
+    @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_objective_disagreeing_with_reward_exits_4(self, tmp_path, capsys, monkeypatch, solver):
         # a solver optimizing the wrong objective must be caught by the re-score
         contributions = solvers._contributions
@@ -339,7 +357,7 @@ class TestRunCommand:
         assert code == 4
         assert "violating its own contract" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver", ["brute", "bnb", "lp", "trivial"])
+    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
     def test_artifact_shape(self, tmp_path, solver):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
@@ -350,15 +368,15 @@ class TestRunCommand:
         assert code == 0
         trivial = solver == "trivial"
         report = io.load_report(out / "report.json")
-        keys = {"format", "solver", "reward", "candidates_evaluated", "nodes_pruned",
-                "upper_bound", "wall_time", "schedule"}
+        keys = {"format", "solver", "reward", "candidates_evaluated", "wall_time", "schedule"}
         assert set(report) == (keys | {"seed"} if trivial else keys)
+        assert report["format"] == "adplacer-report/2"
         assert (report["reward"] is None) == trivial
         schedule = json.loads((out / "schedule.json").read_text())
         assert schedule["mode"] == ("baseline" if trivial else "strict")
         assert report["schedule"] == schedule
 
-    @pytest.mark.parametrize("solver", ["brute", "bnb"])
+    @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_schedule_is_validated_once(self, tmp_path, monkeypatch, solver):
         from adplacer import core
 
@@ -492,16 +510,39 @@ class TestRunCommand:
         )
         assert code == 2
 
-    def test_cap_overflow_exits_3(self, tmp_path):
-        program, inventory, rel = write_two_ad_instance(tmp_path)
+    @pytest.mark.parametrize("k, rel_name, expected", [(2, "nope.txt", 1), (4, "rel.txt", 2)])
+    def test_failed_run_creates_no_out_dir(self, tmp_path, k, rel_name, expected):
+        program, inventory, _ = write_two_ad_instance(tmp_path)
         code = self.run_cli(
             "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", "brute", "--cap", 1,
-            "--out", tmp_path / "out",
+            "--rel-file", tmp_path / rel_name, "--k", k, "--out", tmp_path / "out" / "nested",
         )
-        assert code == 3
+        assert code == expected
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("solver", ["brute", "bnb"])
+    @pytest.mark.parametrize("source", ["--features", "--rel-file"])
+    @pytest.mark.parametrize("case", ["k_over_slots", "unbalanced"])
+    def test_infeasible_k_exits_2_before_reading_relevance(self, tmp_path, capsys, source, case):
+        # a malformed relevance source would exit 1 if it were read first
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        k = 4 if case == "k_over_slots" else 2
+        if case == "unbalanced":
+            doc = json.loads(inventory.read_text())
+            doc["ads"][1]["valence"] = 0.7  # two HV ads, no LV ad
+            inventory.write_text(json.dumps(doc))
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        (feat_dir / "s1.txt").write_text("1 2\n3 oops\n")
+        rel.write_text("not a grid\n")
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            source, feat_dir if source == "--features" else rel,
+            "--k", k, "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert ("exceeds" if case == "k_over_slots" else "inventory has") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_relevance_missing_an_ad_column_exits_1(self, tmp_path, capsys, solver):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         np.savetxt(rel, np.ones((3, 1)), fmt="%.17g")
@@ -586,6 +627,19 @@ class TestRunCommand:
             "--out", tmp_path / "out",
         )
         assert code == 1
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, k):
+    program, inventory, rel = write_two_ad_instance(tmp_path)
+    args = ["run", "--program", str(program), "--inventory", str(inventory),
+            "--rel-file", str(rel), "--k", str(k)]
+    expected = main(args + ["--out", str(tmp_path / "out-main")])
+    monkeypatch.setattr(sys, "argv", ["adplacer", *args, "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        cli.entrypoint()
+    assert exc.value.code == expected
+    assert (tmp_path / "out" / "schedule.json").exists() == (expected == 0)
 
 
 def test_cli_import_does_not_load_scipy():

@@ -51,6 +51,14 @@ class TestCosine:
                 assert cosine_similarity(u, c * u) == pytest.approx(1.0, abs=1e-12)
                 assert cosine_similarity(u, -c * u) == pytest.approx(-1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes(self, scale):
+        # the plain norm overflows (1e200) or underflows (1e-200) here
+        u = np.array([3.0, 4.0, 12.0]) * scale
+        assert cosine_similarity(u, u) == 1.0
+        assert cosine_similarity(u, -u) == -1.0
+        assert cosine_similarity(u, [4.0, -3.0, 0.0]) == 0.0
+
     def test_result_stays_in_range(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -141,6 +149,11 @@ class TestKeyframeFeatures:
         with pytest.raises(ZeroNormVector):
             feats("s", [[1.0, 1.0], [0.0, 0.0]])
 
+    def test_accepts_tiny_rows(self):
+        # the norm of this row underflows to 0, but the row is not all-zero
+        f = feats("s", [[1e-200, 1e-200], [0.0, 5e-324]])
+        assert f.frame_count == 2
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DimensionMismatch):
             KeyframeFeatures("s", np.ones(4))
@@ -177,6 +190,36 @@ class TestMatrix:
         ads = [feats(f"ad{j}", rng.normal(size=(5, 4))) for j in range(4)]
         rel = build_relevance_matrix(scenes, ads)
         assert np.all(rel.values >= -1.0) and np.all(rel.values <= 1.0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("pairing", ["aligned", "all_pairs"])
+    def test_extreme_magnitudes_give_the_unscaled_matrix(self, pairing, scale):
+        rng = np.random.default_rng(73)
+        frames = [rng.normal(size=(4, 6)) for _ in range(4)]
+        unscaled = build_relevance_matrix(
+            [feats("s0", frames[0]), feats("s1", frames[1])],
+            [feats("ad0", frames[0]), feats("ad1", frames[2]), feats("ad2", frames[3])],
+            pairing,
+        ).values
+        scaled = build_relevance_matrix(
+            [feats("s0", frames[0] * scale), feats("s1", frames[1] * scale)],
+            [feats("ad0", frames[0] * scale), feats("ad1", frames[2] * scale),
+             feats("ad2", frames[3] * scale)],
+            pairing,
+        ).values
+        np.testing.assert_allclose(scaled, unscaled, rtol=0, atol=1e-12)
+        if pairing == "aligned":
+            assert scaled[0, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_power_of_two_scaling_is_bit_identical(self):
+        rng = np.random.default_rng(79)
+        scenes = [feats(f"s{i}", rng.normal(size=(3, 5))) for i in range(2)]
+        ads = [feats(f"ad{j}", rng.normal(size=(3, 5))) for j in range(3)]
+        for pairing in ("aligned", "all_pairs"):
+            rel = build_relevance_matrix(scenes, ads, pairing).values
+            for e in (-600, 600):
+                big = [feats(f.entity_id, np.ldexp(f.frames, e)) for f in scenes]
+                assert np.array_equal(build_relevance_matrix(big, ads, pairing).values, rel)
 
     def test_permuting_ads_permutes_columns(self):
         rng = np.random.default_rng(61)
