@@ -25,7 +25,6 @@ from .relevance import (
     KeyframeFeatures,
     build_relevance_matrix,
     cosine_similarity,
-    features_for,
     pair_relevance,
 )
 from .solvers import (
@@ -63,7 +62,6 @@ __all__ = [
     "cosine_similarity",
     "enumerate_balanced_subsets",
     "enumerate_placements",
-    "features_for",
     "pair_relevance",
     "random_instance",
     "reward",

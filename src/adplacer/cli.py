@@ -44,7 +44,7 @@ from .errors import (
     ParseError,
 )
 from .profile import build_profile
-from .relevance import build_relevance_matrix, features_for
+from .relevance import build_relevance_matrix
 from .solvers import SolveReport, _check_feasible, solve_assignment
 
 EXIT_OK = 0
@@ -64,10 +64,10 @@ def _resolve_relevance(args, params: RewardParams, program, inventory) -> Releva
     if args.rel_file:
         rel = io.load_relevance(args.rel_file)
     elif args.features:
-        feats = io.load_features_dir(args.features)
-        scene_feats = features_for([s.id for s in program.scenes], feats)
-        ad_feats = features_for([a.id for a in inventory.ads], feats)
-        rel = build_relevance_matrix(scene_feats, ad_feats, pairing=args.pairing)
+        ids = [s.id for s in program.scenes] + [a.id for a in inventory.ads]
+        feats = io.load_features_dir(args.features, ids)
+        n = program.n_scenes
+        rel = build_relevance_matrix(feats[:n], feats[n:], pairing=args.pairing)
     elif params.beta == 0.0:
         # the matching term is switched off, so relevance never matters
         rel = RelevanceMatrix(np.zeros((program.n_scenes, len(inventory))))

@@ -379,11 +379,7 @@ def validate_schedule(
     k = params.k
     entries = schedule.entries
 
-    seen_ads: set[str] = set()
     for e in entries:
-        if e.ad_id in seen_ads:
-            return _fail("duplicate_ad", f"ad {e.ad_id!r} appears twice")
-        seen_ads.add(e.ad_id)
         if e.ad_id not in inventory:
             return _fail("unknown_ad", f"ad {e.ad_id!r} not in inventory")
 

@@ -10,8 +10,9 @@ files byte for byte.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .core import (
     ScheduleEntry,
     Valence,
 )
-from .errors import AdPlacerError, ParseError, ValenceOutOfRange
+from .errors import AdPlacerError, MissingEntity, ParseError, ValenceOutOfRange
 from .profile import ProfilePoint, VpsProfile
 from .relevance import KeyframeFeatures
 from .solvers import SolveReport
@@ -257,11 +258,16 @@ def load_profile(path) -> VpsProfile:
 
 def _load_grid(path) -> np.ndarray:
     try:
-        return np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty input warns; it is reported below
+            grid = np.loadtxt(path, ndmin=2)
     except OSError:
         raise
     except Exception as exc:  # np.loadtxt raises assorted ValueError subtypes
         raise ParseError(f"{path}: cannot parse numeric grid: {exc}") from exc
+    if grid.size == 0:
+        raise ParseError(f"{path}: no numeric data")
+    return grid
 
 
 def load_relevance(path) -> RelevanceMatrix:
@@ -276,17 +282,23 @@ def save_relevance(rel: RelevanceMatrix, path) -> None:
     np.savetxt(path, rel.values, fmt="%.17g", header=RELEVANCE_HEADER)
 
 
-def load_features_dir(dirpath) -> dict[str, KeyframeFeatures]:
-    """Load every ``<entity_id>.txt`` grid in a directory, keyed by entity id."""
+def load_features_dir(dirpath, entity_ids: Sequence[str]) -> list[KeyframeFeatures]:
+    """Load ``<id>.txt`` from a directory for each given id, in the given order.
+
+    Only those files are read; an id names a file only if ``<id>.txt`` sits
+    directly in the directory.  Every missing id is reported before any file
+    is parsed, and an id given twice is parsed once.
+    """
     directory = Path(dirpath)
     if not directory.is_dir():
         raise ParseError(f"{dirpath}: not a directory")
-    out: dict[str, KeyframeFeatures] = {}
-    for file in sorted(directory.glob("*.txt")):
-        out[file.stem] = KeyframeFeatures(file.stem, _load_grid(file))
-    if not out:
-        raise ParseError(f"{dirpath}: no *.txt feature files found")
-    return out
+    paths = {eid: directory / f"{eid}.txt" for eid in entity_ids}
+    # a stem never holds a separator, so an id with one names no file here
+    missing = [eid for eid, path in paths.items() if path.stem != eid or not path.is_file()]
+    if missing:
+        raise MissingEntity(f"{dirpath}: no feature file for: {', '.join(missing)}")
+    loaded = {eid: KeyframeFeatures(eid, _load_grid(path)) for eid, path in paths.items()}
+    return [loaded[eid] for eid in entity_ids]
 
 
 def save_features(feats: KeyframeFeatures, path) -> None:

@@ -9,7 +9,7 @@ frame pairing, one product of per-entity summaries of the unit-norm frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .core import RelevanceMatrix
 from .errors import (
     DimensionMismatch,
     FrameCountMismatch,
-    MissingEntity,
     ZeroNormVector,
 )
 
@@ -112,8 +111,7 @@ def build_relevance_matrix(
     By linearity, with unit frames a_f and b_f, mean_f <a_f, b_f> =
     <vec A, vec B> / F and mean_{f,g} <a_f, b_g> = <mean A, mean B>, so the
     matrix is one product of per-entity summaries, clipped into [-1, 1].
-    Rows and columns follow the order of the given sequences; use
-    :func:`features_for` to arrange features by program/inventory ids first.
+    Rows and columns follow the order of the given sequences.
     """
     if pairing not in ("aligned", "all_pairs"):
         raise ValueError(f"unknown pairing mode {pairing!r}")
@@ -136,14 +134,3 @@ def build_relevance_matrix(
     scenes = np.stack([_summary(f, pairing) for f in scene_feats])
     ads = np.stack([_summary(f, pairing) for f in ad_feats])
     return RelevanceMatrix(np.clip(scenes @ ads.T / n_frames, -1.0, 1.0))
-
-
-def features_for(
-    entity_ids: Sequence[str],
-    features: Mapping[str, KeyframeFeatures],
-) -> list[KeyframeFeatures]:
-    """Select features for the given ids, in order; all ids must be present."""
-    missing = [eid for eid in entity_ids if eid not in features]
-    if missing:
-        raise MissingEntity(f"no feature vectors for: {', '.join(missing)}")
-    return [features[eid] for eid in entity_ids]

@@ -15,6 +15,7 @@ from adplacer.cli import main
 from adplacer.core import RewardParams, Schedule, ScheduleEntry, reward
 from adplacer.errors import (
     DuplicateSceneId,
+    MissingEntity,
     ParseError,
     ValenceOutOfRange,
 )
@@ -203,15 +204,40 @@ class TestOtherFormats:
 
     def test_features_dir(self, tmp_path):
         rng = np.random.default_rng(12)
-        feats = KeyframeFeatures("s1", rng.normal(size=(4, 6)))
-        io.save_features(feats, tmp_path / "s1.txt")
-        table = io.load_features_dir(tmp_path)
-        assert set(table) == {"s1"}
-        assert np.array_equal(table["s1"].frames, feats.frames)
+        feats = [KeyframeFeatures(eid, rng.normal(size=(4, 6))) for eid in ("s1", "a1")]
+        for f in feats:
+            io.save_features(f, tmp_path / f"{f.entity_id}.txt")
+        loaded = io.load_features_dir(tmp_path, ["a1", "s1"])
+        assert [f.entity_id for f in loaded] == ["a1", "s1"]
+        assert np.array_equal(loaded[0].frames, feats[1].frames)
+        assert np.array_equal(loaded[1].frames, feats[0].frames)
 
     def test_features_dir_empty(self, tmp_path):
-        with pytest.raises(ParseError):
-            io.load_features_dir(tmp_path)
+        with pytest.raises(MissingEntity, match="s1"):
+            io.load_features_dir(tmp_path, ["s1"])
+
+    def test_features_dir_missing_ids(self, tmp_path):
+        # s1.txt is malformed: the missing ids are reported before any parse
+        (tmp_path / "s1.txt").write_text("1 2\n3 oops\n")
+        (tmp_path / "x").mkdir()
+        (tmp_path / "x" / "y.txt").write_text("1 2\n")
+        (tmp_path / ".txt").write_text("1 2\n")
+        (tmp_path / "a1.txt").mkdir()  # a directory is not a feature file
+        with pytest.raises(MissingEntity) as exc:
+            io.load_features_dir(tmp_path, ["s2", "s1", "x/y", "", "a1", str(tmp_path / "s1")])
+        missing = str(exc.value).split("no feature file for: ")[1]
+        assert missing == f"s2, x/y, , a1, {tmp_path / 's1'}"
+
+    def test_features_dir_parses_a_shared_id_once(self, tmp_path, monkeypatch):
+        np.savetxt(tmp_path / "s1.txt", np.ones((2, 3)))
+        np.savetxt(tmp_path / "a1.txt", np.eye(2, 3))
+        parsed = []
+        load_grid = io._load_grid
+        monkeypatch.setattr(io, "_load_grid", lambda path: parsed.append(path) or load_grid(path))
+        loaded = io.load_features_dir(tmp_path, ["s1", "a1", "s1"])
+        assert [f.entity_id for f in loaded] == ["s1", "a1", "s1"]
+        assert loaded[0] is loaded[2]
+        assert sorted(p.name for p in parsed) == ["a1.txt", "s1.txt"]
 
     def test_profile_round_trip(self, tmp_path):
         from adplacer.core import Schedule
@@ -592,18 +618,55 @@ class TestRunCommand:
         )
         assert code == 0
 
-    def test_missing_feature_entity_exits_1(self, tmp_path):
+    def test_missing_feature_entity_exits_1(self, tmp_path, capsys):
         program, inventory, _ = write_two_ad_instance(tmp_path)
         rng = np.random.default_rng(45)
         feat_dir = tmp_path / "features"
         feat_dir.mkdir()
-        for eid in ("s1", "s2", "s3", "a1"):  # a2 missing
+        for eid in ("s1", "a1"):  # s2, s3 and a2 missing
             np.savetxt(feat_dir / f"{eid}.txt", rng.normal(size=(5, 8)), fmt="%.17g")
         code = self.run_cli(
             "run", "--program", program, "--inventory", inventory,
             "--features", feat_dir, "--k", 2, "--out", tmp_path / "out",
         )
         assert code == 1
+        # every missing id, in program-then-inventory order
+        assert capsys.readouterr().err.rstrip().endswith("no feature file for: s2, s3, a2")
+
+    @pytest.mark.parametrize("pairing", ["aligned", "all_pairs"])
+    def test_unnamed_files_in_features_dir_are_ignored(self, tmp_path, pairing):
+        # a malformed notes.txt and a zz.txt of other dims are never read
+        program, inventory, _ = write_two_ad_instance(tmp_path)
+        rng = np.random.default_rng(47)
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        for eid in ("s1", "s2", "s3", "a1", "a2"):
+            np.savetxt(feat_dir / f"{eid}.txt", rng.normal(size=(5, 8)), fmt="%.17g")
+        outs = []
+        for extra in (False, True):
+            if extra:
+                (feat_dir / "notes.txt").write_text("not a grid\n")
+                np.savetxt(feat_dir / "zz.txt", rng.normal(size=(5, 3)), fmt="%.17g")
+            outs.append(tmp_path / f"out-{extra}")
+            code = self.run_cli(
+                "run", "--program", program, "--inventory", inventory,
+                "--features", feat_dir, "--pairing", pairing, "--k", 2, "--out", outs[-1],
+            )
+            assert code == 0
+        for name in ("schedule.json", "profile.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
+    def test_k_zero_writes_an_empty_schedule(self, tmp_path, solver):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 0, "--solver", solver, "--out", out,
+        )
+        assert code == 0
+        doc = json.loads((out / "schedule.json").read_text())
+        assert doc["entries"] == [] and doc["k"] == 0
 
     @pytest.mark.parametrize(
         "pairing, shapes",
@@ -642,12 +705,36 @@ def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, k):
     assert (tmp_path / "out" / "schedule.json").exists() == (expected == 0)
 
 
-def test_cli_import_does_not_load_scipy():
-    # the exact solver is plain numpy, so a run pays no scipy import
+def run_python(*args):
+    """Run the interpreter in a fresh process with this package importable."""
     src = str(Path(adplacer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, adplacer.cli; sys.exit(int('scipy' in sys.modules))"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("source", ["--rel-file", "--features"])
+@pytest.mark.parametrize("text", ["", "# adplacer-rel/1\n"], ids=["empty", "comment_only"])
+def test_empty_grid_exits_1_without_a_warning(tmp_path, source, text):
+    # numpy's "input contained no data" warning would reach stderr unfiltered
+    program, inventory, rel = write_two_ad_instance(tmp_path)
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    for eid in ("s1", "s2", "s3", "a1", "a2"):
+        np.savetxt(feat_dir / f"{eid}.txt", np.ones((2, 3)), fmt="%.17g")
+    arg, empty = (rel, rel) if source == "--rel-file" else (feat_dir, feat_dir / "s2.txt")
+    empty.write_text(text)
+    result = run_python(
+        "-m", "adplacer.cli", "run", "--program", program, "--inventory", inventory,
+        source, arg, "--k", 2, "--out", tmp_path / "out",
+    )
+    assert result.returncode == 1
+    assert f"{empty}: no numeric data" in result.stderr
+    assert "Warning" not in result.stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    # the exact solver is plain numpy, so a run pays no scipy import
+    result = run_python("-c", "import sys, adplacer.cli; sys.exit(int('scipy' in sys.modules))")
     assert result.returncode == 0, result.stderr or "scipy was imported"

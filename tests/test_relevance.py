@@ -6,14 +6,12 @@ import pytest
 from adplacer.errors import (
     DimensionMismatch,
     FrameCountMismatch,
-    MissingEntity,
     ZeroNormVector,
 )
 from adplacer.relevance import (
     KeyframeFeatures,
     build_relevance_matrix,
     cosine_similarity,
-    features_for,
     pair_relevance,
 )
 
@@ -250,9 +248,3 @@ class TestMatrix:
         a = feats("s", [[1.0, 2.0]])
         with pytest.raises(ValueError, match="nope"):
             build_relevance_matrix([a], [a], pairing="nope")
-
-    def test_features_for_missing_entity(self):
-        table = {"s1": feats("s1", [[1.0]])}
-        assert features_for(["s1"], table) == [table["s1"]]
-        with pytest.raises(MissingEntity):
-            features_for(["s1", "s2"], table)
