@@ -21,6 +21,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -101,7 +102,8 @@ def run(args: argparse.Namespace) -> int:
         problem = None if check else check.message
         if problem is None and report.reward is not None:  # re-score what was optimized
             recomputed = _score(report.schedule, program, inventory, rel, params)
-            if abs(recomputed - report.reward) > REWARD_ATOL:
+            # summation order alone moves a reward near 1e7 by a few ulps
+            if not math.isclose(recomputed, report.reward, rel_tol=1e-12, abs_tol=REWARD_ATOL):
                 problem = f"reported reward {report.reward!r}, re-scored {recomputed!r}"
         if problem is not None:
             raise AdPlacerError(

@@ -257,10 +257,15 @@ def load_profile(path) -> VpsProfile:
 
 
 def _load_grid(path) -> np.ndarray:
+    """Parse the numeric grid in exactly the file ``path``.
+
+    Handing ``np.loadtxt`` an open file skips numpy's per-path ``DataSource``
+    lookup: URL parsing and a probe for compressed siblings (``<path>.gz``).
+    """
     try:
-        with warnings.catch_warnings():
+        with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty input warns; it is reported below
-            grid = np.loadtxt(path, ndmin=2)
+            grid = np.loadtxt(fh, ndmin=2)
     except OSError:
         raise
     except Exception as exc:  # np.loadtxt raises assorted ValueError subtypes

@@ -1,6 +1,9 @@
 """File formats, the run pipeline and its exit codes."""
 
+import dataclasses
+import gzip
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +15,7 @@ import pytest
 import adplacer
 from adplacer import cli, io, solvers
 from adplacer.cli import main
-from adplacer.core import RewardParams, Schedule, ScheduleEntry, reward
+from adplacer.core import REWARD_ATOL, RewardParams, Schedule, ScheduleEntry, reward
 from adplacer.errors import (
     DuplicateSceneId,
     MissingEntity,
@@ -383,6 +386,26 @@ class TestRunCommand:
         assert code == 4
         assert "violating its own contract" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ulps, expected", [(2, 0), (10_000, 4)])
+    def test_rescore_tolerance_scales_with_the_reward(self, tmp_path, monkeypatch, ulps, expected):
+        # rewards near 1e7 re-score a few ulps apart from summation order alone,
+        # more than the absolute REWARD_ATOL, while a real disagreement exits 4
+        reported = 15497016.807755072
+        rescored = reported - ulps * math.ulp(reported)
+        assert abs(rescored - reported) > REWARD_ATOL
+        solve = cli.solve_assignment
+        monkeypatch.setattr(
+            cli, "solve_assignment",
+            lambda *args: dataclasses.replace(solve(*args), reward=reported),
+        )
+        monkeypatch.setattr(cli, "_score", lambda *args: rescored)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == expected
+
     @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
     def test_artifact_shape(self, tmp_path, solver):
         program, inventory, rel = write_two_ad_instance(tmp_path)
@@ -617,6 +640,41 @@ class TestRunCommand:
             "--out", tmp_path / "out-allpairs",
         )
         assert code == 0
+
+    def test_grids_are_parsed_from_open_files(self, tmp_path, monkeypatch):
+        # a path would send np.loadtxt through numpy's DataSource lookup
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        for eid in ("s1", "s2", "s3", "a1", "a2"):
+            np.savetxt(feat_dir / f"{eid}.txt", np.eye(2, 3), fmt="%.17g")
+        sources = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(
+            io.np, "loadtxt", lambda fname, **kw: sources.append(fname) or loadtxt(fname, **kw)
+        )
+        for source, arg in (("--rel-file", rel), ("--features", feat_dir)):
+            code = self.run_cli(
+                "run", "--program", program, "--inventory", inventory,
+                source, arg, "--k", 2, "--out", tmp_path / source.strip("-"),
+            )
+            assert code == 0
+        assert len(sources) == 1 + 5
+        assert not [s for s in sources if isinstance(s, (str, bytes, os.PathLike))]
+
+    def test_rel_file_is_read_exactly_as_named(self, tmp_path, capsys):
+        # numpy's path lookup would fall back to the compressed rel.txt.gz
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        with gzip.open(f"{rel}.gz", "wb") as fh:
+            fh.write(rel.read_bytes())
+        rel.unlink()
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert str(rel) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_feature_entity_exits_1(self, tmp_path, capsys):
         program, inventory, _ = write_two_ad_instance(tmp_path)
