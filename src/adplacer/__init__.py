@@ -20,28 +20,20 @@ from .core import (
     validate_schedule,
 )
 from .instances import random_instance
-from .profile import ProfilePoint, VpsProfile, build_profile, total_variation
+from .profile import ProfilePoint, build_profile, total_variation
 from .relevance import (
     KeyframeFeatures,
     build_relevance_matrix,
     cosine_similarity,
     pair_relevance,
 )
-from .solvers import (
-    DEFAULT_CANDIDATE_CAP,
-    SolveReport,
-    enumerate_balanced_subsets,
-    enumerate_placements,
-    solve_assignment,
-    solve_brute_force,
-)
+from .solvers import SolveReport, solve_assignment, solve_brute_force
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Ad",
     "AdInventory",
-    "DEFAULT_CANDIDATE_CAP",
     "KeyframeFeatures",
     "Polarity",
     "ProfilePoint",
@@ -54,14 +46,11 @@ __all__ = [
     "SolveReport",
     "Valence",
     "ValidationResult",
-    "VpsProfile",
     "as_relevance",
     "build_profile",
     "build_relevance_matrix",
     "classify_polarity",
     "cosine_similarity",
-    "enumerate_balanced_subsets",
-    "enumerate_placements",
     "pair_relevance",
     "random_instance",
     "reward",

@@ -10,6 +10,7 @@ files byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 from typing import Literal, Sequence
@@ -27,7 +28,7 @@ from .core import (
     Valence,
 )
 from .errors import AdPlacerError, MissingEntity, ParseError, ValenceOutOfRange
-from .profile import ProfilePoint, VpsProfile
+from .profile import ProfilePoint
 from .relevance import KeyframeFeatures
 from .solvers import SolveReport
 
@@ -77,7 +78,10 @@ def _is_number(raw) -> bool:
 def _parse_valence(raw, scale: Scale, where: str) -> Valence:
     if not _is_number(raw):
         raise ParseError(f"{where}: valence is not a number: {raw!r}")
-    x = float(raw)
+    try:
+        x = float(raw)
+    except OverflowError:  # a JSON integer beyond the float range
+        x = math.inf
     limit = 1.0 if scale == "unit" else 100.0
     if not 0.0 <= x <= limit:
         raise ValenceOutOfRange(
@@ -216,7 +220,7 @@ def load_report(path) -> dict:
     return _load_json(path, REPORT_FORMAT)
 
 
-def save_profile(profile: VpsProfile, path) -> None:
+def save_profile(profile: Sequence[ProfilePoint], path) -> None:
     _dump_json(
         {
             "format": PROFILE_FORMAT,
@@ -227,14 +231,14 @@ def save_profile(profile: VpsProfile, path) -> None:
                     "entity_id": p.entity_id,
                     "valence_0_100": p.valence_0_100,
                 }
-                for p in profile.points
+                for p in profile
             ],
         },
         path,
     )
 
 
-def load_profile(path) -> VpsProfile:
+def load_profile(path) -> tuple[ProfilePoint, ...]:
     doc = _load_json(path, PROFILE_FORMAT)
     raw = doc.get("points")
     if not isinstance(raw, list):
@@ -251,9 +255,9 @@ def load_profile(path) -> VpsProfile:
             kind = _parse_str(p["kind"], f"{path}: profile 'kind'")
             entity_id = _parse_str(p["entity_id"], f"{path}: profile 'entity_id'")
             points.append(ProfilePoint(position, kind, entity_id, float(value)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: bad profile point: {exc}") from exc
-    return VpsProfile(tuple(points))
+    return tuple(points)
 
 
 def _load_grid(path) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import AdInventory, ProgramSpec, Schedule, ScheduleEntry
 from .errors import TooShort
@@ -16,16 +17,9 @@ class ProfilePoint:
     valence_0_100: float
 
 
-@dataclass(frozen=True)
-class VpsProfile:
-    """Presentation-order valence sequence of a program with embedded ads."""
-
-    points: tuple[ProfilePoint, ...]
-
-
 def build_profile(
     schedule: Schedule, program: ProgramSpec, inventory: AdInventory
-) -> VpsProfile:
+) -> tuple[ProfilePoint, ...]:
     """Interleave scenes with their scheduled ads, in presentation order.
 
     Ads at slot i follow scene i directly (slot 0 ads precede scene 1);
@@ -57,14 +51,14 @@ def build_profile(
             ProfilePoint(len(points) + 1, "scene", scene.id, 100.0 * scene.valence.value)
         )
         emit_ads(i)
-    return VpsProfile(tuple(points))
+    return tuple(points)
 
 
-def total_variation(profile: VpsProfile) -> float:
+def total_variation(profile: Sequence[ProfilePoint]) -> float:
     """Sum of absolute valence jumps between consecutive points (0-100 scale)."""
-    if len(profile.points) < 2:
+    if len(profile) < 2:
         raise TooShort("total variation needs at least 2 profile points")
     total = 0.0
-    for prev, cur in zip(profile.points, profile.points[1:]):
+    for prev, cur in zip(profile, profile[1:]):
         total += abs(cur.valence_0_100 - prev.valence_0_100)
     return total

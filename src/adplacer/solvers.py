@@ -1,12 +1,12 @@
 """Solvers maximizing the placement reward under the strict constraints.
 
-Two routes: exhaustive enumeration over balanced ad subsets and their
-block-respecting placements (the capped test oracle; no CLI route runs it),
-and the exact polynomial route - a block reduction, pruned to the ads an
-optimum needs and solved as a min-cost flow by successive shortest paths in
-numpy.  Each
-route reports the objective it optimized; callers re-score the schedule to
-check it.
+Two routes: ``solve_brute_force``, which scores every balanced ad subset in
+every block-respecting placement and refuses instances above
+``DEFAULT_CANDIDATE_CAP`` candidates (a test oracle; no CLI route runs it),
+and the exact polynomial route ``solve_assignment`` - a block reduction,
+pruned to the ads an optimum needs and solved as a min-cost flow by
+successive shortest paths in numpy.  Each route reports the objective it
+optimized; callers re-score the schedule to check it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -102,27 +102,9 @@ def _iter_balanced_index_subsets(
             yield subset
 
 
-def count_balanced_subsets(inventory: AdInventory, k: int) -> int:
-    half = k // 2
-    return math.comb(len(inventory.hv_indices), half) * math.comb(
-        len(inventory.lv_indices), half
-    )
-
-
-def enumerate_balanced_subsets(
-    inventory: AdInventory, k: int
-) -> Iterator[tuple[str, ...]]:
-    """Every k-subset of ad ids with exactly k/2 HV and k/2 LV ads.
-
-    Yielded exactly once each, lexicographically by inventory ad index.
-    """
-    for idx_subset in _iter_balanced_index_subsets(inventory, k):
-        yield tuple(inventory.ads[i].id for i in idx_subset)
-
-
 def _iter_placements_idx(
-    ads: Sequence, blocks: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[tuple[int, object], ...]]:
+    ads: Sequence[int], blocks: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[tuple[int, int], ...]]:
     """All (slot, ad) assignments, one ad per block, deterministic order.
 
     Orderings of the given ads come first (lexicographic relative to the
@@ -133,37 +115,19 @@ def _iter_placements_idx(
             yield tuple(zip(slot_choice, perm))
 
 
-def enumerate_placements(
-    subset: Iterable[str], program: ProgramSpec, k: int
-) -> Iterator[Schedule]:
-    """Every strict-feasible placement of the given ads, as schedules.
-
-    Each of the k! ad orderings is combined with each choice of one slot per
-    contiguous block.  Sets are sorted for determinism; sequences keep their
-    given order as the permutation base.
-    """
-    ads = sorted(subset) if isinstance(subset, (set, frozenset)) else list(subset)
-    if len(set(ads)) != len(ads):
-        raise ValueError("subset contains repeated ad ids")
-    if len(ads) != k:
-        raise ValueError(f"subset has {len(ads)} ads, expected k={k}")
-    blocks = slot_blocks(program.slot_count, k)
-    yield from map(Schedule.strict, _iter_placements_idx(ads, blocks))
-
-
 def solve_brute_force(
     program: ProgramSpec,
     inventory: AdInventory,
     rel: RelevanceMatrix,
     params: RewardParams,
-    *,
-    cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> SolveReport:
     """Exhaustively score every feasible schedule and keep the best.
 
     Ties go to the first schedule in enumeration order (lexicographic in
-    subset, ad ordering, then slot choice).  Raises InstanceTooLarge when
-    the candidate count exceeds ``cap``.
+    subset, ad ordering, then slot choice).  The candidate count, taken
+    before any enumeration, is C(HV, k/2) * C(LV, k/2) subsets times k!
+    orderings times the product of the block sizes; above
+    ``DEFAULT_CANDIDATE_CAP`` this raises InstanceTooLarge.
     """
     start = time.perf_counter()
     rel = as_relevance(rel)
@@ -171,14 +135,15 @@ def solve_brute_force(
     k = params.k
     blocks = slot_blocks(program.slot_count, k)
     total = (
-        count_balanced_subsets(inventory, k)
+        math.comb(len(inventory.hv_indices), k // 2)
+        * math.comb(len(inventory.lv_indices), k // 2)
         * math.factorial(k)
         * math.prod(len(b) for b in blocks)
     )
-    if total > cap:
+    if total > DEFAULT_CANDIDATE_CAP:
         raise InstanceTooLarge(
-            f"{total} candidate schedules exceed the cap of {cap}; "
-            "use solve_assignment"
+            f"{total} candidate schedules exceed the cap of "
+            f"{DEFAULT_CANDIDATE_CAP}; use solve_assignment"
         )
 
     c_rows = _contributions(program, inventory, rel, params).tolist()

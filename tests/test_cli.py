@@ -52,6 +52,14 @@ def write_two_ad_instance(tmp_path, scale="unit"):
     return tmp_path / "program.json", tmp_path / "inventory.json", tmp_path / "rel.txt"
 
 
+def append_entity(path, kind, token):
+    """Append an entity whose valence is the raw JSON number ``token``."""
+    key = "scenes" if kind == "program" else "ads"
+    doc = json.loads(path.read_text())
+    doc[key].append({"id": "x", "valence": "VALENCE"})
+    path.write_text(json.dumps(doc).replace('"VALENCE"', token))
+
+
 class TestProgramFiles:
     def test_round_trip(self, tmp_path):
         program = make_program(0.9, 0.1, 0.8)
@@ -90,6 +98,17 @@ class TestProgramFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValenceOutOfRange):
             io.load_program(path, scale="hundred")
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    @pytest.mark.parametrize("kind", ["program", "inventory"])
+    def test_integer_valence_beyond_float_range(self, tmp_path, kind, sign):
+        # float() of such an integer raises OverflowError, not ValueError
+        program, inventory, _ = write_two_ad_instance(tmp_path)
+        path = program if kind == "program" else inventory
+        append_entity(path, kind, sign + "1" + "0" * 400)
+        load = io.load_program if kind == "program" else io.load_inventory
+        with pytest.raises(ValenceOutOfRange, match="outside"):
+            load(path)
 
     def test_duplicate_scene_id(self, tmp_path):
         doc = {
@@ -283,6 +302,19 @@ class TestOtherFormats:
             io.load_profile(path)
 
 
+    def test_profile_integer_beyond_float_range(self, tmp_path):
+        from adplacer.profile import build_profile
+
+        program, inventory, _, _ = two_ad_instance()
+        path = tmp_path / "profile.json"
+        io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
+        doc = json.loads(path.read_text())
+        doc["points"][0]["valence_0_100"] = "VALENCE"
+        path.write_text(json.dumps(doc).replace('"VALENCE"', "1" + "0" * 400))
+        with pytest.raises(ParseError, match="bad profile point"):
+            io.load_profile(path)
+
+
 class TestRunCommand:
     def run_cli(self, *args):
         return main([str(a) for a in args])
@@ -308,7 +340,7 @@ class TestRunCommand:
         assert report["reward"] == pytest.approx(oracle.reward, abs=1e-12)
         assert report["solver"] == "assignment"
         profile = io.load_profile(out / "profile.json")
-        assert len(profile.points) == 5
+        assert len(profile) == 5
 
     @pytest.mark.parametrize("flags", [("--solver", "brute"), ("--cap", 5)], ids=["brute", "cap"])
     def test_brute_force_flags_are_gone(self, tmp_path, capsys, flags):
@@ -550,6 +582,27 @@ class TestRunCommand:
             "--k", 2, "--alpha", 1.0, "--out", tmp_path / "out",
         )
         assert code == 0
+
+    @pytest.mark.parametrize("scale, token, expected", [
+        ("unit", "0", 0), ("unit", "0.5", 0), ("unit", "1", 0),
+        ("unit", "-0.0", 0), ("unit", "1e-308", 0),
+        ("unit", "1" + "0" * 400, 1), ("unit", "1e400", 1),
+        ("unit", "-1", 1), ("unit", "1.5", 1),
+        ("hundred", "100", 0), ("hundred", "100.5", 1),
+        ("hundred", "1" + "0" * 400, 1),
+    ], ids=lambda v: v if len(str(v)) < 20 else "10**400")
+    @pytest.mark.parametrize("kind", ["program", "inventory"])
+    def test_edge_valences(self, tmp_path, kind, scale, token, expected):
+        # the extra entity keeps the HV and the LV ad, so k=2 stays feasible
+        program, inventory, _ = write_two_ad_instance(tmp_path, scale=scale)
+        append_entity(program if kind == "program" else inventory, kind, token)
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--k", 2, "--alpha", 1, "--scale", scale, "--out", out,
+        )
+        assert code == expected
+        assert out.exists() == (code == 0)
 
     def test_k_over_slots_exits_2(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path)

@@ -6,7 +6,7 @@ from adplacer.baselines import trivial_schedule
 from adplacer.core import RewardParams, Schedule, ScheduleEntry
 from adplacer.errors import TooShort, UnknownAdId
 from adplacer.instances import random_instance
-from adplacer.profile import ProfilePoint, VpsProfile, build_profile, total_variation
+from adplacer.profile import ProfilePoint, build_profile, total_variation
 from adplacer.solvers import solve_assignment
 
 from util import make_inventory, make_program
@@ -16,9 +16,9 @@ def test_empty_schedule_gives_scene_sequence():
     program = make_program(0.9, 0.1, 0.8)
     inventory = make_inventory(0.8, 0.2)
     profile = build_profile(Schedule.empty(), program, inventory)
-    assert [p.kind for p in profile.points] == ["scene"] * 3
-    assert [p.position for p in profile.points] == [1, 2, 3]
-    assert [p.valence_0_100 for p in profile.points] == [90.0, 10.0, 80.0]
+    assert [p.kind for p in profile] == ["scene"] * 3
+    assert [p.position for p in profile] == [1, 2, 3]
+    assert [p.valence_0_100 for p in profile] == [90.0, 10.0, 80.0]
 
 
 def test_ad_follows_its_slot_scene():
@@ -26,7 +26,7 @@ def test_ad_follows_its_slot_scene():
     inventory = make_inventory(0.8, 0.2)
     schedule = Schedule.strict([(1, "a1")])
     profile = build_profile(schedule, program, inventory)
-    assert [(p.kind, p.entity_id) for p in profile.points] == [
+    assert [(p.kind, p.entity_id) for p in profile] == [
         ("scene", "s1"),
         ("ad", "a1"),
         ("scene", "s2"),
@@ -39,19 +39,19 @@ def test_head_slot_ads_precede_first_scene_in_rank_order():
     inventory = make_inventory(0.8, 0.2)
     schedule = Schedule((ScheduleEntry(0, 1, "a2"), ScheduleEntry(0, 0, "a1")))
     profile = build_profile(schedule, program, inventory)
-    assert [p.entity_id for p in profile.points[:2]] == ["a1", "a2"]
-    assert profile.points[2].kind == "scene"
+    assert [p.entity_id for p in profile[:2]] == ["a1", "a2"]
+    assert profile[2].kind == "scene"
 
 
 def test_point_count_and_scene_recovery():
     program, inventory, rel = random_instance(12, 11, 8)
     schedule = trivial_schedule(program, inventory, 6, seed=2)
     profile = build_profile(schedule, program, inventory)
-    assert len(profile.points) == program.n_scenes + 6
-    assert [p.position for p in profile.points] == list(
-        range(1, len(profile.points) + 1)
+    assert len(profile) == program.n_scenes + 6
+    assert [p.position for p in profile] == list(
+        range(1, len(profile) + 1)
     )
-    scene_ids = [p.entity_id for p in profile.points if p.kind == "scene"]
+    scene_ids = [p.entity_id for p in profile if p.kind == "scene"]
     assert scene_ids == [s.id for s in program.scenes]
 
 
@@ -60,8 +60,8 @@ def test_solved_schedule_profile_positions():
     params = RewardParams(0.5, 0.5, 4)
     report = solve_assignment(program, inventory, rel, params)
     profile = build_profile(report.schedule, program, inventory)
-    assert len(profile.points) == program.n_scenes + 4
-    ad_points = [p for p in profile.points if p.kind == "ad"]
+    assert len(profile) == program.n_scenes + 4
+    ad_points = [p for p in profile if p.kind == "ad"]
     slots = sorted(e.slot for e in report.schedule.entries)
     # an ad at slot i is preceded by i scenes and any earlier ads
     for rank, point in enumerate(sorted(ad_points, key=lambda p: p.position)):
@@ -91,7 +91,7 @@ def test_total_variation_full_swings():
 
 
 def test_total_variation_needs_two_points():
-    single = VpsProfile((ProfilePoint(1, "scene", "s1", 50.0),))
+    single = (ProfilePoint(1, "scene", "s1", 50.0),)
     with pytest.raises(TooShort):
         total_variation(single)
 

@@ -1,6 +1,7 @@
 """Enumeration, brute force and the exact assignment."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -21,35 +22,49 @@ from adplacer.core import (
 )
 from adplacer.errors import InfeasibleInventory, InfeasibleK, InstanceTooLarge
 from adplacer.instances import random_instance
-from adplacer.solvers import (
-    enumerate_balanced_subsets,
-    enumerate_placements,
-    solve_assignment,
-    solve_brute_force,
-)
+from adplacer.solvers import solve_assignment, solve_brute_force
 
 from util import const_rel, make_inventory, make_program, two_ad_instance
+
+
+def balanced_subsets(inventory, k):
+    """The balanced subsets brute force scores, as ad ids, in its order."""
+    return [
+        tuple(inventory.ads[i].id for i in subset)
+        for subset in solvers._iter_balanced_index_subsets(inventory, k)
+    ]
+
+
+def placements(ads, program, k):
+    """The placements brute force scores for the ad indices ``ads``, in its
+    order, as schedules of the ids ``make_inventory`` gives (index j is
+    ``a{j + 1}``)."""
+    blocks = slot_blocks(program.slot_count, k)
+    return [
+        Schedule.strict((slot, f"a{j + 1}") for slot, j in placement)
+        for placement in solvers._iter_placements_idx(ads, blocks)
+    ]
 
 
 class TestBalancedSubsets:
     def test_two_by_two_cross_pairs(self):
         inventory = make_inventory(0.9, 0.8, 0.2, 0.1)  # a1,a2 HV; a3,a4 LV
-        subsets = list(enumerate_balanced_subsets(inventory, 2))
+        subsets = balanced_subsets(inventory, 2)
         assert subsets == [("a1", "a3"), ("a1", "a4"), ("a2", "a3"), ("a2", "a4")]
 
     def test_k_zero_yields_single_empty_subset(self):
         inventory = make_inventory(0.9, 0.1)
-        assert list(enumerate_balanced_subsets(inventory, 0)) == [()]
+        assert balanced_subsets(inventory, 0) == [()]
 
     def test_insufficient_polarity(self):
         inventory = make_inventory(0.9, 0.8, 0.7)  # all HV
         with pytest.raises(InfeasibleInventory):
-            list(enumerate_balanced_subsets(inventory, 2))
+            balanced_subsets(inventory, 2)
 
     def test_odd_k_rejected(self):
         inventory = make_inventory(0.9, 0.1)
         with pytest.raises(InfeasibleK):
-            list(enumerate_balanced_subsets(inventory, 1))
+            balanced_subsets(inventory, 1)
 
     def test_matches_filtered_combinations_oracle(self):
         rng = np.random.default_rng(71)
@@ -72,11 +87,12 @@ class TestBalancedSubsets:
                     )
                     == half
                 ]
-                assert list(enumerate_balanced_subsets(inventory, k)) == expected
+                assert balanced_subsets(inventory, k) == expected
 
     def test_lexicographic_order_on_every_polarity_pattern(self):
         # brute force breaks ties by this order, so it must be exactly the
-        # filtered itertools.combinations order on every small inventory
+        # filtered itertools.combinations order on every small inventory; its
+        # candidate count assumes C(HV, k/2) * C(LV, k/2) subsets
         cases = 0
         for p in range(2, 9):
             for pattern in itertools.product((True, False), repeat=p):
@@ -84,14 +100,17 @@ class TestBalancedSubsets:
                     continue
                 inventory = make_inventory(*(0.9 if hv else 0.1 for hv in pattern))
                 ids = [ad.id for ad in inventory.ads]
-                for k in range(0, 2 * min(sum(pattern), p - sum(pattern)) + 1, 2):
+                n_hv = sum(pattern)
+                for k in range(0, 2 * min(n_hv, p - n_hv) + 1, 2):
                     expected = [
                         tuple(ids[i] for i in combo)
                         for combo in itertools.combinations(range(p), k)
                         if sum(pattern[i] for i in combo) == k // 2
                     ]
-                    assert list(enumerate_balanced_subsets(inventory, k)) == expected
-                    assert len(expected) == solvers.count_balanced_subsets(inventory, k)
+                    assert balanced_subsets(inventory, k) == expected
+                    assert len(expected) == math.comb(n_hv, k // 2) * math.comb(
+                        p - n_hv, k // 2
+                    )
                     cases += 1
         assert cases > 1000
 
@@ -99,40 +118,27 @@ class TestBalancedSubsets:
 class TestPlacements:
     def test_two_ads_two_slots(self):
         program = make_program(0.5, 0.5, 0.5)  # M = 2, blocks {1},{2}
-        schedules = list(enumerate_placements(("a1", "a2"), program, 2))
+        schedules = placements((0, 1), program, 2)
         assert len(schedules) == 2
         assert schedules[0].in_slot_order[0].ad_id == "a1"
         assert schedules[1].in_slot_order[0].ad_id == "a2"
 
     def test_one_ad_three_slots(self):
         program = make_program(0.5, 0.5, 0.5, 0.5)  # M = 3, single block
-        schedules = list(enumerate_placements(("a1",), program, 1))
+        schedules = placements((0,), program, 1)
         assert [s.entries[0].slot for s in schedules] == [1, 2, 3]
 
     def test_two_ads_four_slots(self):
         program = make_program(0.5, 0.5, 0.5, 0.5, 0.5)  # M = 4
-        schedules = list(enumerate_placements(("a1", "a2"), program, 2))
+        schedules = placements((0, 1), program, 2)
         assert len(schedules) == 8  # 2! orderings x 2 x 2 slot choices
 
     def test_every_placement_is_strict_feasible(self):
         program = make_program(0.9, 0.1, 0.8, 0.7, 0.6)
         inventory = make_inventory(0.8, 0.2)
         params = RewardParams(0.5, 0.5, 2)
-        for schedule in enumerate_placements(("a1", "a2"), program, 2):
+        for schedule in placements((0, 1), program, 2):
             assert validate_schedule(schedule, program, inventory, params)
-
-    def test_size_mismatch_rejected(self):
-        program = make_program(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            list(enumerate_placements(("a1",), program, 2))
-        with pytest.raises(ValueError):
-            list(enumerate_placements(("a1", "a1"), program, 2))
-
-    def test_set_input_is_canonicalized(self):
-        program = make_program(0.5, 0.5, 0.5)
-        from_set = [s.entries for s in enumerate_placements({"a2", "a1"}, program, 2)]
-        from_seq = [s.entries for s in enumerate_placements(("a1", "a2"), program, 2)]
-        assert from_set == from_seq
 
     def test_matches_literal_permutation_filter(self):
         # oracle: place the ads on every injective slot choice, keep the
@@ -143,7 +149,7 @@ class TestPlacements:
             program = make_program(*([0.5] * (m + 1)))
             direct = {
                 frozenset((e.slot, e.ad_id) for e in s.entries)
-                for s in enumerate_placements(("a1", "a2"), program, 2)
+                for s in placements((0, 1), program, 2)
             }
             literal = set()
             for slots in itertools.permutations(range(1, m + 1), 2):
@@ -193,9 +199,11 @@ class TestBruteForce:
             solve_brute_force(program, inventory, const_rel(3, 2), RewardParams(0.5, 0.5, 2))
 
     def test_candidate_cap(self):
-        program, inventory, rel, params = two_ad_instance()
+        # the count is taken before any enumeration, so this stays instant
+        program, inventory, rel = random_instance(40, 30, 0)
+        params = RewardParams(0.5, 0.5, 10)
         with pytest.raises(InstanceTooLarge, match="use solve_assignment"):
-            solve_brute_force(program, inventory, rel, params, cap=1)
+            solve_brute_force(program, inventory, rel, params)
 
 
 class TestAssignment:
