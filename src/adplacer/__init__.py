@@ -13,20 +13,14 @@ from .core import (
     ScheduleEntry,
     Valence,
     ValidationResult,
-    as_relevance,
     classify_polarity,
     reward,
     slot_blocks,
     validate_schedule,
 )
 from .instances import random_instance
-from .profile import ProfilePoint, build_profile, total_variation
-from .relevance import (
-    KeyframeFeatures,
-    build_relevance_matrix,
-    cosine_similarity,
-    pair_relevance,
-)
+from .profile import ProfilePoint, build_profile
+from .relevance import KeyframeFeatures, build_relevance_matrix, cosine_similarity
 from .solvers import SolveReport, solve_assignment, solve_brute_force
 
 __version__ = "0.1.0"
@@ -46,18 +40,15 @@ __all__ = [
     "SolveReport",
     "Valence",
     "ValidationResult",
-    "as_relevance",
     "build_profile",
     "build_relevance_matrix",
     "classify_polarity",
     "cosine_similarity",
-    "pair_relevance",
     "random_instance",
     "reward",
     "slot_blocks",
     "solve_assignment",
     "solve_brute_force",
-    "total_variation",
     "trivial_schedule",
     "validate_schedule",
 ]

@@ -60,7 +60,7 @@ class Valence:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value)
+        v = float(self.value) + 0.0  # -0.0 becomes 0.0
         if not math.isfinite(v) or not 0.0 <= v <= 1.0:
             raise ValenceOutOfRange(f"valence {self.value!r} outside [0, 1]")
         object.__setattr__(self, "value", v)
@@ -292,23 +292,8 @@ class RelevanceMatrix:
         arr.setflags(write=False)
         self.values = arr
 
-    @property
-    def n_scenes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_ads(self) -> int:
-        return self.values.shape[1]
-
     def __repr__(self) -> str:
         return f"RelevanceMatrix(shape={self.values.shape})"
-
-
-def as_relevance(values) -> RelevanceMatrix:
-    """Coerce an array-like into a :class:`RelevanceMatrix`."""
-    if isinstance(values, RelevanceMatrix):
-        return values
-    return RelevanceMatrix(values)
 
 
 def _check_relevance_shape(
@@ -346,7 +331,6 @@ class ValidationResult:
     ok: bool
     constraint: str | None = None
     message: str = ""
-    slots: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok
@@ -355,8 +339,8 @@ class ValidationResult:
 _PASS = ValidationResult(True)
 
 
-def _fail(constraint: str, message: str, slots=()) -> ValidationResult:
-    return ValidationResult(False, constraint, message, tuple(slots))
+def _fail(constraint: str, message: str) -> ValidationResult:
+    return ValidationResult(False, constraint, message)
 
 
 def validate_schedule(
@@ -386,7 +370,7 @@ def validate_schedule(
     if mode == "baseline":
         bad = [e.slot for e in entries if not 0 <= e.slot <= m]
         if bad:
-            return _fail("slot_range", f"slots {bad} outside 0..{m}", slots=bad)
+            return _fail("slot_range", f"slots {bad} outside 0..{m}")
         if any(e.rank < 0 for e in entries):
             return _fail("rank", "ranks must be non-negative")
         positions = [(e.slot, e.rank) for e in entries]
@@ -395,7 +379,6 @@ def validate_schedule(
             return _fail(
                 "duplicate_position",
                 f"(slot, rank) positions {dupes} used more than once",
-                slots=[s for s, _ in dupes],
             )
         if len(entries) != k:
             return _fail("ad_count", f"schedule has {len(entries)} ads, expected k={k}")
@@ -406,7 +389,7 @@ def validate_schedule(
 
     bad = [e.slot for e in entries if not 1 <= e.slot <= m]
     if bad:
-        return _fail("slot_range", f"slots {bad} outside 1..{m}", slots=bad)
+        return _fail("slot_range", f"slots {bad} outside 1..{m}")
     nonzero = [e.ad_id for e in entries if e.rank != 0]
     if nonzero:
         return _fail("rank", f"strict schedules require rank 0, got ranks for {nonzero}")
@@ -415,7 +398,7 @@ def validate_schedule(
     slots = [e.slot for e in entries]
     if len(set(slots)) != len(slots):
         dupes = sorted({s for s in slots if slots.count(s) > 1})
-        return _fail("slot_capacity", f"slots {dupes} hold more than one ad", slots=dupes)
+        return _fail("slot_capacity", f"slots {dupes} hold more than one ad")
 
     # (b) exactly k ads in total
     if len(entries) != k:
@@ -429,7 +412,6 @@ def validate_schedule(
                 "block_uniformity",
                 f"block {b} (slots {block[0]}..{block[-1]}) holds "
                 f"{len(inside)} ads, expected 1",
-                slots=block,
             )
 
     # (d) equal high- and low-valence counts
@@ -457,7 +439,6 @@ def reward(
     valence| times the scene-ad relevance, weighted by ``beta``; the scene
     is the one immediately preceding the slot.  Pure function of its inputs.
     """
-    rel = as_relevance(rel)
     check = validate_schedule(schedule, program, inventory, params, mode="strict")
     if not check:
         raise InfeasibleSchedule(f"{check.constraint}: {check.message}")

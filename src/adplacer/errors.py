@@ -53,9 +53,5 @@ class InstanceTooLarge(AdPlacerError):
     """Exhaustive enumeration would exceed the candidate cap."""
 
 
-class TooShort(AdPlacerError, ValueError):
-    """The profile has too few points for the requested statistic."""
-
-
 class ParseError(AdPlacerError):
     """An input file is malformed."""

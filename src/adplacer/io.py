@@ -48,10 +48,9 @@ def _dump_json(doc: dict, path) -> None:
 
 
 def _load_json(path, expected_format: str) -> dict:
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, a JSONDecodeError, or an integer over the digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None

@@ -1,12 +1,10 @@
-"""Interleaved scene/ad valence sequences and a simple spikiness metric."""
+"""The valence profile: scenes and their scheduled ads in presentation order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import AdInventory, ProgramSpec, Schedule, ScheduleEntry
-from .errors import TooShort
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,3 @@ def build_profile(
         )
         emit_ads(i)
     return tuple(points)
-
-
-def total_variation(profile: Sequence[ProfilePoint]) -> float:
-    """Sum of absolute valence jumps between consecutive points (0-100 scale)."""
-    if len(profile) < 2:
-        raise TooShort("total variation needs at least 2 profile points")
-    total = 0.0
-    for prev, cur in zip(profile, profile[1:]):
-        total += abs(cur.valence_0_100 - prev.valence_0_100)
-    return total

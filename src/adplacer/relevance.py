@@ -82,15 +82,6 @@ def cosine_similarity(u, v) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def pair_relevance(
-    scene_feats: KeyframeFeatures,
-    ad_feats: KeyframeFeatures,
-    pairing: Pairing = "aligned",
-) -> float:
-    """Mean keyframe cosine of two entities: :func:`build_relevance_matrix`, 1 x 1."""
-    return float(build_relevance_matrix([scene_feats], [ad_feats], pairing).values[0, 0])
-
-
 def _summary(feats: KeyframeFeatures, pairing: Pairing) -> np.ndarray:
     """One vector per entity whose inner products give the mean frame cosine."""
     frames = _pow2_scaled(feats.frames, axis=1)

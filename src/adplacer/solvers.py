@@ -28,7 +28,6 @@ from .core import (
     Schedule,
     _check_balance,
     _check_relevance_shape,
-    as_relevance,
     slot_blocks,
 )
 from .errors import InfeasibleK, InstanceTooLarge
@@ -130,7 +129,6 @@ def solve_brute_force(
     ``DEFAULT_CANDIDATE_CAP`` this raises InstanceTooLarge.
     """
     start = time.perf_counter()
-    rel = as_relevance(rel)
     _check_instance(program, inventory, rel, params)
     k = params.k
     blocks = slot_blocks(program.slot_count, k)
@@ -187,7 +185,6 @@ def _block_values(
     where each block starts, the k x P values g[b, j] = the max of c[:, j]
     over block b's rows, and the HV mask over ads.
     """
-    rel = as_relevance(rel)
     _check_instance(program, inventory, rel, params)
     c = _contributions(program, inventory, rel, params)
     starts = [block[0] - 1 for block in slot_blocks(program.slot_count, params.k)]

@@ -174,6 +174,9 @@ class TestProgramFiles:
         path.write_text(json.dumps({"format": "other/9", "scenes": []}))
         with pytest.raises(ParseError):
             io.load_program(path)
+        path.write_bytes(b'{"format": "adplacer-program/1", "scenes": [{"id": "\xff"}]}')
+        with pytest.raises(ParseError, match="p.json"):  # not UTF-8
+            io.load_program(path)
 
 
 class TestOtherFormats:
@@ -588,14 +591,17 @@ class TestRunCommand:
         ("unit", "-0.0", 0), ("unit", "1e-308", 0),
         ("unit", "1" + "0" * 400, 1), ("unit", "1e400", 1),
         ("unit", "-1", 1), ("unit", "1.5", 1),
+        # json.loads refuses an integer of more than 4300 digits with a ValueError
+        ("unit", "1" + "0" * 5000, 1),
         ("hundred", "100", 0), ("hundred", "100.5", 1),
         ("hundred", "1" + "0" * 400, 1),
-    ], ids=lambda v: v if len(str(v)) < 20 else "10**400")
+    ], ids=lambda v: v if len(str(v)) < 20 else f"10**{len(v) - 1}")
     @pytest.mark.parametrize("kind", ["program", "inventory"])
-    def test_edge_valences(self, tmp_path, kind, scale, token, expected):
+    def test_edge_valences(self, tmp_path, capsys, kind, scale, token, expected):
         # the extra entity keeps the HV and the LV ad, so k=2 stays feasible
         program, inventory, _ = write_two_ad_instance(tmp_path, scale=scale)
-        append_entity(program if kind == "program" else inventory, kind, token)
+        path = program if kind == "program" else inventory
+        append_entity(path, kind, token)
         out = tmp_path / "out"
         code = self.run_cli(
             "run", "--program", program, "--inventory", inventory,
@@ -603,6 +609,13 @@ class TestRunCommand:
         )
         assert code == expected
         assert out.exists() == (code == 0)
+        if code:
+            assert str(path) in capsys.readouterr().err
+        if token == "-0.0":
+            # the sign of zero is dropped: profile.json writes 0.0, not -0.0
+            points = json.loads((out / "profile.json").read_text())["points"]
+            [value] = [p["valence_0_100"] for p in points if p["entity_id"] == "x"]
+            assert math.copysign(1.0, value) == 1.0
 
     def test_k_over_slots_exits_2(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path)

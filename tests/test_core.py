@@ -103,7 +103,7 @@ class TestContainers:
         with pytest.raises(ValueError):
             RelevanceMatrix([[float("nan")]])
         rel = RelevanceMatrix([[0.25, -1.0]])
-        assert rel.n_scenes == 1 and rel.n_ads == 2
+        assert rel.values.shape == (1, 2)
 
 
 class TestRewardParams:
@@ -176,7 +176,7 @@ class TestValidation:
         schedule = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")))
         result = validate_schedule(schedule, self.program, self.inventory, self.params)
         assert not result and result.constraint == "slot_capacity"
-        assert result.slots == (1,)
+        assert "slots [1]" in result.message
 
     def test_wrong_ad_count(self):
         program = make_program(0.9, 0.1, 0.8, 0.7, 0.6)

@@ -1,12 +1,12 @@
-"""Profile interleaving and the total-variation metric."""
+"""Profile interleaving in presentation order."""
 
 import pytest
 
 from adplacer.baselines import trivial_schedule
 from adplacer.core import RewardParams, Schedule, ScheduleEntry
-from adplacer.errors import TooShort, UnknownAdId
+from adplacer.errors import UnknownAdId
 from adplacer.instances import random_instance
-from adplacer.profile import ProfilePoint, build_profile, total_variation
+from adplacer.profile import build_profile
 from adplacer.solvers import solve_assignment
 
 from util import make_inventory, make_program
@@ -76,30 +76,16 @@ def test_unknown_ad():
         build_profile(schedule, program, inventory)
 
 
-def test_total_variation_constant_profile():
-    program = make_program(0.4, 0.4, 0.4)
-    inventory = make_inventory(0.8)
-    profile = build_profile(Schedule.empty(), program, inventory)
-    assert total_variation(profile) == 0.0
-
-
-def test_total_variation_full_swings():
-    program = make_program(0.0, 1.0, 0.0)
-    inventory = make_inventory(0.8)
-    profile = build_profile(Schedule.empty(), program, inventory)
-    assert total_variation(profile) == 200.0
-
-
-def test_total_variation_needs_two_points():
-    single = (ProfilePoint(1, "scene", "s1", 50.0),)
-    with pytest.raises(TooShort):
-        total_variation(single)
-
-
 def test_embedding_contrasting_ads_raises_variation():
     program, inventory, rel = random_instance(16, 9, 77)
     params = RewardParams(0.5, 0.5, 4)
     report = solve_assignment(program, inventory, rel, params)
-    with_ads = total_variation(build_profile(report.schedule, program, inventory))
-    without = total_variation(build_profile(Schedule.empty(), program, inventory))
+    # the profile's total variation: the sum of absolute valence steps
+    with_ads, without = (
+        sum(abs(q.valence_0_100 - p.valence_0_100) for p, q in zip(points, points[1:]))
+        for points in (
+            build_profile(report.schedule, program, inventory),
+            build_profile(Schedule.empty(), program, inventory),
+        )
+    )
     assert with_ads > without

@@ -12,7 +12,6 @@ from adplacer.relevance import (
     KeyframeFeatures,
     build_relevance_matrix,
     cosine_similarity,
-    pair_relevance,
 )
 
 
@@ -84,15 +83,19 @@ class TestCosine:
 
 
 class TestPairRelevance:
+    """One scene against one ad: the 1 x 1 relevance matrix."""
+
     def test_identical_features(self):
         a = feats("s", [[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]])
         b = feats("ad", [[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]])
-        assert pair_relevance(a, b) == pytest.approx(1.0, abs=1e-12)
+        rel = build_relevance_matrix([a], [b])
+        assert rel.values[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_of_mixed_pairs(self):
         a = feats("s", [[1.0, 0.0], [0.0, 1.0]])
         b = feats("ad", [[2.0, 0.0], [1.0, 0.0]])  # cosines 1.0 and 0.0
-        assert pair_relevance(a, b) == pytest.approx(0.5, abs=1e-12)
+        rel = build_relevance_matrix([a], [b])
+        assert rel.values[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_per_pair_computation(self):
         rng = np.random.default_rng(31)
@@ -101,25 +104,29 @@ class TestPairRelevance:
         expected = sum(
             cosine_similarity(a.frames[i], b.frames[i]) for i in range(3)
         ) / 3.0
-        assert pair_relevance(a, b) == pytest.approx(expected, abs=1e-12)
+        rel = build_relevance_matrix([a], [b])
+        assert rel.values[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_frame_count_mismatch(self):
         a = feats("s", [[1.0, 0.0]])
         b = feats("ad", [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(FrameCountMismatch):
-            pair_relevance(a, b)
+            build_relevance_matrix([a], [b])
 
     def test_symmetric(self):
         rng = np.random.default_rng(41)
         a = feats("s", rng.normal(size=(5, 12)))
         b = feats("ad", rng.normal(size=(5, 12)))
-        assert pair_relevance(a, b) == pytest.approx(pair_relevance(b, a), abs=1e-15)
+        ab = build_relevance_matrix([a], [b]).values[0, 0]
+        ba = build_relevance_matrix([b], [a]).values[0, 0]
+        assert ab == pytest.approx(ba, abs=1e-15)
 
     def test_all_pairs_mode(self):
         a = feats("s", [[1.0, 0.0], [0.0, 1.0]])
         b = feats("ad", [[1.0, 0.0]])
         # cross product: cos=1 and cos=0
-        assert pair_relevance(a, b, pairing="all_pairs") == pytest.approx(0.5, abs=1e-12)
+        rel = build_relevance_matrix([a], [b], pairing="all_pairs")
+        assert rel.values[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_all_pairs_matches_loop(self):
         rng = np.random.default_rng(43)
@@ -132,14 +139,13 @@ class TestPairRelevance:
                 for j in range(3)
             ]
         )
-        assert pair_relevance(a, b, pairing="all_pairs") == pytest.approx(
-            float(expected), abs=1e-12
-        )
+        rel = build_relevance_matrix([a], [b], pairing="all_pairs")
+        assert rel.values[0, 0] == pytest.approx(float(expected), abs=1e-12)
 
     def test_unknown_pairing(self):
         a = feats("s", [[1.0]])
         with pytest.raises(ValueError):
-            pair_relevance(a, a, pairing="nope")
+            build_relevance_matrix([a], [a], pairing="nope")
 
 
 class TestKeyframeFeatures:
@@ -178,9 +184,11 @@ class TestMatrix:
         rel = build_relevance_matrix(scenes, ads)
         for i in range(2):
             for j in range(2):
-                assert rel.values[i, j] == pytest.approx(
-                    pair_relevance(scenes[i], ads[j]), abs=1e-15
-                )
+                expected = np.mean([
+                    cosine_similarity(scenes[i].frames[f], ads[j].frames[f])
+                    for f in range(4)
+                ])
+                assert rel.values[i, j] == pytest.approx(float(expected), abs=1e-12)
 
     def test_entries_in_range(self):
         rng = np.random.default_rng(59)

@@ -396,7 +396,7 @@ class TestSolverProperties:
             mirrored = solve_brute_force(
                 type(program)(tuple(scenes), m),
                 inventory,
-                mirrored_rel,
+                RelevanceMatrix(mirrored_rel),
                 params,
             )
             assert abs(fwd.reward - mirrored.reward) <= 1e-9
