@@ -14,7 +14,7 @@ package.
 Exit codes:
     0  success
     1  unreadable or malformed input, bad configuration
-    2  infeasible instance (odd k, k > slots, unbalanced inventory)
+    2  infeasible instance (odd k, k > slots (exact routes), unbalanced inventory)
     4  internal invariant violation
 """
 
@@ -34,6 +34,7 @@ from .core import (
     REWARD_ATOL,
     RelevanceMatrix,
     RewardParams,
+    _check_feasible,
     _score,
     validate_schedule,
 )
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .profile import build_profile
 from .relevance import build_relevance_matrix
-from .solvers import SolveReport, _check_feasible, solve_assignment
+from .solvers import SolveReport, solve_assignment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

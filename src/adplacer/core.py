@@ -194,6 +194,13 @@ def _check_balance(inventory: AdInventory, k: int) -> int:
     return half
 
 
+def _check_feasible(program: ProgramSpec, inventory: AdInventory, k: int) -> None:
+    """Raise unless k ads fit the program's slots and the inventory's balance."""
+    if k > program.slot_count:
+        raise InfeasibleK(f"k={k} exceeds the {program.slot_count} available slots")
+    _check_balance(inventory, k)
+
+
 @dataclass(frozen=True)
 class RewardParams:
     """Trade-off weights and the number of ads to embed.
@@ -238,13 +245,15 @@ class Schedule:
 
     The same ad never appears twice.  Strict schedules additionally use
     distinct slots and rank 0 everywhere; baseline schedules may stack
-    several ads on one slot, ordered by rank.
+    several ads on one slot, ordered by rank.  ``entries`` are stored in
+    presentation order (slot, then rank, then ad id) whatever order they
+    were given in, so schedules with the same placements compare equal.
     """
 
     entries: tuple[ScheduleEntry, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+        entries = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", entries)
         seen: set[str] = set()
         for e in entries:
@@ -263,10 +272,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @cached_property
-    def in_slot_order(self) -> tuple[ScheduleEntry, ...]:
-        return tuple(sorted(self.entries))
 
 
 class RelevanceMatrix:
@@ -305,6 +310,17 @@ def _check_relevance_shape(
             f"relevance matrix shape {rel.values.shape} does not match "
             f"{program.n_scenes} scenes x {len(inventory)} ads"
         )
+
+
+def _check_instance(
+    program: ProgramSpec,
+    inventory: AdInventory,
+    rel: RelevanceMatrix,
+    params: RewardParams,
+) -> None:
+    """Raise unless ``rel`` fits the instance and ``params.k`` is feasible."""
+    _check_relevance_shape(rel, program, inventory)
+    _check_feasible(program, inventory, params.k)
 
 
 def slot_blocks(slot_count: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -458,7 +474,7 @@ def _score(
     alpha, beta = params.alpha, params.beta
     scene_vals = program.valences
     total = 0.0
-    for entry in schedule.in_slot_order:
+    for entry in schedule.entries:
         j = inventory.index_of(entry.ad_id)
         ad_val = inventory.ads[j].valence.value
         scene_val = float(scene_vals[entry.slot - 1])

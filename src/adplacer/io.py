@@ -170,7 +170,7 @@ def schedule_dict(schedule: Schedule, mode: str = "strict") -> dict:
         "k": len(schedule.entries),
         "entries": [
             {"slot": e.slot, "rank": e.rank, "ad_id": e.ad_id}
-            for e in schedule.in_slot_order
+            for e in schedule.entries
         ],
     }
 

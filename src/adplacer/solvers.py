@@ -27,10 +27,10 @@ from .core import (
     RewardParams,
     Schedule,
     _check_balance,
-    _check_relevance_shape,
+    _check_instance,
     slot_blocks,
 )
-from .errors import InfeasibleK, InstanceTooLarge
+from .errors import InstanceTooLarge
 
 #: Brute force refuses instances with more candidate schedules than this.
 DEFAULT_CANDIDATE_CAP = 10**8
@@ -54,23 +54,6 @@ class SolveReport:
     solver: str
     candidates_evaluated: int
     wall_time: float
-
-
-def _check_feasible(program: ProgramSpec, inventory: AdInventory, k: int) -> None:
-    """Raise unless k ads fit the program's slots and the inventory's balance."""
-    if k > program.slot_count:
-        raise InfeasibleK(f"k={k} exceeds the {program.slot_count} available slots")
-    _check_balance(inventory, k)
-
-
-def _check_instance(
-    program: ProgramSpec,
-    inventory: AdInventory,
-    rel: RelevanceMatrix,
-    params: RewardParams,
-) -> None:
-    _check_relevance_shape(rel, program, inventory)
-    _check_feasible(program, inventory, params.k)
 
 
 def _contributions(

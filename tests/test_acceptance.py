@@ -140,7 +140,7 @@ def test_tail_placement_theorem():
         params = RewardParams(1.0, 0.0, k)
         report = solve_brute_force(program, inventory, rel, params)
         blocks = slot_blocks(m, k)
-        entries = report.schedule.in_slot_order
+        entries = report.schedule.entries
         vals = [inventory.ad(e.ad_id).valence.value for e in entries]
         tail_ok = all(e.slot == b[-1] for b, e in zip(blocks, entries))
         mono_ok = all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))

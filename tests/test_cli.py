@@ -15,6 +15,7 @@ import pytest
 import adplacer
 from adplacer import cli, io, solvers
 from adplacer.cli import main
+from adplacer.baselines import trivial_schedule
 from adplacer.core import REWARD_ATOL, RewardParams, Schedule, ScheduleEntry, reward
 from adplacer.errors import (
     DuplicateSceneId,
@@ -23,6 +24,7 @@ from adplacer.errors import (
     ValenceOutOfRange,
 )
 from adplacer.instances import random_instance
+from adplacer.profile import build_profile
 from adplacer.relevance import KeyframeFeatures
 from adplacer.solvers import solve_assignment
 
@@ -193,7 +195,38 @@ class TestOtherFormats:
         path = tmp_path / "schedule.json"
         io.save_schedule(schedule, path)
         again = io.load_schedule(path)
-        assert again.in_slot_order == schedule.in_slot_order
+        assert again == schedule
+
+    @pytest.mark.parametrize("mode", ["strict", "baseline"])
+    def test_placement_order_is_irrelevant(self, tmp_path, mode):
+        # the same placements, given in any order, are one schedule
+        program, inventory, rel = random_instance(12, 10, 5)
+        params = RewardParams(0.5, 0.5, 6)
+        if mode == "strict":
+            placed = solve_assignment(program, inventory, rel, params).schedule.entries
+        else:
+            placed = trivial_schedule(program, inventory, 6, seed=3).entries
+        rng = np.random.default_rng(8)
+        orders = [placed, placed[::-1]]
+        orders += [[placed[j] for j in rng.permutation(len(placed))] for _ in range(4)]
+        first = Schedule(tuple(placed))
+        outputs = set()
+        for i, order in enumerate(orders):
+            schedule = Schedule(tuple(order))
+            assert schedule == first
+            if mode == "strict":
+                assert reward(schedule, program, inventory, rel, params) == reward(
+                    first, program, inventory, rel, params
+                )
+            io.save_schedule(schedule, tmp_path / f"schedule-{i}.json", mode=mode)
+            io.save_profile(
+                build_profile(schedule, program, inventory), tmp_path / f"profile-{i}.json"
+            )
+            outputs.add((
+                (tmp_path / f"schedule-{i}.json").read_bytes(),
+                (tmp_path / f"profile-{i}.json").read_bytes(),
+            ))
+        assert len(outputs) == 1
 
     @pytest.mark.parametrize("field, raw", [
         ("slot", 2.7), ("slot", True), ("slot", "2"), ("rank", 0.0), ("rank", True),
@@ -336,8 +369,8 @@ class TestRunCommand:
             io.load_relevance(rel), RewardParams(0.5, 0.5, 2),
         )
         schedule = io.load_schedule(out / "schedule.json")
-        assert [(e.slot, e.ad_id) for e in schedule.in_slot_order] == [(1, "a2"), (2, "a1")]
-        assert schedule.in_slot_order == oracle.schedule.in_slot_order
+        assert [(e.slot, e.ad_id) for e in schedule.entries] == [(1, "a2"), (2, "a1")]
+        assert schedule.entries == oracle.schedule.entries
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
         assert report["reward"] == pytest.approx(oracle.reward, abs=1e-12)
@@ -625,6 +658,21 @@ class TestRunCommand:
         )
         assert code == 2
 
+    def test_k_over_slots_is_infeasible_for_exact_routes_only(self, tmp_path, capsys):
+        # trivial stacks its ads on two insertion points, so k > slots still fits
+        program = make_program(0.9, 0.1, 0.8, 0.3, 0.6)
+        inventory = make_inventory(0.9, 0.8, 0.7, 0.1, 0.2, 0.3)
+        io.save_program(program, tmp_path / "program.json")
+        io.save_inventory(inventory, tmp_path / "inventory.json")
+        args = ["run", "--program", tmp_path / "program.json",
+                "--inventory", tmp_path / "inventory.json", "--k", 6, "--alpha", 1.0]
+        assert self.run_cli(*args, "--solver", "trivial", "--out", tmp_path / "t") == 0
+        assert len(io.load_schedule(tmp_path / "t" / "schedule.json")) == 6
+        capsys.readouterr()
+        assert self.run_cli(*args, "--solver", "bnb", "--out", tmp_path / "b") == 2
+        assert "k=6 exceeds the 4 available slots" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("k, rel_name, expected", [(2, "nope.txt", 1), (4, "rel.txt", 2)])
     def test_failed_run_creates_no_out_dir(self, tmp_path, k, rel_name, expected):
         program, inventory, _ = write_two_ad_instance(tmp_path)
@@ -829,10 +877,12 @@ def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, k):
     assert (tmp_path / "out" / "schedule.json").exists() == (expected == 0)
 
 
-def run_python(*args):
-    """Run the interpreter in a fresh process with this package importable."""
+def run_python(*args, **env_vars):
+    """Run the interpreter in a fresh process with this package importable,
+    adding ``env_vars`` to its environment."""
     src = str(Path(adplacer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(env_vars)
     return subprocess.run(
         [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
     )
@@ -862,3 +912,34 @@ def test_cli_import_does_not_load_scipy():
     # the exact solver is plain numpy, so a run pays no scipy import
     result = run_python("-c", "import sys, adplacer.cli; sys.exit(int('scipy' in sys.modules))")
     assert result.returncode == 0, result.stderr or "scipy was imported"
+
+
+@pytest.mark.parametrize("solver", ["bnb", "trivial"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, solver):
+    # string hashing changes between processes; no output may follow it
+    program, inventory, _ = random_instance(10, 8, 31)
+    io.save_program(program, tmp_path / "program.json")
+    io.save_inventory(inventory, tmp_path / "inventory.json")
+    feat_dir = tmp_path / "features"
+    feat_dir.mkdir()
+    rng = np.random.default_rng(31)
+    for eid in [s.id for s in program.scenes] + [a.id for a in inventory.ads]:
+        io.save_features(KeyframeFeatures(eid, rng.normal(size=(4, 8))), feat_dir / f"{eid}.txt")
+    outs = [tmp_path / f"out-{seed}" for seed in ("0", "1")]
+    for out in outs:
+        result = run_python(
+            "-m", "adplacer.cli", "run", "--program", tmp_path / "program.json",
+            "--inventory", tmp_path / "inventory.json", "--features", feat_dir,
+            "--k", 4, "--solver", solver, "--out", out, PYTHONHASHSEED=out.name[-1],
+        )
+        assert result.returncode == 0, result.stderr
+    for name in ("schedule.json", "profile.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert "ScheduleEntry(slot=" in capsys.readouterr().out

@@ -304,7 +304,7 @@ class TestReward:
             program, inventory, rel = random_instance(10, 8, 700 + trial)
             params = RewardParams(1.0, 0.0, 4)
             schedule = random_feasible_schedule(program, inventory, 4, rng)
-            entries = list(schedule.in_slot_order)
+            entries = list(schedule.entries)
             e1, e2 = rng.sample(entries, 2)
             swapped = [e for e in entries if e not in (e1, e2)]
             swapped += [

@@ -120,8 +120,8 @@ class TestPlacements:
         program = make_program(0.5, 0.5, 0.5)  # M = 2, blocks {1},{2}
         schedules = placements((0, 1), program, 2)
         assert len(schedules) == 2
-        assert schedules[0].in_slot_order[0].ad_id == "a1"
-        assert schedules[1].in_slot_order[0].ad_id == "a2"
+        assert schedules[0].entries[0].ad_id == "a1"
+        assert schedules[1].entries[0].ad_id == "a2"
 
     def test_one_ad_three_slots(self):
         program = make_program(0.5, 0.5, 0.5, 0.5)  # M = 3, single block
@@ -164,7 +164,7 @@ class TestBruteForce:
         program, inventory, rel, params = two_ad_instance()
         report = solve_brute_force(program, inventory, rel, params)
         assert report.reward == pytest.approx(1.3, abs=1e-9)
-        assert [(e.slot, e.ad_id) for e in report.schedule.in_slot_order] == [
+        assert [(e.slot, e.ad_id) for e in report.schedule.entries] == [
             (1, "a2"),
             (2, "a1"),
         ]
@@ -372,7 +372,7 @@ class TestSolverProperties:
             params = RewardParams(1.0, 0.0, k)
             report = solve_brute_force(program, inventory, rel, params)
             blocks = slot_blocks(m, k)
-            entries = report.schedule.in_slot_order
+            entries = report.schedule.entries
             vals = []
             for block, entry in zip(blocks, entries):
                 assert entry.slot == block[-1]
