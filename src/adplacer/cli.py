@@ -15,7 +15,7 @@ Exit codes:
     0  success
     1  unreadable or malformed input, bad configuration
     2  infeasible instance (odd k, k > slots (exact routes), unbalanced inventory)
-    4  internal invariant violation
+    4  internal invariant violation; the traceback precedes the error line
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import math
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,7 @@ def run(args: argparse.Namespace) -> int:
         _err(str(exc))
         return EXIT_CONFIG
     except Exception as exc:  # anything else means a broken internal invariant
+        traceback.print_exc()
         _err(f"internal error: {exc}")
         return EXIT_INTERNAL
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
@@ -368,66 +369,58 @@ def validate_schedule(
 ) -> ValidationResult:
     """Check a schedule against the placement constraints.
 
-    Strict mode verifies, in order: every ad exists and sits on a real slot
-    with rank 0; (a) at most one ad per slot; (b) exactly k ads; (c) exactly
-    one ad inside each contiguous slot block; (d) exactly k/2 high- and k/2
-    low-valence ads.  Baseline mode only requires known ads, slot indices in
-    0..M (0 = before scene 1), distinct (slot, rank) positions and exactly k
-    entries.  Violations are reported, never raised.
+    Both modes verify, in order: every ad exists; every slot lies in
+    first..M, where first is 1 in strict mode and 0 (before scene 1) in
+    baseline mode; ranks are 0 (strict) or non-negative (baseline); (a) no
+    place holds two ads, a place being a slot in strict mode and a (slot,
+    rank) position in baseline mode; (b) exactly k ads.  Strict mode then
+    requires (c) exactly one ad inside each contiguous slot block and (d)
+    exactly k/2 high- and k/2 low-valence ads.  The checks read
+    ``schedule.entries`` in presentation order, so a reused place is two
+    equal neighbours and a block's ads are one run of slots.  Violations are
+    reported, never raised; an unknown ``mode`` raises ``ValueError``.
     """
-    m = program.slot_count
-    k = params.k
+    if mode not in ("strict", "baseline"):
+        raise ValueError(f"unknown validation mode {mode!r}")
+    strict = mode == "strict"
+    first, m, k = (1 if strict else 0), program.slot_count, params.k
     entries = schedule.entries
 
     for e in entries:
         if e.ad_id not in inventory:
             return _fail("unknown_ad", f"ad {e.ad_id!r} not in inventory")
-
-    if mode == "baseline":
-        bad = [e.slot for e in entries if not 0 <= e.slot <= m]
-        if bad:
-            return _fail("slot_range", f"slots {bad} outside 0..{m}")
-        if any(e.rank < 0 for e in entries):
-            return _fail("rank", "ranks must be non-negative")
-        positions = [(e.slot, e.rank) for e in entries]
-        if len(set(positions)) != len(positions):
-            dupes = sorted({p for p in positions if positions.count(p) > 1})
-            return _fail(
-                "duplicate_position",
-                f"(slot, rank) positions {dupes} used more than once",
-            )
-        if len(entries) != k:
-            return _fail("ad_count", f"schedule has {len(entries)} ads, expected k={k}")
+    bad = [e.slot for e in entries if not first <= e.slot <= m]
+    if bad:
+        return _fail("slot_range", f"slots {bad} outside {first}..{m}")
+    if strict:
+        nonzero = [e.ad_id for e in entries if e.rank != 0]
+        if nonzero:
+            return _fail("rank", f"strict schedules require rank 0, got ranks for {nonzero}")
+    elif any(e.rank < 0 for e in entries):
+        return _fail("rank", "ranks must be non-negative")
+    # (a) strict ranks are all 0 here, so a (slot, rank) place is its slot
+    reused: list[tuple[int, int]] = []
+    for prev, e in zip(entries, entries[1:]):
+        place = (e.slot, e.rank)
+        if place == (prev.slot, prev.rank) and place not in reused[-1:]:
+            reused.append(place)
+    if reused and strict:
+        return _fail("slot_capacity", f"slots {[s for s, _ in reused]} hold more than one ad")
+    if reused:
+        return _fail("duplicate_position", f"(slot, rank) positions {reused} used more than once")
+    if len(entries) != k:  # (b)
+        return _fail("ad_count", f"schedule has {len(entries)} ads, expected k={k}")
+    if not strict:
         return _PASS
 
-    if mode != "strict":
-        raise ValueError(f"unknown validation mode {mode!r}")
-
-    bad = [e.slot for e in entries if not 1 <= e.slot <= m]
-    if bad:
-        return _fail("slot_range", f"slots {bad} outside 1..{m}")
-    nonzero = [e.ad_id for e in entries if e.rank != 0]
-    if nonzero:
-        return _fail("rank", f"strict schedules require rank 0, got ranks for {nonzero}")
-
-    # (a) at most one ad per slot
-    slots = [e.slot for e in entries]
-    if len(set(slots)) != len(slots):
-        dupes = sorted({s for s in slots if slots.count(s) > 1})
-        return _fail("slot_capacity", f"slots {dupes} hold more than one ad")
-
-    # (b) exactly k ads in total
-    if len(entries) != k:
-        return _fail("ad_count", f"schedule has {len(entries)} ads, expected k={k}")
-
     # (c) one ad inside each contiguous block
+    slots = [e.slot for e in entries]
     for b, block in enumerate(slot_blocks(m, k), start=1):
-        inside = [e for e in entries if block[0] <= e.slot <= block[-1]]
-        if len(inside) != 1:
+        inside = bisect_right(slots, block[-1]) - bisect_left(slots, block[0])
+        if inside != 1:
             return _fail(
                 "block_uniformity",
-                f"block {b} (slots {block[0]}..{block[-1]}) holds "
-                f"{len(inside)} ads, expected 1",
+                f"block {b} (slots {block[0]}..{block[-1]}) holds {inside} ads, expected 1",
             )
 
     # (d) equal high- and low-valence counts

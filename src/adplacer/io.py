@@ -3,8 +3,9 @@
 Structured data travels as JSON with a ``format`` version header; numeric
 grids (features, relevance) are whitespace-separated text with a ``#`` header
 comment.  Floats serialize via ``repr`` (JSON) or ``%.17g`` (grids), both of
-which round-trip float64 exactly, so re-running a solve reproduces output
-files byte for byte.
+which round-trip float64 exactly, so re-running a solve reproduces
+``schedule.json`` and ``profile.json`` byte for byte; ``report.json`` differs
+only in its ``wall_time``.
 """
 
 from __future__ import annotations
@@ -115,10 +116,16 @@ def _load_entities(path, expected_format: str, key: str, entity, scale: Scale, b
         ))
     try:
         return build(doc, tuple(records))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, AdPlacerError):
-            raise
-        raise ParseError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError) as exc:  # a duplicate id keeps its type, gains the path
+        error = type(exc) if isinstance(exc, AdPlacerError) else ParseError
+        raise error(f"{path}: {exc}") from exc
+
+
+def _dump_entities(path, format: str, key: str, entities, **extra) -> None:
+    """Write ``entities`` as the ``key`` list of ``{"id", "valence"}`` objects
+    in a ``format``-headed file, beside the ``extra`` top-level keys."""
+    records = [{"id": e.id, "valence": e.valence.value} for e in entities]
+    _dump_json({"format": format, key: records, **extra}, path)
 
 
 def load_program(path, scale: Scale = "unit") -> ProgramSpec:
@@ -134,15 +141,8 @@ def load_program(path, scale: Scale = "unit") -> ProgramSpec:
 
 
 def save_program(program: ProgramSpec, path) -> None:
-    _dump_json(
-        {
-            "format": PROGRAM_FORMAT,
-            "scenes": [
-                {"id": s.id, "valence": s.valence.value} for s in program.scenes
-            ],
-            "slot_count": program.slot_count,
-        },
-        path,
+    _dump_entities(
+        path, PROGRAM_FORMAT, "scenes", program.scenes, slot_count=program.slot_count
     )
 
 
@@ -154,13 +154,7 @@ def load_inventory(path, scale: Scale = "unit") -> AdInventory:
 
 
 def save_inventory(inventory: AdInventory, path) -> None:
-    _dump_json(
-        {
-            "format": INVENTORY_FORMAT,
-            "ads": [{"id": a.id, "valence": a.valence.value} for a in inventory.ads],
-        },
-        path,
-    )
+    _dump_entities(path, INVENTORY_FORMAT, "ads", inventory.ads)
 
 
 def schedule_dict(schedule: Schedule, mode: str = "strict") -> dict:

@@ -5,6 +5,7 @@ import gzip
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from adplacer.cli import main
 from adplacer.baselines import trivial_schedule
 from adplacer.core import REWARD_ATOL, RewardParams, Schedule, ScheduleEntry, reward
 from adplacer.errors import (
+    DuplicateAdId,
     DuplicateSceneId,
     MissingEntity,
     ParseError,
@@ -119,8 +121,20 @@ class TestProgramFiles:
         }
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DuplicateSceneId):
+        message = f"^{re.escape(str(path))}: duplicate scene id 's'$"
+        with pytest.raises(DuplicateSceneId, match=message):
             io.load_program(path)
+
+    def test_duplicate_ad_id(self, tmp_path):
+        doc = {
+            "format": io.INVENTORY_FORMAT,
+            "ads": [{"id": "a", "valence": 0.2}, {"id": "a", "valence": 0.8}],
+        }
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(doc))
+        message = f"^{re.escape(str(path))}: duplicate ad id 'a'$"
+        with pytest.raises(DuplicateAdId, match=message):
+            io.load_inventory(path)
 
     def test_boolean_valence(self, tmp_path):
         doc = {
@@ -525,6 +539,21 @@ class TestRunCommand:
         )
         assert code == 4
         assert "violating its own contract" in capsys.readouterr().err
+
+    def test_internal_error_prints_its_traceback(self, tmp_path, capsys, monkeypatch):
+        def exploding_solver(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "solve_assignment", exploding_solver)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "exploding_solver" in err
+        assert err.endswith("error: internal error: boom\n")
 
     def test_hundred_scale_flag(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path, scale="hundred")

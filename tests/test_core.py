@@ -228,6 +228,63 @@ class TestValidation:
         assert validate_schedule(Schedule.empty(), self.program, self.inventory, params)
 
 
+# M = 6 and k = 4 give the blocks 1..1, 2..3, 4..4 and 5..6; a1, a3, a5 are HV.
+# Each row is (mode, (slot, rank, ad id) entries, constraint, message); the
+# rows that break two rules pin which rule is tried first.
+VALIDATION_TABLE = [
+    ("strict", [(1, 0, "a1"), (2, 0, "a2"), (4, 0, "a3"), (5, 0, "a4")], None, ""),
+    ("strict", [(5, 0, "zz"), (1, 0, "ghost"), (4, 0, "a3"), (2, 0, "a2")],
+     "unknown_ad", "ad 'ghost' not in inventory"),
+    ("strict", [(0, 1, "ghost")], "unknown_ad", "ad 'ghost' not in inventory"),
+    ("strict", [(0, 0, "a1"), (2, 0, "a2"), (4, 0, "a3"), (7, 0, "a4")],
+     "slot_range", "slots [0, 7] outside 1..6"),
+    ("strict", [(7, 1, "a1")], "slot_range", "slots [7] outside 1..6"),
+    ("strict", [(1, 1, "a1"), (2, 0, "a2"), (4, 2, "a3"), (5, 0, "a4")],
+     "rank", "strict schedules require rank 0, got ranks for ['a1', 'a3']"),
+    ("strict", [(1, 1, "a1"), (1, 0, "a2")],
+     "rank", "strict schedules require rank 0, got ranks for ['a1']"),
+    ("strict", [(4, 0, "a1"), (1, 0, "a2"), (4, 0, "a3"), (1, 0, "a4"), (4, 0, "a5")],
+     "slot_capacity", "slots [1, 4] hold more than one ad"),
+    ("strict", [(1, 0, "a1"), (1, 0, "a2")], "slot_capacity", "slots [1] hold more than one ad"),
+    ("strict", [(1, 0, "a1"), (2, 0, "a2")], "ad_count", "schedule has 2 ads, expected k=4"),
+    ("strict", [(1, 0, "a1"), (2, 0, "a2"), (3, 0, "a3"), (5, 0, "a4")],
+     "block_uniformity", "block 2 (slots 2..3) holds 2 ads, expected 1"),
+    ("strict", [(1, 0, "a1"), (2, 0, "a2"), (5, 0, "a3"), (6, 0, "a4")],
+     "block_uniformity", "block 3 (slots 4..4) holds 0 ads, expected 1"),
+    ("strict", [(1, 0, "a1"), (2, 0, "a3"), (4, 0, "a5"), (5, 0, "a2")],
+     "polarity_balance", "schedule holds 3 HV and 1 LV ads, expected 2 of each"),
+    ("baseline", [(0, 0, "a1"), (0, 1, "a2"), (6, 0, "a3"), (6, 1, "a4")], None, ""),
+    ("baseline", [(0, 0, "a1"), (3, 0, "ghost"), (-1, -1, "zz")],
+     "unknown_ad", "ad 'zz' not in inventory"),
+    ("baseline", [(-1, 0, "a1"), (0, 0, "a2"), (6, 0, "a3"), (7, 0, "a4")],
+     "slot_range", "slots [-1, 7] outside 0..6"),
+    ("baseline", [(7, -1, "a1")], "slot_range", "slots [7] outside 0..6"),
+    ("baseline", [(0, -1, "a1"), (0, -1, "a2")], "rank", "ranks must be non-negative"),
+    ("baseline", [(3, 1, "a1"), (0, 0, "a2"), (3, 1, "a3"), (0, 0, "a4"), (3, 1, "a5")],
+     "duplicate_position", "(slot, rank) positions [(0, 0), (3, 1)] used more than once"),
+    ("baseline", [(0, 0, "a1"), (0, 0, "a2")],
+     "duplicate_position", "(slot, rank) positions [(0, 0)] used more than once"),
+    ("baseline", [(0, 0, "a1"), (0, 1, "a2"), (3, 0, "a3")],
+     "ad_count", "schedule has 3 ads, expected k=4"),
+]
+
+
+@pytest.mark.parametrize("mode, entries, constraint, message", VALIDATION_TABLE)
+def test_validation_messages(mode, entries, constraint, message):
+    program = make_program(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+    inventory = make_inventory(0.8, 0.2, 0.9, 0.1, 0.7, 0.3)
+    schedule = Schedule(tuple(ScheduleEntry(*e) for e in entries))
+    result = validate_schedule(schedule, program, inventory, RewardParams(0.5, 0.5, 4), mode)
+    assert (result.ok, result.constraint, result.message) == (constraint is None, constraint, message)
+
+
+def test_unknown_mode_raises_before_any_rule():
+    program, inventory, _, params = two_ad_instance()
+    schedule = Schedule.strict([(1, "ghost"), (2, "a2")])
+    with pytest.raises(ValueError, match="unknown validation mode 'loose'"):
+        validate_schedule(schedule, program, inventory, params, "loose")
+
+
 class TestReward:
     def test_hand_scored_instance(self):
         program, inventory, rel, params = two_ad_instance()
