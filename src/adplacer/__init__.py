@@ -1,10 +1,10 @@
 """adplacer: solvers for affect-aware ad selection and slot placement."""
 
-from .baselines import trivial_schedule
 from .core import (
     Ad,
     AdInventory,
     Polarity,
+    ProfilePoint,
     ProgramSpec,
     RelevanceMatrix,
     RewardParams,
@@ -13,15 +13,15 @@ from .core import (
     ScheduleEntry,
     Valence,
     ValidationResult,
+    build_profile,
     classify_polarity,
+    random_instance,
     reward,
     slot_blocks,
     validate_schedule,
 )
-from .instances import random_instance
-from .profile import ProfilePoint, build_profile
 from .relevance import KeyframeFeatures, build_relevance_matrix, cosine_similarity
-from .solvers import SolveReport, solve_assignment, solve_brute_force
+from .solvers import SolveReport, solve_assignment, solve_brute_force, trivial_schedule
 
 __version__ = "0.1.0"
 

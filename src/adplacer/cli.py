@@ -30,13 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .baselines import trivial_schedule
 from .core import (
     REWARD_ATOL,
     RelevanceMatrix,
     RewardParams,
     _check_feasible,
     _score,
+    build_profile,
     validate_schedule,
 )
 from .errors import (
@@ -46,9 +46,8 @@ from .errors import (
     MissingEntity,
     ParseError,
 )
-from .profile import build_profile
 from .relevance import build_relevance_matrix
-from .solvers import SolveReport, solve_assignment
+from .solvers import SolveReport, solve_assignment, trivial_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

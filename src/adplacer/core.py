@@ -10,7 +10,10 @@ contrasting but content-relevant scene-ad pairs.
 
 Baseline schedulers use a relaxed *baseline* schedule shape where several
 ads may share one slot (ordered by rank) and the pseudo-slot 0 denotes the
-insertion point before the first scene.
+insertion point before the first scene.  ``build_profile`` exports the
+valence profile: scenes and their scheduled ads in presentation order.
+``random_instance`` builds seeded random instances for the tests and library
+users.
 """
 
 from __future__ import annotations
@@ -61,7 +64,10 @@ class Valence:
     value: float
 
     def __post_init__(self) -> None:
-        v = float(self.value) + 0.0  # -0.0 becomes 0.0
+        try:
+            v = float(self.value) + 0.0  # -0.0 becomes 0.0
+        except OverflowError:  # an integer beyond the float range
+            v = math.inf
         if not math.isfinite(v) or not 0.0 <= v <= 1.0:
             raise ValenceOutOfRange(f"valence {self.value!r} outside [0, 1]")
         object.__setattr__(self, "value", v)
@@ -173,21 +179,14 @@ class AdInventory:
     def polarities(self) -> tuple[Polarity, ...]:
         return tuple(a.polarity for a in self.ads)
 
-    @cached_property
-    def hv_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.polarities) if p is Polarity.HV)
-
-    @cached_property
-    def lv_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.polarities) if p is Polarity.LV)
-
 
 def _check_balance(inventory: AdInventory, k: int) -> int:
     """k // 2, after checking that k/2 HV and k/2 LV ads can be picked."""
     if k < 0 or k % 2:
         raise InfeasibleK(f"k must be even and non-negative, got {k}")
     half = k // 2
-    hv, lv = len(inventory.hv_indices), len(inventory.lv_indices)
+    hv = inventory.polarities.count(Polarity.HV)
+    lv = len(inventory) - hv
     if hv < half or lv < half:
         raise InfeasibleInventory(
             f"need {half} HV and {half} LV ads, inventory has {hv} HV / {lv} LV"
@@ -322,6 +321,36 @@ def _check_instance(
     """Raise unless ``rel`` fits the instance and ``params.k`` is feasible."""
     _check_relevance_shape(rel, program, inventory)
     _check_feasible(program, inventory, params.k)
+
+
+def random_instance(
+    n_ads: int, n_slots: int, seed: int
+) -> tuple[ProgramSpec, AdInventory, RelevanceMatrix]:
+    """A reproducible random instance with alternating HV/LV ads.
+
+    Even ad indices get valences strictly above 0.5 (HV), odd indices strictly
+    below (LV), so an inventory of P ads holds ceil(P/2) HV and floor(P/2) LV
+    ads.  Scene valences and relevance entries are uniform over their ranges.
+    """
+    if n_ads < 1 or n_slots < 1:
+        raise ValueError("need at least one ad and one slot")
+    rng = np.random.default_rng(seed)
+    n_scenes = n_slots + 1
+    scenes = tuple(
+        Scene(f"sc{i:03d}", Valence(float(v)))
+        for i, v in enumerate(rng.random(n_scenes), start=1)
+    )
+    ads = []
+    for i in range(n_ads):
+        if i % 2 == 0:
+            v = 0.5 + 0.5 * float(rng.random())
+            while v <= 0.5:  # rng.random() can return exactly 0.0
+                v = 0.5 + 0.5 * float(rng.random())
+        else:
+            v = 0.5 * float(rng.random())
+        ads.append(Ad(f"ad{i:03d}", Valence(v)))
+    rel = RelevanceMatrix(rng.uniform(-1.0, 1.0, size=(n_scenes, n_ads)))
+    return ProgramSpec(scenes), AdInventory(tuple(ads)), rel
 
 
 def slot_blocks(slot_count: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -476,3 +505,36 @@ def _score(
             abs(scene_val - ad_val) * r
         )
     return total
+
+
+@dataclass(frozen=True)
+class ProfilePoint:
+    position: int
+    kind: str  # "scene" or "ad"
+    entity_id: str
+    valence_0_100: float
+
+
+def build_profile(
+    schedule: Schedule, program: ProgramSpec, inventory: AdInventory
+) -> tuple[ProfilePoint, ...]:
+    """Interleave scenes with their scheduled ads, in presentation order.
+
+    ``schedule.entries`` already run in that order: ads at slot i follow
+    scene i directly (slot 0 ads precede scene 1), and several ads on one
+    slot play in rank order.  Valences are exported on the 0-100 scale.
+    """
+    scenes = program.scenes
+    shown = 0  # scenes placed so far
+    order: list[tuple[str, Scene | Ad]] = []
+    for entry in schedule.entries:
+        if not 0 <= entry.slot <= program.slot_count:
+            raise ValueError(f"slot {entry.slot} outside 0..{program.slot_count}")
+        order += [("scene", scene) for scene in scenes[shown : entry.slot]]
+        order.append(("ad", inventory.ad(entry.ad_id)))  # raises UnknownAdId
+        shown = entry.slot
+    order += [("scene", scene) for scene in scenes[shown:]]
+    return tuple(
+        ProfilePoint(position, kind, x.id, 100.0 * x.valence.value)
+        for position, (kind, x) in enumerate(order, start=1)
+    )

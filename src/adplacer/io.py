@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     Ad,
     AdInventory,
+    ProfilePoint,
     ProgramSpec,
     RelevanceMatrix,
     Scene,
@@ -29,7 +30,6 @@ from .core import (
     Valence,
 )
 from .errors import AdPlacerError, MissingEntity, ParseError, ValenceOutOfRange
-from .profile import ProfilePoint
 from .relevance import KeyframeFeatures
 from .solvers import SolveReport
 

@@ -6,13 +6,15 @@ every block-respecting placement and refuses instances above
 and the exact polynomial route ``solve_assignment`` - a block reduction,
 pruned to the ads an optimum needs and solved as a min-cost flow by
 successive shortest paths in numpy.  Each route reports the objective it
-optimized; callers re-score the schedule to check it.
+optimized; callers re-score the schedule to check it.  ``trivial_schedule``
+is a naive scheduler, the comparison point for the exact routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -26,6 +28,7 @@ from .core import (
     RelevanceMatrix,
     RewardParams,
     Schedule,
+    ScheduleEntry,
     _check_balance,
     _check_instance,
     slot_blocks,
@@ -115,9 +118,10 @@ def solve_brute_force(
     _check_instance(program, inventory, rel, params)
     k = params.k
     blocks = slot_blocks(program.slot_count, k)
+    hv = inventory.polarities.count(Polarity.HV)
     total = (
-        math.comb(len(inventory.hv_indices), k // 2)
-        * math.comb(len(inventory.lv_indices), k // 2)
+        math.comb(hv, k // 2)
+        * math.comb(len(inventory) - hv, k // 2)
         * math.factorial(k)
         * math.prod(len(b) for b in blocks)
     )
@@ -336,3 +340,29 @@ def solve_assignment(
         candidates_evaluated=1,
         wall_time=time.perf_counter() - start,
     )
+
+
+def trivial_schedule(
+    program: ProgramSpec, inventory: AdInventory, k: int, seed: int
+) -> Schedule:
+    """Pick a balanced ad set at random and pile it at the head and midpoint.
+
+    After a seeded shuffle the first k/2 ads go to the head insertion point
+    (slot 0, before scene 1) and the rest to the slot before scene
+    ceil(N/2) + 1, or to the last usable slot when ``slot_count`` stops
+    short of it; ``rank`` encodes the play order inside each group.  The
+    RNG is the stdlib Mersenne Twister, so equal seeds give equal schedules.
+    """
+    half = _check_balance(inventory, k)
+    hv_ids = [a.id for a in inventory.ads if a.polarity is Polarity.HV]
+    lv_ids = [a.id for a in inventory.ads if a.polarity is Polarity.LV]
+    rng = random.Random(seed)
+    chosen = rng.sample(hv_ids, half) + rng.sample(lv_ids, half)
+    rng.shuffle(chosen)
+
+    mid_slot = min(math.ceil(program.n_scenes / 2), program.slot_count)
+    entries = [ScheduleEntry(0, r, ad_id) for r, ad_id in enumerate(chosen[:half])]
+    entries += [
+        ScheduleEntry(mid_slot, r, ad_id) for r, ad_id in enumerate(chosen[half:])
+    ]
+    return Schedule(tuple(entries))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from adplacer import io
+from adplacer import build_profile, io, random_instance
 from adplacer.cli import main
 from adplacer.core import (
     Polarity,
@@ -20,8 +20,6 @@ from adplacer.core import (
     slot_blocks,
     validate_schedule,
 )
-from adplacer.instances import random_instance
-from adplacer.profile import build_profile
 from adplacer.relevance import (
     KeyframeFeatures,
     build_relevance_matrix,
@@ -81,7 +79,7 @@ def pool():
 def full_scale():
     program, inventory, rel = random_instance(24, 11, FULL_SCALE_SEED)
     assert program.n_scenes == 12 and program.slot_count == 11
-    assert len(inventory.hv_indices) == 12 and len(inventory.lv_indices) == 12
+    assert inventory.polarities.count(Polarity.HV) == 12 and len(inventory) == 24
     return program, inventory, rel
 
 

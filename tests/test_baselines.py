@@ -2,10 +2,9 @@
 
 import pytest
 
-from adplacer.baselines import trivial_schedule
+from adplacer import random_instance, trivial_schedule
 from adplacer.core import RewardParams, validate_schedule
 from adplacer.errors import InfeasibleInventory, InfeasibleK
-from adplacer.instances import random_instance
 
 from util import make_inventory, make_program, polarity_counts
 

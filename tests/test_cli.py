@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 import adplacer
-from adplacer import cli, io, solvers
+from adplacer import build_profile, cli, io, random_instance, solvers, trivial_schedule
 from adplacer.cli import main
-from adplacer.baselines import trivial_schedule
 from adplacer.core import REWARD_ATOL, RewardParams, Schedule, ScheduleEntry, reward
 from adplacer.errors import (
     DuplicateAdId,
@@ -25,8 +24,6 @@ from adplacer.errors import (
     ParseError,
     ValenceOutOfRange,
 )
-from adplacer.instances import random_instance
-from adplacer.profile import build_profile
 from adplacer.relevance import KeyframeFeatures
 from adplacer.solvers import solve_assignment
 
@@ -312,9 +309,6 @@ class TestOtherFormats:
         assert sorted(p.name for p in parsed) == ["a1.txt", "s1.txt"]
 
     def test_profile_round_trip(self, tmp_path):
-        from adplacer.core import Schedule
-        from adplacer.profile import build_profile
-
         program, inventory, _, _ = two_ad_instance()
         profile = build_profile(Schedule.strict([(1, "a2"), (2, "a1")]), program, inventory)
         path = tmp_path / "profile.json"
@@ -326,8 +320,6 @@ class TestOtherFormats:
         ("valence_0_100", "80"), ("valence_0_100", True), ("valence_0_100", None),
     ])
     def test_profile_non_number_field(self, tmp_path, field, raw):
-        from adplacer.profile import build_profile
-
         program, inventory, _, _ = two_ad_instance()
         path = tmp_path / "profile.json"
         io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
@@ -340,8 +332,6 @@ class TestOtherFormats:
     @pytest.mark.parametrize("raw", [None, 3, ["x"]])
     @pytest.mark.parametrize("field", ["kind", "entity_id"])
     def test_profile_non_string_field(self, tmp_path, field, raw):
-        from adplacer.profile import build_profile
-
         program, inventory, _, _ = two_ad_instance()
         path = tmp_path / "profile.json"
         io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
@@ -353,8 +343,6 @@ class TestOtherFormats:
 
 
     def test_profile_integer_beyond_float_range(self, tmp_path):
-        from adplacer.profile import build_profile
-
         program, inventory, _, _ = two_ad_instance()
         path = tmp_path / "profile.json"
         io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)

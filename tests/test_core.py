@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+import adplacer
+from adplacer import random_instance
 from adplacer.core import (
     Ad,
     AdInventory,
@@ -29,7 +31,6 @@ from adplacer.errors import (
     InfeasibleSchedule,
     ValenceOutOfRange,
 )
-from adplacer.instances import random_instance
 
 from util import (
     const_rel,
@@ -40,12 +41,25 @@ from util import (
 )
 
 
+def test_public_surface():
+    """Every exported name resolves, and a star import binds exactly those."""
+    assert [name for name in adplacer.__all__ if not hasattr(adplacer, name)] == []
+    namespace: dict = {}
+    exec("from adplacer import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(adplacer.__all__)
+
+
 class TestValence:
     def test_bounds(self):
         assert Valence(0.0).value == 0.0
         assert Valence(1.0).value == 1.0
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0001, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [
+        -0.1, 1.0001, float("nan"), float("inf"),
+        # integers beyond the float range, where float() overflows
+        pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400"),
+    ])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValenceOutOfRange):
             Valence(bad)

@@ -2,11 +2,9 @@
 
 import pytest
 
-from adplacer.baselines import trivial_schedule
+from adplacer import build_profile, random_instance, trivial_schedule
 from adplacer.core import RewardParams, Schedule, ScheduleEntry
 from adplacer.errors import UnknownAdId
-from adplacer.instances import random_instance
-from adplacer.profile import build_profile
 from adplacer.solvers import solve_assignment
 
 from util import make_inventory, make_program

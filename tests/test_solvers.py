@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from adplacer import solvers
+from adplacer import random_instance, solvers
 from adplacer.core import (
     Ad,
     AdInventory,
@@ -21,7 +21,6 @@ from adplacer.core import (
     validate_schedule,
 )
 from adplacer.errors import InfeasibleInventory, InfeasibleK, InstanceTooLarge
-from adplacer.instances import random_instance
 from adplacer.solvers import solve_assignment, solve_brute_force
 
 from util import const_rel, make_inventory, make_program, two_ad_instance
@@ -74,7 +73,8 @@ class TestBalancedSubsets:
             inventory = make_inventory(*vals)
             for k in (0, 2, 4):
                 half = k // 2
-                if len(inventory.hv_indices) < half or len(inventory.lv_indices) < half:
+                hv = inventory.polarities.count(Polarity.HV)
+                if hv < half or len(inventory) - hv < half:
                     continue
                 ids = [ad.id for ad in inventory.ads]
                 expected = [

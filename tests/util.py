@@ -55,8 +55,8 @@ def random_feasible_schedule(
     """A uniformly random strict-feasible schedule (balanced subset, one
     random slot per block, random ad order)."""
     half = k // 2
-    hv = [inventory.ads[i].id for i in inventory.hv_indices]
-    lv = [inventory.ads[i].id for i in inventory.lv_indices]
+    hv = [a.id for a in inventory.ads if a.polarity is Polarity.HV]
+    lv = [a.id for a in inventory.ads if a.polarity is Polarity.LV]
     chosen = rng.sample(hv, half) + rng.sample(lv, half)
     rng.shuffle(chosen)
     slots = [rng.choice(block) for block in slot_blocks(program.slot_count, k)]
