@@ -19,7 +19,6 @@ users.
 from __future__ import annotations
 
 import enum
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,13 +63,10 @@ class Valence:
     value: float
 
     def __post_init__(self) -> None:
-        try:
-            v = float(self.value) + 0.0  # -0.0 becomes 0.0
-        except OverflowError:  # an integer beyond the float range
-            v = math.inf
-        if not math.isfinite(v) or not 0.0 <= v <= 1.0:
+        # ints and floats compare exactly: an integer beyond the float range fails, as does NaN
+        if not 0 <= self.value <= 1:
             raise ValenceOutOfRange(f"valence {self.value!r} outside [0, 1]")
-        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "value", float(self.value) + 0.0)  # -0.0 becomes 0.0
 
 
 def classify_polarity(v: Valence) -> Polarity:
@@ -180,11 +176,19 @@ class AdInventory:
         return tuple(a.polarity for a in self.ads)
 
 
+def _half(k: int) -> int:
+    """k // 2, after checking that k is even and non-negative."""
+    if k < 0 or k % 2:
+        raise InfeasibleK(
+            f"k must be even and non-negative to balance high- and "
+            f"low-valence ads, got {k}"
+        )
+    return k // 2
+
+
 def _check_balance(inventory: AdInventory, k: int) -> int:
     """k // 2, after checking that k/2 HV and k/2 LV ads can be picked."""
-    if k < 0 or k % 2:
-        raise InfeasibleK(f"k must be even and non-negative, got {k}")
-    half = k // 2
+    half = _half(k)
     hv = inventory.polarities.count(Polarity.HV)
     lv = len(inventory) - hv
     if hv < half or lv < half:
@@ -220,11 +224,7 @@ class RewardParams:
             raise ValueError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
         if abs(alpha + beta - 1.0) > 1e-9:
             raise ValueError(f"alpha + beta must equal 1, got {alpha + beta!r}")
-        if self.k < 0 or self.k % 2:
-            raise InfeasibleK(
-                f"k must be even and non-negative to balance high- and "
-                f"low-valence ads, got {self.k}"
-            )
+        _half(self.k)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "k", int(self.k))

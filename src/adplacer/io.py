@@ -2,17 +2,20 @@
 
 Structured data travels as JSON with a ``format`` version header; numeric
 grids (features, relevance) are whitespace-separated text with a ``#`` header
-comment.  Floats serialize via ``repr`` (JSON) or ``%.17g`` (grids), both of
-which round-trip float64 exactly, so re-running a solve reproduces
-``schedule.json`` and ``profile.json`` byte for byte; ``report.json`` differs
-only in its ``wall_time``.
+comment.  Each JSON record list (scenes, ads, schedule entries, profile
+points) holds objects with that record's keys, and other keys are ignored; a
+wrong type or a missing key is a ``ParseError`` that names the file, the
+index and the field.  Floats serialize via ``repr`` (JSON) or ``%.17g``
+(grids), both of which round-trip float64 exactly, so re-running a solve
+reproduces ``schedule.json`` and ``profile.json`` byte for byte;
+``report.json`` differs only in its ``wall_time``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -72,51 +75,79 @@ def _is_int(raw) -> bool:
 
 def _is_number(raw) -> bool:
     """A JSON number, integer or not, and not a boolean."""
-    return _is_int(raw) or isinstance(raw, float)
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
 
 
-def _parse_valence(raw, scale: Scale, where: str) -> Valence:
-    if not _is_number(raw):
-        raise ParseError(f"{where}: valence is not a number: {raw!r}")
-    try:
-        x = float(raw)
-    except OverflowError:  # a JSON integer beyond the float range
-        x = math.inf
-    limit = 1.0 if scale == "unit" else 100.0
-    if not 0.0 <= x <= limit:
-        raise ValenceOutOfRange(
-            f"{where}: valence {raw} outside [0, {limit:g}] for scale {scale!r}"
-        )
-    return Valence(x / limit)
-
-
-def _parse_str(raw, what: str) -> str:
+def _parse_str(raw) -> str:
     """A JSON string, as every id is; ``str()`` would turn ``null`` into ``"None"``."""
     if not isinstance(raw, str):
-        raise ParseError(f"{what} must be a string, got {raw!r}")
+        raise ParseError(f"must be a string, got {raw!r}")
     return raw
 
 
-def _load_entities(path, expected_format: str, key: str, entity, scale: Scale, build):
-    """Parse the non-empty ``key`` list of ``{"id", "valence"}`` objects in a
-    ``format``-headed file into ``entity`` records, normalizing valences to
-    the unit scale, and return ``build(doc, records)``."""
-    doc = _load_json(path, expected_format)
-    raw_items = doc.get(key)
-    if not isinstance(raw_items, list) or not raw_items:
-        raise ParseError(f"{path}: {key!r} must be a non-empty list")
+def _parse_int(raw) -> int:
+    if not _is_int(raw):
+        raise ParseError(f"must be an integer, got {raw!r}")
+    return raw
+
+
+def _parse_float(raw) -> float:
+    if not _is_number(raw):
+        raise ParseError(f"must be a number, got {raw!r}")
+    try:
+        return float(raw)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ParseError(f"is beyond the float range: {raw}") from None
+
+
+def _parse_valence(raw, scale: Scale) -> Valence:
+    """A number on ``scale``, as a unit-scale ``Valence``.
+
+    The range is checked on ``raw``, before dividing: ints and floats compare
+    exactly, so an integer beyond the float range and NaN fail, and so does
+    -1e-322, which ``/ 100`` would round to -0.0.
+    """
+    if not _is_number(raw):
+        raise ParseError(f"is not a number: {raw!r}")
+    limit = 1 if scale == "unit" else 100
+    if not 0 <= raw <= limit:
+        raise ValenceOutOfRange(f"{raw} outside [0, {limit}] for scale {scale!r}")
+    return Valence(raw / limit)
+
+
+def _load_records(path, format: str, key: str, record, build, **parsers):
+    """Parse the ``key`` list of a ``format``-headed file and return
+    ``build(doc, records)``.
+
+    Each item must be an object holding every key named in ``parsers``; each
+    field is read by its parser, and ``record`` takes the results in the
+    order of ``parsers``.  A field's error names the file, the index and the
+    field; an error raised by ``build`` gains the file path and keeps its
+    type if it is the package's own (otherwise it becomes a ``ParseError``).
+    """
+    doc = _load_json(path, format)
+    items = doc.get(key)
+    if not isinstance(items, list):
+        raise ParseError(f"{path}: {key!r} must be a list")
+    fields = parsers.items()
     records = []
-    for idx, item in enumerate(raw_items):
-        where = f"{path}: {key}[{idx}]"
-        if not isinstance(item, dict) or "id" not in item or "valence" not in item:
-            raise ParseError(f"{where}: expected an object with 'id' and 'valence'")
-        records.append(entity(
-            _parse_str(item["id"], f"{where}: 'id'"),
-            _parse_valence(item["valence"], scale, where),
-        ))
+    for idx, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ParseError(
+                f"{path}: {key}[{idx}]: expected an object, got {type(item).__name__}"
+            )
+        values = []
+        try:
+            for name, parse in fields:
+                values.append(parse(item[name]))
+        except KeyError:
+            raise ParseError(f"{path}: {key}[{idx}]: missing key {name!r}") from None
+        except AdPlacerError as exc:  # parsers raise only the package's errors
+            raise type(exc)(f"{path}: {key}[{idx}]: {name!r} {exc}") from None
+        records.append(record(*values))
     try:
         return build(doc, tuple(records))
-    except (ValueError, TypeError) as exc:  # a duplicate id keeps its type, gains the path
+    except (AdPlacerError, ValueError, TypeError) as exc:
         error = type(exc) if isinstance(exc, AdPlacerError) else ParseError
         raise error(f"{path}: {exc}") from exc
 
@@ -134,10 +165,13 @@ def load_program(path, scale: Scale = "unit") -> ProgramSpec:
     def build(doc: dict, scenes: tuple[Scene, ...]) -> ProgramSpec:
         slot_count = doc.get("slot_count", 0)
         if not _is_int(slot_count):
-            raise ParseError(f"{path}: 'slot_count' must be an integer, got {slot_count!r}")
+            raise ParseError(f"'slot_count' must be an integer, got {slot_count!r}")
         return ProgramSpec(scenes, slot_count)
 
-    return _load_entities(path, PROGRAM_FORMAT, "scenes", Scene, scale, build)
+    return _load_records(
+        path, PROGRAM_FORMAT, "scenes", Scene, build,
+        id=_parse_str, valence=partial(_parse_valence, scale=scale),
+    )
 
 
 def save_program(program: ProgramSpec, path) -> None:
@@ -148,8 +182,9 @@ def save_program(program: ProgramSpec, path) -> None:
 
 def load_inventory(path, scale: Scale = "unit") -> AdInventory:
     """Parse an ad inventory file, normalizing valences to the unit scale."""
-    return _load_entities(
-        path, INVENTORY_FORMAT, "ads", Ad, scale, lambda doc, ads: AdInventory(ads)
+    return _load_records(
+        path, INVENTORY_FORMAT, "ads", Ad, lambda doc, ads: AdInventory(ads),
+        id=_parse_str, valence=partial(_parse_valence, scale=scale),
     )
 
 
@@ -162,10 +197,7 @@ def schedule_dict(schedule: Schedule, mode: str = "strict") -> dict:
         "format": SCHEDULE_FORMAT,
         "mode": mode,
         "k": len(schedule.entries),
-        "entries": [
-            {"slot": e.slot, "rank": e.rank, "ad_id": e.ad_id}
-            for e in schedule.entries
-        ],
+        "entries": [dict(vars(e)) for e in schedule.entries],
     }
 
 
@@ -174,24 +206,11 @@ def save_schedule(schedule: Schedule, path, mode: str = "strict") -> None:
 
 
 def load_schedule(path) -> Schedule:
-    doc = _load_json(path, SCHEDULE_FORMAT)
-    raw = doc.get("entries")
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: 'entries' must be a list")
-    try:
-        entries = []
-        for e in raw:
-            slot, rank = e["slot"], e["rank"]
-            if not (_is_int(slot) and _is_int(rank)):
-                raise ParseError(
-                    f"{path}: schedule 'slot' and 'rank' must be integers, "
-                    f"got {slot!r} and {rank!r}"
-                )
-            ad_id = _parse_str(e["ad_id"], f"{path}: schedule 'ad_id'")
-            entries.append(ScheduleEntry(slot, rank, ad_id))
-        return Schedule(tuple(entries))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: bad schedule entry: {exc}") from exc
+    return _load_records(
+        path, SCHEDULE_FORMAT, "entries", ScheduleEntry,
+        lambda doc, entries: Schedule(entries),
+        slot=_parse_int, rank=_parse_int, ad_id=_parse_str,
+    )
 
 
 def report_dict(report: SolveReport, mode: str = "strict") -> dict:
@@ -214,43 +233,15 @@ def load_report(path) -> dict:
 
 
 def save_profile(profile: Sequence[ProfilePoint], path) -> None:
-    _dump_json(
-        {
-            "format": PROFILE_FORMAT,
-            "points": [
-                {
-                    "position": p.position,
-                    "kind": p.kind,
-                    "entity_id": p.entity_id,
-                    "valence_0_100": p.valence_0_100,
-                }
-                for p in profile
-            ],
-        },
-        path,
-    )
+    _dump_json({"format": PROFILE_FORMAT, "points": [dict(vars(p)) for p in profile]}, path)
 
 
 def load_profile(path) -> tuple[ProfilePoint, ...]:
-    doc = _load_json(path, PROFILE_FORMAT)
-    raw = doc.get("points")
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}: 'points' must be a list")
-    try:
-        points = []
-        for p in raw:
-            position, value = p["position"], p["valence_0_100"]
-            if not (_is_int(position) and _is_number(value)):
-                raise ParseError(
-                    f"{path}: profile 'position' must be an integer and "
-                    f"'valence_0_100' a number, got {position!r} and {value!r}"
-                )
-            kind = _parse_str(p["kind"], f"{path}: profile 'kind'")
-            entity_id = _parse_str(p["entity_id"], f"{path}: profile 'entity_id'")
-            points.append(ProfilePoint(position, kind, entity_id, float(value)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: bad profile point: {exc}") from exc
-    return tuple(points)
+    return _load_records(
+        path, PROFILE_FORMAT, "points", ProfilePoint, lambda doc, points: points,
+        position=_parse_int, kind=_parse_str, entity_id=_parse_str,
+        valence_0_100=_parse_float,
+    )
 
 
 def _load_grid(path) -> np.ndarray:

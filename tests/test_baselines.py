@@ -6,7 +6,7 @@ from adplacer import random_instance, trivial_schedule
 from adplacer.core import RewardParams, validate_schedule
 from adplacer.errors import InfeasibleInventory, InfeasibleK
 
-from util import make_inventory, make_program, polarity_counts
+from util import ODD_K, make_inventory, make_program, polarity_counts
 
 
 def twelve_scene_program():
@@ -81,5 +81,5 @@ def test_infeasible_inventory():
 def test_odd_k_rejected():
     program = twelve_scene_program()
     inventory = make_inventory(0.9, 0.1)
-    with pytest.raises(InfeasibleK):
+    with pytest.raises(InfeasibleK, match=ODD_K):
         trivial_schedule(program, inventory, 3, seed=0)

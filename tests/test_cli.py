@@ -85,10 +85,15 @@ class TestProgramFiles:
         assert program.slot_count == 2
 
     def test_empty_scene_list(self, tmp_path):
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps({"format": io.PROGRAM_FORMAT, "scenes": []}))
-        with pytest.raises(ParseError):
-            io.load_program(path)
+        # and an empty ad list: each is a ParseError that names the file
+        for load, doc in [
+            (io.load_program, {"format": io.PROGRAM_FORMAT, "scenes": []}),
+            (io.load_inventory, {"format": io.INVENTORY_FORMAT, "ads": []}),
+        ]:
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+                load(path)
 
     def test_valence_out_of_range(self, tmp_path):
         doc = {
@@ -248,7 +253,7 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["entries"][0][field] = raw
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="must be integers"):
+        with pytest.raises(ParseError, match=rf"entries\[0\]: '{field}' must be an integer, got"):
             io.load_schedule(path)
 
     @pytest.mark.parametrize("raw", [None, 3, ["x"]])
@@ -326,7 +331,8 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["points"][0][field] = raw
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="must be an integer"):
+        rule = "an integer" if field == "position" else "a number"
+        with pytest.raises(ParseError, match=rf"points\[0\]: '{field}' must be {rule}, got"):
             io.load_profile(path)
 
     @pytest.mark.parametrize("raw", [None, 3, ["x"]])
@@ -341,7 +347,6 @@ class TestOtherFormats:
         with pytest.raises(ParseError, match=f"'{field}' must be a string"):
             io.load_profile(path)
 
-
     def test_profile_integer_beyond_float_range(self, tmp_path):
         program, inventory, _, _ = two_ad_instance()
         path = tmp_path / "profile.json"
@@ -349,8 +354,45 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["points"][0]["valence_0_100"] = "VALENCE"
         path.write_text(json.dumps(doc).replace('"VALENCE"', "1" + "0" * 400))
-        with pytest.raises(ParseError, match="bad profile point"):
+        with pytest.raises(ParseError, match=r"points\[0\]: 'valence_0_100' is beyond the float range"):
             io.load_profile(path)
+
+    @pytest.mark.parametrize("key, field", [
+        ("scenes", "id"), ("scenes", "valence"), ("ads", "id"), ("ads", "valence"),
+        ("entries", "slot"), ("entries", "rank"), ("entries", "ad_id"),
+        ("points", "position"), ("points", "kind"), ("points", "entity_id"),
+        ("points", "valence_0_100"),
+    ])
+    @pytest.mark.parametrize("fault", ["wrong_type", "missing", "not_object"])
+    def test_record_error_names_file_index_and_field(self, tmp_path, key, field, fault):
+        program, inventory, _, _ = two_ad_instance()
+        schedule = Schedule.strict([(1, "a2"), (2, "a1")])
+        path = tmp_path / f"{key}.json"
+        save, load = {
+            "scenes": (lambda: io.save_program(program, path), io.load_program),
+            "ads": (lambda: io.save_inventory(inventory, path), io.load_inventory),
+            "entries": (lambda: io.save_schedule(schedule, path), io.load_schedule),
+            "points": (
+                lambda: io.save_profile(build_profile(schedule, program, inventory), path),
+                io.load_profile,
+            ),
+        }[key]
+        save()
+        doc = json.loads(path.read_text())
+        if fault == "missing":
+            del doc[key][1][field]
+        elif fault == "wrong_type":
+            doc[key][1][field] = [0]  # a list is no valid value for any field
+        else:
+            doc[key][1] = [field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value).startswith(f"{path}: {key}[1]: ")
+        if fault == "not_object":
+            assert str(exc.value).endswith("expected an object, got list")
+        else:
+            assert repr(field) in str(exc.value)
 
 
 class TestRunCommand:
@@ -638,12 +680,14 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("scale, token, expected", [
         ("unit", "0", 0), ("unit", "0.5", 0), ("unit", "1", 0),
-        ("unit", "-0.0", 0), ("unit", "1e-308", 0),
+        ("unit", "-0.0", 0), ("unit", "1e-308", 0), ("unit", "-5e-324", 1),
         ("unit", "1" + "0" * 400, 1), ("unit", "1e400", 1),
         ("unit", "-1", 1), ("unit", "1.5", 1),
         # json.loads refuses an integer of more than 4300 digits with a ValueError
         ("unit", "1" + "0" * 5000, 1),
         ("hundred", "100", 0), ("hundred", "100.5", 1),
+        # the range is checked before dividing, which would round these to -0.0
+        ("hundred", "-1e-322", 1), ("hundred", "-5e-324", 1),
         ("hundred", "1" + "0" * 400, 1),
     ], ids=lambda v: v if len(str(v)) < 20 else f"10**{len(v) - 1}")
     @pytest.mark.parametrize("kind", ["program", "inventory"])

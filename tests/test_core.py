@@ -33,6 +33,7 @@ from adplacer.errors import (
 )
 
 from util import (
+    ODD_K,
     const_rel,
     make_inventory,
     make_program,
@@ -56,7 +57,7 @@ class TestValence:
         assert Valence(1.0).value == 1.0
 
     @pytest.mark.parametrize("bad", [
-        -0.1, 1.0001, float("nan"), float("inf"),
+        -0.1, 1.0001, float("nan"), float("inf"), -5e-324,
         # integers beyond the float range, where float() overflows
         pytest.param(10**400, id="1e400"), pytest.param(-(10**400), id="-1e400"),
     ])
@@ -129,7 +130,7 @@ class TestRewardParams:
 
     @pytest.mark.parametrize("k", [-2, 1, 3, 7])
     def test_k_must_be_even_nonnegative(self, k):
-        with pytest.raises(InfeasibleK):
+        with pytest.raises(InfeasibleK, match=ODD_K):
             RewardParams(0.5, 0.5, k)
 
     def test_k_zero_allowed(self):

@@ -23,7 +23,7 @@ from adplacer.core import (
 from adplacer.errors import InfeasibleInventory, InfeasibleK, InstanceTooLarge
 from adplacer.solvers import solve_assignment, solve_brute_force
 
-from util import const_rel, make_inventory, make_program, two_ad_instance
+from util import ODD_K, const_rel, make_inventory, make_program, two_ad_instance
 
 
 def balanced_subsets(inventory, k):
@@ -62,7 +62,7 @@ class TestBalancedSubsets:
 
     def test_odd_k_rejected(self):
         inventory = make_inventory(0.9, 0.1)
-        with pytest.raises(InfeasibleK):
+        with pytest.raises(InfeasibleK, match=ODD_K):
             balanced_subsets(inventory, 1)
 
     def test_matches_filtered_combinations_oracle(self):

@@ -19,6 +19,9 @@ from adplacer.core import (
     slot_blocks,
 )
 
+#: The one message for an odd or negative k, wherever it is checked.
+ODD_K = r"^k must be even and non-negative to balance high- and low-valence ads, got -?\d+$"
+
 
 def make_program(*valences: float, slot_count: int = 0) -> ProgramSpec:
     scenes = tuple(Scene(f"s{i}", Valence(v)) for i, v in enumerate(valences, start=1))
