@@ -3,13 +3,13 @@
 Every run input and its default is declared once, in ``build_parser``, and
 ``run`` reads the parsed flags.  ``--solver`` picks the exact assignment
 (``bnb``, ``lp``) or the ``trivial`` baseline; the strict routes check that k
-is feasible before reading any relevance.  Each route yields a
-``SolveReport``; the run then validates its schedule (strict, or baseline for
-``trivial``), re-scores the objective of the strict routes with the scoring
-loop of ``core.reward`` (validated once), and only then creates the output
-directory and writes ``schedule.json``, ``report.json`` and ``profile.json``.
-Timing across solvers and instance sizes lives in ``perfbench/``, not in the
-package.
+is feasible before reading any relevance.  ``run`` times whichever route
+runs and names it in the report (``assignment`` or ``trivial``); it then
+validates the schedule (strict, or baseline for ``trivial``), re-scores the
+objective the assignment reports with the scoring loop of ``core.reward``
+(validated once), and only then creates the output directory and writes
+``schedule.json``, ``report.json`` and ``profile.json``.  Timing across
+solvers and instance sizes lives in ``perfbench/``, not in the package.
 
 Exit codes:
     0  success
@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
 )
 from .relevance import build_relevance_matrix
-from .solvers import SolveReport, solve_assignment, trivial_schedule
+from .solvers import solve_assignment, trivial_schedule
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -64,18 +64,16 @@ def _err(message: str) -> None:
 
 def _resolve_relevance(args, params: RewardParams, program, inventory) -> RelevanceMatrix:
     if args.rel_file:
-        rel = io.load_relevance(args.rel_file)
-    elif args.features:
+        return io.load_relevance(args.rel_file)
+    if args.features:
         ids = [s.id for s in program.scenes] + [a.id for a in inventory.ads]
         feats = io.load_features_dir(args.features, ids)
         n = program.n_scenes
-        rel = build_relevance_matrix(feats[:n], feats[n:], pairing=args.pairing)
-    elif params.beta == 0.0:
+        return build_relevance_matrix(feats[:n], feats[n:], pairing=args.pairing)
+    if params.beta == 0.0:
         # the matching term is switched off, so relevance never matters
-        rel = RelevanceMatrix(np.zeros((program.n_scenes, len(inventory))))
-    else:
-        raise ParseError("beta > 0 requires --rel-file or --features")
-    return rel
+        return RelevanceMatrix(np.zeros((program.n_scenes, len(inventory))))
+    raise ParseError("beta > 0 requires --rel-file or --features")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -86,49 +84,43 @@ def run(args: argparse.Namespace) -> int:
         inventory = io.load_inventory(args.inventory, args.scale)
         params = RewardParams(args.alpha, 1.0 - args.alpha, args.k)
 
+        started = time.perf_counter()
         if args.solver == "trivial":
             # the baseline ignores relevance and optimizes nothing
-            mode = "baseline"
-            started = time.perf_counter()
+            mode, route, reward = "baseline", "trivial", None
             schedule = trivial_schedule(program, inventory, args.k, args.seed)
-            report = SolveReport(schedule, None, "trivial", 1, time.perf_counter() - started)
         else:
-            mode = "strict"
+            mode, route = "strict", "assignment"
             _check_feasible(program, inventory, args.k)  # before any relevance is read
             rel = _resolve_relevance(args, params, program, inventory)
             # bnb and lp both run the exact assignment
-            report = solve_assignment(program, inventory, rel, params)
+            solved = solve_assignment(program, inventory, rel, params)
+            schedule, reward = solved.schedule, solved.reward
+        wall_time = time.perf_counter() - started
 
-        check = validate_schedule(report.schedule, program, inventory, params, mode)
+        check = validate_schedule(schedule, program, inventory, params, mode)
         problem = None if check else check.message
-        if problem is None and report.reward is not None:  # re-score what was optimized
-            recomputed = _score(report.schedule, program, inventory, rel, params)
+        if problem is None and reward is not None:  # re-score what was optimized
+            recomputed = _score(schedule, program, inventory, rel, params)
             # summation order alone moves a reward near 1e7 by a few ulps
-            if not math.isclose(recomputed, report.reward, rel_tol=1e-12, abs_tol=REWARD_ATOL):
-                problem = f"reported reward {report.reward!r}, re-scored {recomputed!r}"
+            if not math.isclose(recomputed, reward, rel_tol=1e-12, abs_tol=REWARD_ATOL):
+                problem = f"reported reward {reward!r}, re-scored {recomputed!r}"
         if problem is not None:
             raise AdPlacerError(
-                f"{report.solver} emitted a schedule violating its own contract: {problem}"
+                f"{route} emitted a schedule violating its own contract: {problem}"
             )
 
-        doc = io.report_dict(report, mode)
-        if report.reward is None:
+        doc = {"solver": route, "reward": reward, "wall_time": wall_time}
+        if reward is None:
             doc["seed"] = args.seed
             summary = f"trivial baseline: {args.k} ads placed,"
         else:
-            summary = (
-                f"{report.solver}: reward={report.reward:.12g} "
-                f"candidates={report.candidates_evaluated} "
-                f"time={report.wall_time:.3f}s"
-            )
+            summary = f"{route}: reward={reward:.12g} time={wall_time:.3f}s"
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        io.save_schedule(report.schedule, out_dir / "schedule.json", mode=mode)
+        io.save_schedule(schedule, out_dir / "schedule.json", mode=mode)
         io.save_report(doc, out_dir / "report.json")
-        io.save_profile(
-            build_profile(report.schedule, program, inventory),
-            out_dir / "profile.json",
-        )
+        io.save_profile(build_profile(schedule, program, inventory), out_dir / "profile.json")
         print(f"{summary} outputs in {out_dir}")
         return EXIT_OK
     except _INFEASIBLE_ERRORS as exc:

@@ -510,9 +510,17 @@ def _score(
 @dataclass(frozen=True)
 class ProfilePoint:
     position: int
-    kind: str  # "scene" or "ad"
+    kind: str
     entity_id: str
     valence_0_100: float
+
+    def __post_init__(self) -> None:
+        if self.position < 1:
+            raise ValueError(f"'position' must be at least 1, got {self.position}")
+        if self.kind not in ("scene", "ad"):
+            raise ValueError(f"'kind' must be 'scene' or 'ad', got {self.kind!r}")
+        if not 0 <= self.valence_0_100 <= 100:  # NaN fails too
+            raise ValueError(f"'valence_0_100' {self.valence_0_100!r} outside [0, 100]")
 
 
 def build_profile(

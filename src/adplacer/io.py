@@ -7,8 +7,8 @@ points) holds objects with that record's keys, and other keys are ignored; a
 wrong type or a missing key is a ``ParseError`` that names the file, the
 index and the field.  Floats serialize via ``repr`` (JSON) or ``%.17g``
 (grids), both of which round-trip float64 exactly, so re-running a solve
-reproduces ``schedule.json`` and ``profile.json`` byte for byte;
-``report.json`` differs only in its ``wall_time``.
+reproduces ``schedule.json`` and ``profile.json`` byte for byte; only
+``report.json`` holds a time, its ``wall_time``.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from .core import (
 )
 from .errors import AdPlacerError, MissingEntity, ParseError, ValenceOutOfRange
 from .relevance import KeyframeFeatures
-from .solvers import SolveReport
 
 PROGRAM_FORMAT = "adplacer-program/1"
 INVENTORY_FORMAT = "adplacer-inventory/1"
-SCHEDULE_FORMAT = "adplacer-schedule/1"
-REPORT_FORMAT = "adplacer-report/2"
+SCHEDULE_FORMAT = "adplacer-schedule/2"
+REPORT_FORMAT = "adplacer-report/3"
 PROFILE_FORMAT = "adplacer-profile/1"
 RELEVANCE_HEADER = "adplacer-rel/1"
 FEATURES_HEADER = "adplacer-features/1"
@@ -121,9 +120,10 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
 
     Each item must be an object holding every key named in ``parsers``; each
     field is read by its parser, and ``record`` takes the results in the
-    order of ``parsers``.  A field's error names the file, the index and the
-    field; an error raised by ``build`` gains the file path and keeps its
-    type if it is the package's own (otherwise it becomes a ``ParseError``).
+    order of ``parsers``.  A field's error, or a ``record`` invariant's, names
+    the file, the index and the field; an error raised by ``build`` gains the
+    file path and keeps its type if it is the package's own (otherwise it
+    becomes a ``ParseError``).
     """
     doc = _load_json(path, format)
     items = doc.get(key)
@@ -140,11 +140,13 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
         try:
             for name, parse in fields:
                 values.append(parse(item[name]))
+            records.append(record(*values))
         except KeyError:
             raise ParseError(f"{path}: {key}[{idx}]: missing key {name!r}") from None
         except AdPlacerError as exc:  # parsers raise only the package's errors
             raise type(exc)(f"{path}: {key}[{idx}]: {name!r} {exc}") from None
-        records.append(record(*values))
+        except ValueError as exc:  # a record's own invariant, which names its field
+            raise ParseError(f"{path}: {key}[{idx}]: {exc}") from None
     try:
         return build(doc, tuple(records))
     except (AdPlacerError, ValueError, TypeError) as exc:
@@ -192,40 +194,25 @@ def save_inventory(inventory: AdInventory, path) -> None:
     _dump_entities(path, INVENTORY_FORMAT, "ads", inventory.ads)
 
 
-def schedule_dict(schedule: Schedule, mode: str = "strict") -> dict:
-    return {
-        "format": SCHEDULE_FORMAT,
-        "mode": mode,
-        "k": len(schedule.entries),
-        "entries": [dict(vars(e)) for e in schedule.entries],
-    }
-
-
 def save_schedule(schedule: Schedule, path, mode: str = "strict") -> None:
-    _dump_json(schedule_dict(schedule, mode), path)
+    entries = [dict(vars(e)) for e in schedule.entries]
+    _dump_json({"format": SCHEDULE_FORMAT, "mode": mode, "entries": entries}, path)
 
 
 def load_schedule(path) -> Schedule:
+    def build(doc: dict, entries: tuple[ScheduleEntry, ...]) -> Schedule:
+        if doc.get("mode") not in ("strict", "baseline"):
+            raise ParseError(f"'mode' must be 'strict' or 'baseline', got {doc.get('mode')!r}")
+        return Schedule(entries)
+
     return _load_records(
-        path, SCHEDULE_FORMAT, "entries", ScheduleEntry,
-        lambda doc, entries: Schedule(entries),
+        path, SCHEDULE_FORMAT, "entries", ScheduleEntry, build,
         slot=_parse_int, rank=_parse_int, ad_id=_parse_str,
     )
 
 
-def report_dict(report: SolveReport, mode: str = "strict") -> dict:
-    return {
-        "format": REPORT_FORMAT,
-        "solver": report.solver,
-        "reward": report.reward,
-        "candidates_evaluated": report.candidates_evaluated,
-        "wall_time": report.wall_time,
-        "schedule": schedule_dict(report.schedule, mode),
-    }
-
-
 def save_report(doc: dict, path) -> None:
-    _dump_json(doc, path)
+    _dump_json({"format": REPORT_FORMAT, **doc}, path)
 
 
 def load_report(path) -> dict:

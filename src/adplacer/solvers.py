@@ -5,9 +5,9 @@ every block-respecting placement and refuses instances above
 ``DEFAULT_CANDIDATE_CAP`` candidates (a test oracle; no CLI route runs it),
 and the exact polynomial route ``solve_assignment`` - a block reduction,
 pruned to the ads an optimum needs and solved as a min-cost flow by
-successive shortest paths in numpy.  Each route reports the objective it
-optimized; callers re-score the schedule to check it.  ``trivial_schedule``
-is a naive scheduler, the comparison point for the exact routes.
+successive shortest paths in numpy.  Each route returns its schedule and
+the reward it optimized, which callers re-score.  ``trivial_schedule`` is a
+naive scheduler, the comparison point for the exact routes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,25 +37,14 @@ from .errors import InstanceTooLarge
 #: Brute force refuses instances with more candidate schedules than this.
 DEFAULT_CANDIDATE_CAP = 10**8
 
-BRUTE_FORCE = "brute_force"
-ASSIGNMENT = "assignment"
-
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A solver's answer plus its work statistics.
-
-    ``reward`` is the objective the solver optimized, summed from its own
-    per-(slot, ad) contributions, or None for the trivial baseline, which
-    optimizes nothing; ``candidates_evaluated`` counts fully scored
-    schedules (1 for the assignment).
-    """
+    """A solver's answer: its schedule and the objective it optimized,
+    summed from its own per-(slot, ad) contributions."""
 
     schedule: Schedule
-    reward: float | None
-    solver: str
-    candidates_evaluated: int
-    wall_time: float
+    reward: float
 
 
 def _contributions(
@@ -114,7 +102,6 @@ def solve_brute_force(
     orderings times the product of the block sizes; above
     ``DEFAULT_CANDIDATE_CAP`` this raises InstanceTooLarge.
     """
-    start = time.perf_counter()
     _check_instance(program, inventory, rel, params)
     k = params.k
     blocks = slot_blocks(program.slot_count, k)
@@ -146,16 +133,8 @@ def solve_brute_force(
             count += 1
 
     assert best_placement is not None and count == total
-    schedule = Schedule.strict(
-        (slot, inventory.ads[j].id) for slot, j in best_placement
-    )
-    return SolveReport(
-        schedule=schedule,
-        reward=best_val,
-        solver=BRUTE_FORCE,
-        candidates_evaluated=count,
-        wall_time=time.perf_counter() - start,
-    )
+    schedule = Schedule.strict((slot, inventory.ads[j].id) for slot, j in best_placement)
+    return SolveReport(schedule, best_val)
 
 
 def _block_values(
@@ -322,7 +301,6 @@ def solve_assignment(
     and successive shortest paths end on such a vertex.  The reported reward
     is the sum of g over the chosen (block, ad) pairs.
     """
-    start = time.perf_counter()
     c, starts, g, is_hv = _block_values(program, inventory, rel, params)
     cols = _kept_columns(g, is_hv)
     kept = g[:, cols]
@@ -333,13 +311,7 @@ def solve_assignment(
         (int(start + c[start:end, j].argmax()) + 1, inventory.ads[j].id)
         for start, end, j in zip(starts, ends, picks)
     )
-    return SolveReport(
-        schedule=schedule,
-        reward=float(g[np.arange(len(g)), picks].sum()),
-        solver=ASSIGNMENT,
-        candidates_evaluated=1,
-        wall_time=time.perf_counter() - start,
-    )
+    return SolveReport(schedule, float(g[np.arange(len(g)), picks].sum()))
 
 
 def trivial_schedule(

@@ -266,6 +266,24 @@ class TestOtherFormats:
         with pytest.raises(ParseError, match="'ad_id' must be a string"):
             io.load_schedule(path)
 
+    @pytest.mark.parametrize("mode", ["nonsense", "Strict", None, ["strict"], "missing"])
+    def test_schedule_unknown_mode(self, tmp_path, mode):
+        # the file names the shape its entries were validated in
+        path = tmp_path / "schedule.json"
+        schedule = Schedule.strict([(2, "a1"), (1, "a2")])
+        for known in ("strict", "baseline"):
+            io.save_schedule(schedule, path, mode=known)
+            assert io.load_schedule(path) == schedule
+        doc = json.loads(path.read_text())
+        if mode == "missing":
+            del doc["mode"]
+        else:
+            doc["mode"] = mode
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as exc:
+            io.load_schedule(path)
+        assert str(exc.value).startswith(f"{path}: 'mode' must be 'strict' or 'baseline', got")
+
     def test_relevance_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         from adplacer.core import RelevanceMatrix
@@ -356,6 +374,38 @@ class TestOtherFormats:
         path.write_text(json.dumps(doc).replace('"VALENCE"', "1" + "0" * 400))
         with pytest.raises(ParseError, match=r"points\[0\]: 'valence_0_100' is beyond the float range"):
             io.load_profile(path)
+
+    @pytest.mark.parametrize("field, raw", [
+        ("position", 0), ("position", -7),
+        ("kind", "banana"), ("kind", "Scene"), ("kind", ""),
+        ("valence_0_100", 250), ("valence_0_100", -3), ("valence_0_100", 100.00000000000001),
+        ("valence_0_100", -5e-324), ("valence_0_100", math.nan),
+        ("valence_0_100", math.inf), ("valence_0_100", -math.inf),
+    ])
+    def test_profile_point_build_profile_cannot_emit(self, tmp_path, field, raw):
+        program, inventory, _, _ = two_ad_instance()
+        path = tmp_path / "profile.json"
+        io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
+        doc = json.loads(path.read_text())
+        doc["points"][1][field] = raw
+        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        with pytest.raises(ParseError) as exc:
+            io.load_profile(path)
+        assert str(exc.value).startswith(f"{path}: points[1]: '{field}' ")
+
+    def test_profile_extremes_load(self, tmp_path):
+        # a slot-0 ad at position 1, and valences 0 and 100 on the profile scale
+        program = make_program(0.0, 1.0, 0.5)
+        inventory = make_inventory(1.0, 0.0)
+        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 1, "a2")))
+        profile = build_profile(schedule, program, inventory)
+        assert [(p.position, p.kind, p.valence_0_100) for p in profile] == [
+            (1, "ad", 100.0), (2, "ad", 0.0), (3, "scene", 0.0),
+            (4, "scene", 100.0), (5, "scene", 50.0),
+        ]
+        path = tmp_path / "profile.json"
+        io.save_profile(profile, path)
+        assert io.load_profile(path) == profile
 
     @pytest.mark.parametrize("key, field", [
         ("scenes", "id"), ("scenes", "valence"), ("ads", "id"), ("ads", "valence"),
@@ -529,13 +579,15 @@ class TestRunCommand:
         assert code == 0
         trivial = solver == "trivial"
         report = io.load_report(out / "report.json")
-        keys = {"format", "solver", "reward", "candidates_evaluated", "wall_time", "schedule"}
+        keys = {"format", "solver", "reward", "wall_time"}
         assert set(report) == (keys | {"seed"} if trivial else keys)
-        assert report["format"] == "adplacer-report/2"
+        assert report["format"] == "adplacer-report/3"
+        assert report["solver"] == ("trivial" if trivial else "assignment")
         assert (report["reward"] is None) == trivial
         schedule = json.loads((out / "schedule.json").read_text())
+        assert set(schedule) == {"format", "mode", "entries"}
+        assert schedule["format"] == "adplacer-schedule/2"
         assert schedule["mode"] == ("baseline" if trivial else "strict")
-        assert report["schedule"] == schedule
 
     @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_schedule_is_validated_once(self, tmp_path, monkeypatch, solver):
@@ -899,7 +951,7 @@ class TestRunCommand:
         )
         assert code == 0
         doc = json.loads((out / "schedule.json").read_text())
-        assert doc["entries"] == [] and doc["k"] == 0
+        assert doc["entries"] == []
 
     @pytest.mark.parametrize(
         "pairing, shapes",

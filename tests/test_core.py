@@ -1,5 +1,6 @@
 """Core domain types, polarity, validation and the reward function."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -49,6 +50,12 @@ def test_public_surface():
     exec("from adplacer import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(adplacer.__all__)
+
+
+def test_solve_report_holds_only_what_a_solver_knows():
+    """Route name and timing belong to the run, not to a solver's answer."""
+    fields = [f.name for f in dataclasses.fields(adplacer.SolveReport)]
+    assert fields == ["schedule", "reward"]
 
 
 class TestValence:

@@ -168,15 +168,12 @@ class TestBruteForce:
             (1, "a2"),
             (2, "a1"),
         ]
-        assert report.candidates_evaluated == 2
-        assert report.solver == "brute_force"
 
     def test_k_zero(self):
         program, inventory, rel, _ = two_ad_instance()
         report = solve_brute_force(program, inventory, rel, RewardParams(0.5, 0.5, 0))
         assert report.reward == 0.0
         assert len(report.schedule) == 0
-        assert report.candidates_evaluated == 1
 
     def test_pure_alpha_picks_lowest_valences_lv_last(self):
         program = make_program(0.9, 0.1, 0.8)          # M = 2
@@ -359,7 +356,6 @@ class TestSolverProperties:
             second = solve(program, inventory, rel, params)
             assert first.schedule == second.schedule
             assert first.reward == second.reward
-            assert first.candidates_evaluated == second.candidates_evaluated
 
     def test_pure_alpha_tail_placement(self):
         # with only the positional term, each ad sits on its block's last
