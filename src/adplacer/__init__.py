@@ -14,7 +14,6 @@ from .core import (
     Valence,
     ValidationResult,
     build_profile,
-    classify_polarity,
     random_instance,
     reward,
     slot_blocks,
@@ -42,7 +41,6 @@ __all__ = [
     "ValidationResult",
     "build_profile",
     "build_relevance_matrix",
-    "classify_polarity",
     "cosine_similarity",
     "random_instance",
     "reward",

@@ -5,7 +5,7 @@ Every run input and its default is declared once, in ``build_parser``, and
 (``bnb``, ``lp``) or the ``trivial`` baseline; the strict routes check that k
 is feasible before reading any relevance.  ``run`` times whichever route
 runs and names it in the report (``assignment`` or ``trivial``); it then
-validates the schedule (strict, or baseline for ``trivial``), re-scores the
+validates the schedule in its own shape (``Schedule.mode``), re-scores the
 objective the assignment reports with the scoring loop of ``core.reward``
 (validated once), and only then creates the output directory and writes
 ``schedule.json``, ``report.json`` and ``profile.json``.  Timing across
@@ -87,10 +87,10 @@ def run(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         if args.solver == "trivial":
             # the baseline ignores relevance and optimizes nothing
-            mode, route, reward = "baseline", "trivial", None
+            route, reward = "trivial", None
             schedule = trivial_schedule(program, inventory, args.k, args.seed)
         else:
-            mode, route = "strict", "assignment"
+            route = "assignment"
             _check_feasible(program, inventory, args.k)  # before any relevance is read
             rel = _resolve_relevance(args, params, program, inventory)
             # bnb and lp both run the exact assignment
@@ -98,7 +98,7 @@ def run(args: argparse.Namespace) -> int:
             schedule, reward = solved.schedule, solved.reward
         wall_time = time.perf_counter() - started
 
-        check = validate_schedule(schedule, program, inventory, params, mode)
+        check = validate_schedule(schedule, program, inventory, params)
         problem = None if check else check.message
         if problem is None and reward is not None:  # re-score what was optimized
             recomputed = _score(schedule, program, inventory, rel, params)
@@ -118,7 +118,7 @@ def run(args: argparse.Namespace) -> int:
             summary = f"{route}: reward={reward:.12g} time={wall_time:.3f}s"
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        io.save_schedule(schedule, out_dir / "schedule.json", mode=mode)
+        io.save_schedule(schedule, out_dir / "schedule.json")
         io.save_report(doc, out_dir / "report.json")
         io.save_profile(build_profile(schedule, program, inventory), out_dir / "profile.json")
         print(f"{summary} outputs in {out_dir}")

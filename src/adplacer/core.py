@@ -10,10 +10,11 @@ contrasting but content-relevant scene-ad pairs.
 
 Baseline schedulers use a relaxed *baseline* schedule shape where several
 ads may share one slot (ordered by rank) and the pseudo-slot 0 denotes the
-insertion point before the first scene.  ``build_profile`` exports the
-valence profile: scenes and their scheduled ads in presentation order.
-``random_instance`` builds seeded random instances for the tests and library
-users.
+insertion point before the first scene.  A ``Schedule`` carries its shape
+as ``mode``; validation checks the rules of that shape, and only a strict
+schedule has a reward.  ``build_profile`` exports the valence profile:
+scenes and their scheduled ads in presentation order.  ``random_instance``
+builds seeded random instances for the tests and library users.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from .errors import (
 
 #: Absolute tolerance used whenever two reward values are compared.
 REWARD_ATOL = 1e-9
-
-#: Valence strictly above this threshold classifies an ad as high-valence.
-HV_THRESHOLD = 0.5
 
 ScheduleMode = Literal["strict", "baseline"]
 
@@ -69,11 +67,6 @@ class Valence:
         object.__setattr__(self, "value", float(self.value) + 0.0)  # -0.0 becomes 0.0
 
 
-def classify_polarity(v: Valence) -> Polarity:
-    """HV iff the valence is strictly above 0.5; exactly 0.5 counts as LV."""
-    return Polarity.HV if v.value > HV_THRESHOLD else Polarity.LV
-
-
 @dataclass(frozen=True)
 class Scene:
     id: str
@@ -87,7 +80,8 @@ class Ad:
 
     @property
     def polarity(self) -> Polarity:
-        return classify_polarity(self.valence)
+        """HV iff the valence is strictly above 0.5; exactly 0.5 counts as LV."""
+        return Polarity.HV if self.valence.value > 0.5 else Polarity.LV
 
 
 @dataclass(frozen=True)
@@ -241,18 +235,22 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class Schedule:
-    """An assignment of ads to slots; the solvers' decision variable.
+    """An assignment of ads to slots, in the shape its ``mode`` names.
 
-    The same ad never appears twice.  Strict schedules additionally use
-    distinct slots and rank 0 everywhere; baseline schedules may stack
-    several ads on one slot, ordered by rank.  ``entries`` are stored in
-    presentation order (slot, then rank, then ad id) whatever order they
-    were given in, so schedules with the same placements compare equal.
+    The same ad never appears twice.  A ``strict`` schedule is the solvers'
+    decision variable: distinct slots and rank 0 everywhere.  A ``baseline``
+    schedule may stack several ads on one slot, ordered by rank, and use
+    slot 0.  ``entries`` are stored in presentation order (slot, then rank,
+    then ad id) whatever order they were given in, so schedules with the same
+    placements and mode compare equal.
     """
 
     entries: tuple[ScheduleEntry, ...]
+    mode: ScheduleMode = "strict"
 
     def __post_init__(self) -> None:
+        if self.mode not in ("strict", "baseline"):
+            raise ValueError(f"'mode' must be 'strict' or 'baseline', got {self.mode!r}")
         entries = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", entries)
         seen: set[str] = set()
@@ -394,9 +392,8 @@ def validate_schedule(
     program: ProgramSpec,
     inventory: AdInventory,
     params: RewardParams,
-    mode: ScheduleMode = "strict",
 ) -> ValidationResult:
-    """Check a schedule against the placement constraints.
+    """Check a schedule against the placement constraints of ``schedule.mode``.
 
     Both modes verify, in order: every ad exists; every slot lies in
     first..M, where first is 1 in strict mode and 0 (before scene 1) in
@@ -407,11 +404,9 @@ def validate_schedule(
     exactly k/2 high- and k/2 low-valence ads.  The checks read
     ``schedule.entries`` in presentation order, so a reused place is two
     equal neighbours and a block's ads are one run of slots.  Violations are
-    reported, never raised; an unknown ``mode`` raises ``ValueError``.
+    reported, never raised.
     """
-    if mode not in ("strict", "baseline"):
-        raise ValueError(f"unknown validation mode {mode!r}")
-    strict = mode == "strict"
+    strict = schedule.mode == "strict"
     first, m, k = (1 if strict else 0), program.slot_count, params.k
     entries = schedule.entries
 
@@ -470,14 +465,14 @@ def reward(
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> float:
-    """Score of a strict schedule.
+    """Score of a strict schedule; any other raises ``InfeasibleSchedule``.
 
     Each placed ad contributes its 1-indexed slot number times
     (1 - ad valence), weighted by ``alpha``, plus |scene valence - ad
     valence| times the scene-ad relevance, weighted by ``beta``; the scene
     is the one immediately preceding the slot.  Pure function of its inputs.
     """
-    check = validate_schedule(schedule, program, inventory, params, mode="strict")
+    check = validate_schedule(schedule, program, inventory, params)
     if not check:
         raise InfeasibleSchedule(f"{check.constraint}: {check.message}")
     _check_relevance_shape(rel, program, inventory)
@@ -492,7 +487,9 @@ def _score(
     params: RewardParams,
 ) -> float:
     """``reward`` without its checks, for a schedule already validated
-    strict against an N x P relevance matrix."""
+    against an N x P relevance matrix; only the mode is checked here."""
+    if schedule.mode != "strict":
+        raise InfeasibleSchedule(f"only a strict schedule has a reward, got {schedule.mode!r}")
     alpha, beta = params.alpha, params.beta
     scene_vals = program.valences
     total = 0.0

@@ -5,10 +5,12 @@ grids (features, relevance) are whitespace-separated text with a ``#`` header
 comment.  Each JSON record list (scenes, ads, schedule entries, profile
 points) holds objects with that record's keys, and other keys are ignored; a
 wrong type or a missing key is a ``ParseError`` that names the file, the
-index and the field.  Floats serialize via ``repr`` (JSON) or ``%.17g``
-(grids), both of which round-trip float64 exactly, so re-running a solve
-reproduces ``schedule.json`` and ``profile.json`` byte for byte; only
-``report.json`` holds a time, its ``wall_time``.
+index and the field.  An error in a grid, or in the object built from it,
+names the file.  ``schedule.json`` holds its ``Schedule.mode``.  Floats
+serialize via ``repr`` (JSON) or ``%.17g`` (grids), both of which round-trip
+float64 exactly, so re-running a solve reproduces ``schedule.json`` and
+``profile.json`` byte for byte; only ``report.json`` holds a time, its
+``wall_time``.
 """
 
 from __future__ import annotations
@@ -194,19 +196,16 @@ def save_inventory(inventory: AdInventory, path) -> None:
     _dump_entities(path, INVENTORY_FORMAT, "ads", inventory.ads)
 
 
-def save_schedule(schedule: Schedule, path, mode: str = "strict") -> None:
+def save_schedule(schedule: Schedule, path) -> None:
     entries = [dict(vars(e)) for e in schedule.entries]
-    _dump_json({"format": SCHEDULE_FORMAT, "mode": mode, "entries": entries}, path)
+    _dump_json({"format": SCHEDULE_FORMAT, "mode": schedule.mode, "entries": entries}, path)
 
 
 def load_schedule(path) -> Schedule:
-    def build(doc: dict, entries: tuple[ScheduleEntry, ...]) -> Schedule:
-        if doc.get("mode") not in ("strict", "baseline"):
-            raise ParseError(f"'mode' must be 'strict' or 'baseline', got {doc.get('mode')!r}")
-        return Schedule(entries)
-
+    """Parse a schedule file; its ``mode`` becomes ``Schedule.mode``."""
     return _load_records(
-        path, SCHEDULE_FORMAT, "entries", ScheduleEntry, build,
+        path, SCHEDULE_FORMAT, "entries", ScheduleEntry,
+        lambda doc, entries: Schedule(entries, doc.get("mode")),
         slot=_parse_int, rank=_parse_int, ad_id=_parse_str,
     )
 
@@ -231,11 +230,13 @@ def load_profile(path) -> tuple[ProfilePoint, ...]:
     )
 
 
-def _load_grid(path) -> np.ndarray:
-    """Parse the numeric grid in exactly the file ``path``.
+def _load_grid(path, build):
+    """Parse the numeric grid in exactly the file ``path`` and return ``build(grid)``.
 
     Handing ``np.loadtxt`` an open file skips numpy's per-path ``DataSource``
     lookup: URL parsing and a probe for compressed siblings (``<path>.gz``).
+    An error raised by ``build`` gains the file path and keeps its type if it
+    is the package's own; any other ``ValueError`` becomes a ``ParseError``.
     """
     try:
         with open(path) as fh, warnings.catch_warnings():
@@ -247,15 +248,16 @@ def _load_grid(path) -> np.ndarray:
         raise ParseError(f"{path}: cannot parse numeric grid: {exc}") from exc
     if grid.size == 0:
         raise ParseError(f"{path}: no numeric data")
-    return grid
+    try:
+        return build(grid)
+    except ValueError as exc:
+        error = type(exc) if isinstance(exc, AdPlacerError) else ParseError
+        raise error(f"{path}: {exc}") from exc
 
 
 def load_relevance(path) -> RelevanceMatrix:
     """Read an N x P relevance grid (whitespace-separated, '#' comments)."""
-    try:
-        return RelevanceMatrix(_load_grid(path))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return _load_grid(path, RelevanceMatrix)
 
 
 def save_relevance(rel: RelevanceMatrix, path) -> None:
@@ -277,7 +279,7 @@ def load_features_dir(dirpath, entity_ids: Sequence[str]) -> list[KeyframeFeatur
     missing = [eid for eid, path in paths.items() if path.stem != eid or not path.is_file()]
     if missing:
         raise MissingEntity(f"{dirpath}: no feature file for: {', '.join(missing)}")
-    loaded = {eid: KeyframeFeatures(eid, _load_grid(path)) for eid, path in paths.items()}
+    loaded = {eid: _load_grid(path, partial(KeyframeFeatures, eid)) for eid, path in paths.items()}
     return [loaded[eid] for eid in entity_ids]
 
 

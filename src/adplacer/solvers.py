@@ -337,4 +337,4 @@ def trivial_schedule(
     entries += [
         ScheduleEntry(mid_slot, r, ad_id) for r, ad_id in enumerate(chosen[half:])
     ]
-    return Schedule(tuple(entries))
+    return Schedule(tuple(entries), "baseline")

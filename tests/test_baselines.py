@@ -40,7 +40,7 @@ def test_midpoint_clamped_to_slot_count():
     for seed in range(20):
         schedule = trivial_schedule(program, inventory, 2, seed)
         assert sorted(e.slot for e in schedule.entries) == [0, 3]
-        assert validate_schedule(schedule, program, inventory, params, mode="baseline")
+        assert validate_schedule(schedule, program, inventory, params)
 
 
 def test_k_zero_is_empty():
@@ -67,7 +67,7 @@ def test_always_passes_baseline_validation():
     params = RewardParams(0.5, 0.5, 4)
     for seed in range(50):
         schedule = trivial_schedule(program, inventory, 4, seed)
-        assert validate_schedule(schedule, program, inventory, params, mode="baseline")
+        assert validate_schedule(schedule, program, inventory, params)
         assert polarity_counts(schedule, inventory) == (2, 2)
 
 

@@ -16,13 +16,21 @@ import pytest
 import adplacer
 from adplacer import build_profile, cli, io, random_instance, solvers, trivial_schedule
 from adplacer.cli import main
-from adplacer.core import REWARD_ATOL, RewardParams, Schedule, ScheduleEntry, reward
+from adplacer.core import (
+    REWARD_ATOL,
+    RewardParams,
+    Schedule,
+    ScheduleEntry,
+    reward,
+    validate_schedule,
+)
 from adplacer.errors import (
     DuplicateAdId,
     DuplicateSceneId,
     MissingEntity,
     ParseError,
     ValenceOutOfRange,
+    ZeroNormVector,
 )
 from adplacer.relevance import KeyframeFeatures
 from adplacer.solvers import solve_assignment
@@ -207,11 +215,16 @@ class TestOtherFormats:
     def test_schedule_round_trip(self, tmp_path):
         from adplacer.core import Schedule
 
-        schedule = Schedule.strict([(2, "a1"), (1, "a2")])
+        program, inventory, _ = random_instance(12, 10, 5)
         path = tmp_path / "schedule.json"
-        io.save_schedule(schedule, path)
-        again = io.load_schedule(path)
-        assert again == schedule
+        for schedule, mode in (
+            (Schedule.strict([(2, "a1"), (1, "a2")]), "strict"),
+            (trivial_schedule(program, inventory, 6, seed=3), "baseline"),
+        ):
+            io.save_schedule(schedule, path)
+            again = io.load_schedule(path)
+            assert again == schedule
+            assert again.mode == schedule.mode == mode
 
     @pytest.mark.parametrize("mode", ["strict", "baseline"])
     def test_placement_order_is_irrelevant(self, tmp_path, mode):
@@ -225,16 +238,16 @@ class TestOtherFormats:
         rng = np.random.default_rng(8)
         orders = [placed, placed[::-1]]
         orders += [[placed[j] for j in rng.permutation(len(placed))] for _ in range(4)]
-        first = Schedule(tuple(placed))
+        first = Schedule(tuple(placed), mode)
         outputs = set()
         for i, order in enumerate(orders):
-            schedule = Schedule(tuple(order))
+            schedule = Schedule(tuple(order), mode)
             assert schedule == first
             if mode == "strict":
                 assert reward(schedule, program, inventory, rel, params) == reward(
                     first, program, inventory, rel, params
                 )
-            io.save_schedule(schedule, tmp_path / f"schedule-{i}.json", mode=mode)
+            io.save_schedule(schedule, tmp_path / f"schedule-{i}.json")
             io.save_profile(
                 build_profile(schedule, program, inventory), tmp_path / f"profile-{i}.json"
             )
@@ -270,9 +283,10 @@ class TestOtherFormats:
     def test_schedule_unknown_mode(self, tmp_path, mode):
         # the file names the shape its entries were validated in
         path = tmp_path / "schedule.json"
-        schedule = Schedule.strict([(2, "a1"), (1, "a2")])
+        placed = Schedule.strict([(2, "a1"), (1, "a2")])
         for known in ("strict", "baseline"):
-            io.save_schedule(schedule, path, mode=known)
+            schedule = Schedule(placed.entries, known)
+            io.save_schedule(schedule, path)
             assert io.load_schedule(path) == schedule
         doc = json.loads(path.read_text())
         if mode == "missing":
@@ -325,11 +339,22 @@ class TestOtherFormats:
         np.savetxt(tmp_path / "a1.txt", np.eye(2, 3))
         parsed = []
         load_grid = io._load_grid
-        monkeypatch.setattr(io, "_load_grid", lambda path: parsed.append(path) or load_grid(path))
+        monkeypatch.setattr(
+            io, "_load_grid", lambda path, build: parsed.append(path) or load_grid(path, build)
+        )
         loaded = io.load_features_dir(tmp_path, ["s1", "a1", "s1"])
         assert [f.entity_id for f in loaded] == ["s1", "a1", "s1"]
         assert loaded[0] is loaded[2]
         assert sorted(p.name for p in parsed) == ["a1.txt", "s1.txt"]
+
+    @pytest.mark.parametrize("value, error", [(np.nan, ParseError), (0.0, ZeroNormVector)])
+    def test_feature_error_names_its_file(self, tmp_path, value, error):
+        # a package error keeps its type; a bare ValueError becomes a ParseError
+        np.savetxt(tmp_path / "s1.txt", np.full((2, 3), value))
+        with pytest.raises(error) as exc:
+            io.load_features_dir(tmp_path, ["s1"])
+        assert type(exc.value) is error
+        assert str(exc.value).startswith(f"{tmp_path / 's1.txt'}: 's1': ")
 
     def test_profile_round_trip(self, tmp_path):
         program, inventory, _, _ = two_ad_instance()
@@ -589,6 +614,24 @@ class TestRunCommand:
         assert schedule["format"] == "adplacer-schedule/2"
         assert schedule["mode"] == ("baseline" if trivial else "strict")
 
+    @pytest.mark.parametrize("solver, mode", [("bnb", "strict"), ("lp", "strict"),
+                                              ("trivial", "baseline")])
+    def test_saved_schedule_validates_in_its_own_mode(self, tmp_path, solver, mode):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
+        )
+        assert code == 0
+        schedule = io.load_schedule(out / "schedule.json")
+        assert schedule.mode == mode
+        check = validate_schedule(
+            schedule, io.load_program(program), io.load_inventory(inventory),
+            RewardParams(0.5, 0.5, 2),
+        )
+        assert check, check.message
+
     @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_schedule_is_validated_once(self, tmp_path, monkeypatch, solver):
         from adplacer import core
@@ -612,7 +655,7 @@ class TestRunCommand:
 
     def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
         # two ads stacked on one (slot, rank) break even the baseline contract
-        stacked = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")))
+        stacked = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")), "baseline")
         monkeypatch.setattr(cli, "trivial_schedule", lambda *args: stacked)
         program, inventory, _ = write_two_ad_instance(tmp_path)
         code = self.run_cli(
@@ -621,6 +664,25 @@ class TestRunCommand:
         )
         assert code == 4
         assert "violating its own contract" in capsys.readouterr().err
+
+    def test_exact_route_emitting_a_baseline_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the entries pass the strict rules, but only a strict schedule is re-scored
+        solve = cli.solve_assignment
+
+        def relabelled(*args):
+            solved = solve(*args)
+            baseline = Schedule(solved.schedule.entries, "baseline")
+            return dataclasses.replace(solved, schedule=baseline)
+
+        monkeypatch.setattr(cli, "solve_assignment", relabelled)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 4
+        assert "only a strict schedule has a reward, got 'baseline'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_internal_error_prints_its_traceback(self, tmp_path, capsys, monkeypatch):
         def exploding_solver(*args):
@@ -952,6 +1014,24 @@ class TestRunCommand:
         assert code == 0
         doc = json.loads((out / "schedule.json").read_text())
         assert doc["entries"] == []
+
+    @pytest.mark.parametrize("bad_row", [np.full(8, np.nan), np.zeros(8)], ids=["nan", "zero"])
+    def test_bad_feature_values_exit_1_naming_the_file(self, tmp_path, capsys, bad_row):
+        program, inventory, _ = write_two_ad_instance(tmp_path)
+        rng = np.random.default_rng(48)
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        for eid in ("s1", "s2", "s3", "a1", "a2"):
+            frames = rng.normal(size=(5, 8))
+            if eid == "a2":
+                frames[3] = bad_row
+            np.savetxt(feat_dir / f"{eid}.txt", frames, fmt="%.17g")
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--features", feat_dir, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {feat_dir / 'a2.txt'}: 'a2': ")
 
     @pytest.mark.parametrize(
         "pairing, shapes",

@@ -19,7 +19,6 @@ from adplacer.core import (
     Schedule,
     ScheduleEntry,
     Valence,
-    classify_polarity,
     reward,
     slot_blocks,
     validate_schedule,
@@ -80,7 +79,7 @@ class TestPolarity:
          (0.5000001, Polarity.HV), (1.0, Polarity.HV)],
     )
     def test_threshold(self, value, expected):
-        assert classify_polarity(Valence(value)) is expected
+        assert Ad("x", Valence(value)).polarity is expected
 
     def test_partitions_any_inventory(self):
         rng = np.random.default_rng(5)
@@ -225,24 +224,17 @@ class TestValidation:
         assert not result and result.constraint == "rank"
 
     def test_baseline_allows_head_slot_and_stacking(self):
-        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 1, "a2")))
-        result = validate_schedule(
-            schedule, self.program, self.inventory, self.params, mode="baseline"
-        )
-        assert result
+        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 1, "a2")), "baseline")
+        assert validate_schedule(schedule, self.program, self.inventory, self.params)
 
     def test_baseline_rejects_duplicate_position(self):
-        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 0, "a2")))
-        result = validate_schedule(
-            schedule, self.program, self.inventory, self.params, mode="baseline"
-        )
+        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 0, "a2")), "baseline")
+        result = validate_schedule(schedule, self.program, self.inventory, self.params)
         assert not result and result.constraint == "duplicate_position"
 
     def test_baseline_slot_range(self):
-        schedule = Schedule((ScheduleEntry(3, 0, "a1"), ScheduleEntry(0, 0, "a2")))
-        result = validate_schedule(
-            schedule, self.program, self.inventory, self.params, mode="baseline"
-        )
+        schedule = Schedule((ScheduleEntry(3, 0, "a1"), ScheduleEntry(0, 0, "a2")), "baseline")
+        result = validate_schedule(schedule, self.program, self.inventory, self.params)
         assert not result and result.constraint == "slot_range"
 
     def test_empty_schedule_passes_with_k_zero(self):
@@ -295,16 +287,16 @@ VALIDATION_TABLE = [
 def test_validation_messages(mode, entries, constraint, message):
     program = make_program(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
     inventory = make_inventory(0.8, 0.2, 0.9, 0.1, 0.7, 0.3)
-    schedule = Schedule(tuple(ScheduleEntry(*e) for e in entries))
-    result = validate_schedule(schedule, program, inventory, RewardParams(0.5, 0.5, 4), mode)
+    schedule = Schedule(tuple(ScheduleEntry(*e) for e in entries), mode)
+    result = validate_schedule(schedule, program, inventory, RewardParams(0.5, 0.5, 4))
     assert (result.ok, result.constraint, result.message) == (constraint is None, constraint, message)
 
 
 def test_unknown_mode_raises_before_any_rule():
-    program, inventory, _, params = two_ad_instance()
-    schedule = Schedule.strict([(1, "ghost"), (2, "a2")])
-    with pytest.raises(ValueError, match="unknown validation mode 'loose'"):
-        validate_schedule(schedule, program, inventory, params, "loose")
+    # the mode is checked first, even before the repeated ad
+    entries = (ScheduleEntry(1, 0, "ghost"), ScheduleEntry(2, 0, "ghost"))
+    with pytest.raises(ValueError, match="^'mode' must be 'strict' or 'baseline', got 'loose'$"):
+        Schedule(entries, "loose")
 
 
 class TestReward:
@@ -314,6 +306,16 @@ class TestReward:
         other = Schedule.strict([(1, "a1"), (2, "a2")])
         assert reward(best, program, inventory, rel, params) == pytest.approx(1.3, abs=1e-9)
         assert reward(other, program, inventory, rel, params) == pytest.approx(1.0, abs=1e-9)
+
+    def test_baseline_schedule_has_no_reward(self):
+        # these entries pass the strict rules, but the schedule is labelled baseline
+        program, inventory, rel, params = two_ad_instance()
+        placed = Schedule.strict([(1, "a2"), (2, "a1")])
+        baseline = Schedule(placed.entries, "baseline")
+        assert validate_schedule(placed, program, inventory, params)
+        assert validate_schedule(baseline, program, inventory, params)
+        with pytest.raises(InfeasibleSchedule, match="only a strict schedule has a reward"):
+            reward(baseline, program, inventory, rel, params)
 
     def test_empty_schedule_scores_zero(self):
         program, inventory, rel, _ = two_ad_instance()
