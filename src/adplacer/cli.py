@@ -7,15 +7,16 @@ is feasible before reading any relevance.  ``run`` times whichever route
 runs and names it in the report (``assignment`` or ``trivial``); it then
 validates the schedule in its own shape (``Schedule.mode``), re-scores the
 objective the assignment reports with the scoring loop of ``core.reward``
-(validated once), and only then creates the output directory and writes
-``schedule.json``, ``report.json`` and ``profile.json``.  Timing across
-solvers and instance sizes lives in ``perfbench/``, not in the package.
+(validated once), builds the profile, and only then creates the output
+directory and writes ``schedule.json``, ``report.json`` and ``profile.json``,
+so a failed run writes no file.  Timing across solvers and instance sizes
+lives in ``perfbench/``, not in the package.
 
 Exit codes:
     0  success
-    1  unreadable or malformed input, bad configuration
+    1  unreadable or malformed input, bad configuration (``InputError``, ``OSError``)
     2  infeasible instance (odd k, k > slots (exact routes), unbalanced inventory)
-    4  internal invariant violation; the traceback precedes the error line
+    4  any other error: a broken internal invariant; the traceback precedes the error line
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     AdPlacerError,
     InfeasibleInventory,
     InfeasibleK,
-    MissingEntity,
+    InputError,
     ParseError,
 )
 from .relevance import build_relevance_matrix
@@ -54,7 +55,7 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 4
 
-_CONFIG_ERRORS = (ParseError, MissingEntity, OSError, ValueError)
+_CONFIG_ERRORS = (InputError, OSError)
 _INFEASIBLE_ERRORS = (InfeasibleK, InfeasibleInventory)
 
 
@@ -116,11 +117,12 @@ def run(args: argparse.Namespace) -> int:
             summary = f"trivial baseline: {args.k} ads placed,"
         else:
             summary = f"{route}: reward={reward:.12g} time={wall_time:.3f}s"
+        profile = build_profile(schedule, program, inventory)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         io.save_schedule(schedule, out_dir / "schedule.json")
         io.save_report(doc, out_dir / "report.json")
-        io.save_profile(build_profile(schedule, program, inventory), out_dir / "profile.json")
+        io.save_profile(profile, out_dir / "profile.json")
         print(f"{summary} outputs in {out_dir}")
         return EXIT_OK
     except _INFEASIBLE_ERRORS as exc:

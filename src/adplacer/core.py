@@ -34,6 +34,7 @@ from .errors import (
     InfeasibleInventory,
     InfeasibleK,
     InfeasibleSchedule,
+    InputError,
     UnknownAdId,
     ValenceOutOfRange,
 )
@@ -215,9 +216,9 @@ class RewardParams:
     def __post_init__(self) -> None:
         alpha, beta = float(self.alpha), float(self.beta)
         if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-            raise ValueError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
+            raise InputError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
         if abs(alpha + beta - 1.0) > 1e-9:
-            raise ValueError(f"alpha + beta must equal 1, got {alpha + beta!r}")
+            raise InputError(f"alpha + beta must equal 1, got {alpha + beta!r}")
         _half(self.k)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

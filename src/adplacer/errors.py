@@ -1,23 +1,33 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+``InputError``, also a ``ValueError``, blames the caller's input: a malformed
+file, a missing entity, an out-of-range value or mismatched dimensions.
+``adplacer run`` exits 1 on it, 2 on ``InfeasibleK`` or ``InfeasibleInventory``,
+and 4, after a traceback, on any other error.
+"""
 
 
 class AdPlacerError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ValenceOutOfRange(AdPlacerError, ValueError):
+class InputError(AdPlacerError, ValueError):
+    """The input or configuration is malformed or out of range."""
+
+
+class ValenceOutOfRange(InputError):
     """A valence score falls outside the accepted input range."""
 
 
-class DuplicateSceneId(AdPlacerError, ValueError):
+class DuplicateSceneId(InputError):
     """Two scenes in one program share an id."""
 
 
-class DuplicateAdId(AdPlacerError, ValueError):
+class DuplicateAdId(InputError):
     """Two ads in one inventory share an id."""
 
 
-class DimensionMismatch(AdPlacerError, ValueError):
+class DimensionMismatch(InputError):
     """Array or matrix dimensions do not agree with their context."""
 
 
@@ -29,15 +39,15 @@ class UnknownAdId(AdPlacerError):
     """A schedule references an ad id absent from the inventory."""
 
 
-class ZeroNormVector(AdPlacerError, ValueError):
+class ZeroNormVector(InputError):
     """Cosine similarity is undefined for an all-zero feature vector."""
 
 
-class FrameCountMismatch(AdPlacerError, ValueError):
+class FrameCountMismatch(InputError):
     """Aligned frame pairing requires equal keyframe counts."""
 
 
-class MissingEntity(AdPlacerError):
+class MissingEntity(InputError):
     """A scene or ad id has no feature vectors on record."""
 
 
@@ -53,5 +63,5 @@ class InstanceTooLarge(AdPlacerError):
     """Exhaustive enumeration would exceed the candidate cap."""
 
 
-class ParseError(AdPlacerError):
+class ParseError(InputError):
     """An input file is malformed."""

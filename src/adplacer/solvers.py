@@ -3,11 +3,12 @@
 Two routes: ``solve_brute_force``, which scores every balanced ad subset in
 every block-respecting placement and refuses instances above
 ``DEFAULT_CANDIDATE_CAP`` candidates (a test oracle; no CLI route runs it),
-and the exact polynomial route ``solve_assignment`` - a block reduction,
-pruned to the ads an optimum needs and solved as a min-cost flow by
-successive shortest paths in numpy.  Each route returns its schedule and
-the reward it optimized, which callers re-score.  ``trivial_schedule`` is a
-naive scheduler, the comparison point for the exact routes.
+and the exact polynomial route ``solve_assignment`` - a block reduction
+(each ad's best slot inside each block), pruned to the ads an optimum needs
+and solved as a min-cost flow by successive shortest paths in numpy.  Each
+route returns its schedule and the reward it optimized, which callers
+re-score.  ``trivial_schedule`` is a naive scheduler, the comparison point
+for the exact routes.
 """
 
 from __future__ import annotations
@@ -135,28 +136,6 @@ def solve_brute_force(
     assert best_placement is not None and count == total
     schedule = Schedule.strict((slot, inventory.ads[j].id) for slot, j in best_placement)
     return SolveReport(schedule, best_val)
-
-
-def _block_values(
-    program: ProgramSpec,
-    inventory: AdInventory,
-    rel: RelevanceMatrix,
-    params: RewardParams,
-) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-    """The block reduction behind the exact assignment.
-
-    Blocks are disjoint and each takes exactly one ad, so an ad placed in
-    block b always sits on the block's slot where it contributes most.
-    Returns the M x P contributions c (row i-1 is slot i), the row of c
-    where each block starts, the k x P values g[b, j] = the max of c[:, j]
-    over block b's rows, and the HV mask over ads.
-    """
-    _check_instance(program, inventory, rel, params)
-    c = _contributions(program, inventory, rel, params)
-    starts = [block[0] - 1 for block in slot_blocks(program.slot_count, params.k)]
-    g = np.maximum.reduceat(c, starts, axis=0)
-    is_hv = np.array([p is Polarity.HV for p in inventory.polarities])
-    return c, starts, g, is_hv
 
 
 def _kept_columns(g: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
@@ -288,10 +267,12 @@ def solve_assignment(
 ) -> SolveReport:
     """Exact optimum as a min-cost flow over the block reduction.
 
-    The k x P block values g are first pruned to the ads some optimum needs
-    (``_kept_columns``); the blocks are then assigned to distinct kept ads,
-    exactly k/2 of them HV, by ``_min_cost_assignment`` on the costs
-    max(g) - g.
+    Blocks are disjoint and each takes one ad, so an ad placed in block b
+    sits on the block's slot where it contributes most: g[b, j] is the max
+    of the contributions c[:, j] over block b's rows.  The k x P values g
+    are first pruned to the ads some optimum needs (``_kept_columns``); the
+    blocks are then assigned to distinct kept ads, exactly k/2 of them HV,
+    by ``_min_cost_assignment`` on the costs max(g) - g.
 
     This solves the placement LP over block-by-ad variables x[b, j] in
     [0, 1] (unit mass per block, at most unit mass per ad, HV mass k/2)
@@ -301,7 +282,11 @@ def solve_assignment(
     and successive shortest paths end on such a vertex.  The reported reward
     is the sum of g over the chosen (block, ad) pairs.
     """
-    c, starts, g, is_hv = _block_values(program, inventory, rel, params)
+    _check_instance(program, inventory, rel, params)
+    c = _contributions(program, inventory, rel, params)
+    starts = [block[0] - 1 for block in slot_blocks(program.slot_count, params.k)]
+    g = np.maximum.reduceat(c, starts, axis=0)
+    is_hv = np.array([p is Polarity.HV for p in inventory.polarities])
     cols = _kept_columns(g, is_hv)
     kept = g[:, cols]
     picks = cols[_min_cost_assignment(kept.max(initial=0.0) - kept, is_hv[cols])]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import adplacer
-from adplacer import build_profile, cli, io, random_instance, solvers, trivial_schedule
+from adplacer import build_profile, cli, errors, io, random_instance, solvers, trivial_schedule
 from adplacer.cli import main
 from adplacer.core import (
     REWARD_ATOL,
@@ -470,6 +470,26 @@ class TestOtherFormats:
             assert repr(field) in str(exc.value)
 
 
+#: The exit code ``adplacer run`` gives each class in ``adplacer.errors``.
+ERROR_EXIT_CODES = {
+    "AdPlacerError": 4,
+    "InputError": 1,
+    "ValenceOutOfRange": 1,
+    "DuplicateSceneId": 1,
+    "DuplicateAdId": 1,
+    "DimensionMismatch": 1,
+    "ZeroNormVector": 1,
+    "FrameCountMismatch": 1,
+    "MissingEntity": 1,
+    "ParseError": 1,
+    "InfeasibleK": 2,
+    "InfeasibleInventory": 2,
+    "InfeasibleSchedule": 4,
+    "UnknownAdId": 4,
+    "InstanceTooLarge": 4,
+}
+
+
 class TestRunCommand:
     def run_cli(self, *args):
         return main([str(a) for a in args])
@@ -698,6 +718,70 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "Traceback" in err and "exploding_solver" in err
         assert err.endswith("error: internal error: boom\n")
+
+    def test_solver_repeating_an_ad_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a bare ValueError from an internal invariant is not a configuration error
+        monkeypatch.setattr(
+            solvers, "_min_cost_assignment", lambda cost, is_hv: np.zeros(len(cost), dtype=int)
+        )
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.endswith("error: internal error: ad 'a1' scheduled more than once\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alpha", ["2", "nan"])
+    def test_alpha_out_of_range_exits_1(self, tmp_path, capsys, alpha):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--alpha", alpha, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "alpha and beta must lie in [0, 1]" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(ERROR_EXIT_CODES))
+    def test_exit_code_of_every_package_error(self, tmp_path, capsys, monkeypatch, name):
+        def failing_solver(*args):
+            raise getattr(errors, name)("boom")
+
+        monkeypatch.setattr(cli, "solve_assignment", failing_solver)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == ERROR_EXIT_CODES[name]
+        assert ("Traceback" in capsys.readouterr().err) == (code == 4)
+        assert not (tmp_path / "out").exists()
+
+    def test_every_package_error_has_an_exit_code(self):
+        defined = {
+            name for name, obj in vars(errors).items()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+        }
+        assert defined == set(ERROR_EXIT_CODES)
+
+    def test_failed_profile_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        def failing_profile(*args):
+            raise RuntimeError("no profile")
+
+        monkeypatch.setattr(cli, "build_profile", failing_profile)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 4
+        assert capsys.readouterr().err.endswith("error: internal error: no profile\n")
+        assert not (tmp_path / "out").exists()
 
     def test_hundred_scale_flag(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path, scale="hundred")

@@ -74,6 +74,15 @@ def test_unknown_ad():
         build_profile(schedule, program, inventory)
 
 
+@pytest.mark.parametrize("slot", [-1, 3])
+def test_slot_outside_the_program(slot):
+    program = make_program(0.9, 0.1, 0.8)
+    inventory = make_inventory(0.8, 0.2)
+    schedule = Schedule((ScheduleEntry(slot, 0, "a1"),), "baseline")
+    with pytest.raises(ValueError, match=rf"^slot {slot} outside 0\.\.2$"):
+        build_profile(schedule, program, inventory)
+
+
 def test_embedding_contrasting_ads_raises_variation():
     program, inventory, rel = random_instance(16, 9, 77)
     params = RewardParams(0.5, 0.5, 4)

@@ -256,3 +256,9 @@ class TestMatrix:
         a = feats("s", [[1.0, 2.0]])
         with pytest.raises(ValueError, match="nope"):
             build_relevance_matrix([a], [a], pairing="nope")
+
+    @pytest.mark.parametrize("pairing", ["aligned", "all_pairs"])
+    def test_empty_side_gives_an_empty_matrix(self, pairing):
+        rows = [feats(f"e{i}", [[1.0, 2.0]]) for i in range(3)]
+        assert build_relevance_matrix([], rows, pairing).values.shape == (0, 3)
+        assert build_relevance_matrix(rows, [], pairing).values.shape == (3, 0)

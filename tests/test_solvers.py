@@ -45,6 +45,17 @@ def placements(ads, program, k):
     ]
 
 
+def block_values(program, inventory, rel, params):
+    """The block reduction, computed apart from ``solve_assignment``: g[b, j]
+    is the max of ad j's contributions over the slots of block b.  Returns g
+    and the HV mask over ads."""
+    c = solvers._contributions(program, inventory, rel, params)
+    blocks = slot_blocks(program.slot_count, params.k)
+    g = np.array([c[[slot - 1 for slot in block]].max(axis=0) for block in blocks])
+    is_hv = np.array([p is Polarity.HV for p in inventory.polarities])
+    return g.reshape(len(blocks), len(inventory)), is_hv
+
+
 class TestBalancedSubsets:
     def test_two_by_two_cross_pairs(self):
         inventory = make_inventory(0.9, 0.8, 0.2, 0.1)  # a1,a2 HV; a3,a4 LV
@@ -259,7 +270,7 @@ class TestAssignment:
             ))
             rel = RelevanceMatrix(np.round(rel.values, 1))
             params = RewardParams(0.5, 0.5, k)
-            _, _, g, is_hv = solvers._block_values(program, inventory, rel, params)
+            g, is_hv = block_values(program, inventory, rel, params)
             assert len(solvers._kept_columns(g, is_hv)) <= k * k < p
             bf = solve_brute_force(program, inventory, rel, params)
             exact = solve_assignment(program, inventory, rel, params)
@@ -286,7 +297,7 @@ class TestAssignment:
                 rel = RelevanceMatrix(np.round(rel.values, 1))
             alpha = float(rng.choice([0.0, 0.5, 1.0]))
             params = RewardParams(alpha, 1.0 - alpha, k)
-            _, _, g, is_hv = solvers._block_values(program, inventory, rel, params)
+            g, is_hv = block_values(program, inventory, rel, params)
             half, n_hv = k // 2, int(is_hv.sum())
             weights = np.vstack([
                 g,
