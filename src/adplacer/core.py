@@ -14,12 +14,14 @@ insertion point before the first scene.  A ``Schedule`` carries its shape
 as ``mode``; validation checks the rules of that shape, and only a strict
 schedule has a reward.  ``build_profile`` exports the valence profile:
 scenes and their scheduled ads in presentation order.  ``random_instance``
-builds seeded random instances for the tests and library users.
+builds seeded random instances for the tests and library users.  Each type
+checks its own arguments, ``slot_count`` and ``k`` being integers.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,18 +87,24 @@ class Ad:
         return Polarity.HV if self.valence.value > 0.5 else Polarity.LV
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)  # numpy's too
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
     """Ordered scenes plus the number of candidate ad slots.
 
-    ``slot_count`` defaults to N - 1 (one slot per scene transition); a
-    smaller value restricts placement to the first transitions only.
+    ``slot_count``, an integer, defaults to N - 1 (one slot per scene
+    transition); a smaller value restricts placement to the first ones only.
     """
 
     scenes: tuple[Scene, ...]
     slot_count: int = 0  # 0 means "default to len(scenes) - 1"
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.slot_count):
+            raise ValueError(f"'slot_count' must be an integer, got {self.slot_count!r}")
         scenes = tuple(self.scenes)
         object.__setattr__(self, "scenes", scenes)
         if len(scenes) < 2:
@@ -206,7 +214,7 @@ class RewardParams:
 
     ``alpha`` weights late placement of low-valence ads, ``beta`` weights
     emotional-contrast-times-relevance matching; they must sum to one.  ``k``
-    must be even so the schedule can balance high- and low-valence ads.
+    must be an even integer so the schedule can balance HV and LV ads.
     """
 
     alpha: float
@@ -219,6 +227,8 @@ class RewardParams:
             raise InputError(f"alpha and beta must lie in [0, 1], got {alpha}, {beta}")
         if abs(alpha + beta - 1.0) > 1e-9:
             raise InputError(f"alpha + beta must equal 1, got {alpha + beta!r}")
+        if not _is_integer(self.k):
+            raise InputError(f"'k' must be an integer, got {self.k!r}")
         _half(self.k)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

@@ -1,9 +1,13 @@
 """Exception types shared across the toolkit.
 
-``InputError``, also a ``ValueError``, blames the caller's input: a malformed
-file, a missing entity, an out-of-range value or mismatched dimensions.
-``adplacer run`` exits 1 on it, 2 on ``InfeasibleK`` or ``InfeasibleInventory``,
-and 4, after a traceback, on any other error.
+Each check in a constructor raises a ``ValueError``, apart from k's parity
+check (``InfeasibleK``), so ``except ValueError`` catches every rejection; a
+value of the wrong Python type may fail first, with a ``TypeError``.
+``InputError``, also a ``ValueError``, marks what ``adplacer run`` blames on
+its input; ``io`` re-raises a file's fault naming the file, as a
+``ParseError`` unless it is an ``InputError``.  ``adplacer run`` exits 1 on
+an ``InputError``, 2 on ``InfeasibleK`` or ``InfeasibleInventory``, and 4,
+after a traceback, on any other error.
 """
 
 

@@ -3,14 +3,15 @@
 Structured data travels as JSON with a ``format`` version header; numeric
 grids (features, relevance) are whitespace-separated text with a ``#`` header
 comment.  Each JSON record list (scenes, ads, schedule entries, profile
-points) holds objects with that record's keys, and other keys are ignored; a
-wrong type or a missing key is a ``ParseError`` that names the file, the
-index and the field.  An error in a grid, or in the object built from it,
-names the file.  ``schedule.json`` holds its ``Schedule.mode``.  Floats
-serialize via ``repr`` (JSON) or ``%.17g`` (grids), both of which round-trip
-float64 exactly, so re-running a solve reproduces ``schedule.json`` and
-``profile.json`` byte for byte; only ``report.json`` holds a time, its
-``wall_time``.
+points) holds objects with that record's keys, and other keys are ignored.
+Fields are checked here for their JSON type only (and a valence for the
+range of its scale): a wrong type or a missing key is a ``ParseError`` that
+names the file, the index and the field.  Every other rule belongs to the
+object built, whose errors name the file.  ``schedule.json`` holds its
+``Schedule.mode``.  Floats serialize via ``repr`` (JSON) or ``%.17g``
+(grids), both of which round-trip float64 exactly, so re-running a solve
+reproduces ``schedule.json`` and ``profile.json`` byte for byte; only
+``report.json`` holds a time.
 """
 
 from __future__ import annotations
@@ -69,16 +70,6 @@ def _load_json(path, expected_format: str) -> dict:
     return doc
 
 
-def _is_int(raw) -> bool:
-    """A JSON integer (``json`` decodes booleans as ``bool``, an ``int`` subclass)."""
-    return isinstance(raw, int) and not isinstance(raw, bool)
-
-
-def _is_number(raw) -> bool:
-    """A JSON number, integer or not, and not a boolean."""
-    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
-
-
 def _parse_str(raw) -> str:
     """A JSON string, as every id is; ``str()`` would turn ``null`` into ``"None"``."""
     if not isinstance(raw, str):
@@ -87,13 +78,13 @@ def _parse_str(raw) -> str:
 
 
 def _parse_int(raw) -> int:
-    if not _is_int(raw):
+    if type(raw) is not int:  # json decodes true and false as bool, an int subclass
         raise ParseError(f"must be an integer, got {raw!r}")
     return raw
 
 
 def _parse_float(raw) -> float:
-    if not _is_number(raw):
+    if type(raw) not in (int, float):
         raise ParseError(f"must be a number, got {raw!r}")
     try:
         return float(raw)
@@ -108,7 +99,7 @@ def _parse_valence(raw, scale: Scale) -> Valence:
     exactly, so an integer beyond the float range and NaN fail, and so does
     -1e-322, which ``/ 100`` would round to -0.0.
     """
-    if not _is_number(raw):
+    if type(raw) not in (int, float):
         raise ParseError(f"is not a number: {raw!r}")
     limit = 1 if scale == "unit" else 100
     if not 0 <= raw <= limit:
@@ -123,9 +114,9 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
     Each item must be an object holding every key named in ``parsers``; each
     field is read by its parser, and ``record`` takes the results in the
     order of ``parsers``.  A field's error, or a ``record`` invariant's, names
-    the file, the index and the field; an error raised by ``build`` gains the
-    file path and keeps its type if it is the package's own (otherwise it
-    becomes a ``ParseError``).
+    the file, the index and the field; a ``ValueError`` raised by ``build``
+    gains the file path and keeps its type if it is the package's own
+    (otherwise it becomes a ``ParseError``).
     """
     doc = _load_json(path, format)
     items = doc.get(key)
@@ -151,7 +142,7 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
             raise ParseError(f"{path}: {key}[{idx}]: {exc}") from None
     try:
         return build(doc, tuple(records))
-    except (AdPlacerError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         error = type(exc) if isinstance(exc, AdPlacerError) else ParseError
         raise error(f"{path}: {exc}") from exc
 
@@ -165,15 +156,9 @@ def _dump_entities(path, format: str, key: str, entities, **extra) -> None:
 
 def load_program(path, scale: Scale = "unit") -> ProgramSpec:
     """Parse a program file, normalizing valences to the unit scale."""
-
-    def build(doc: dict, scenes: tuple[Scene, ...]) -> ProgramSpec:
-        slot_count = doc.get("slot_count", 0)
-        if not _is_int(slot_count):
-            raise ParseError(f"'slot_count' must be an integer, got {slot_count!r}")
-        return ProgramSpec(scenes, slot_count)
-
     return _load_records(
-        path, PROGRAM_FORMAT, "scenes", Scene, build,
+        path, PROGRAM_FORMAT, "scenes", Scene,
+        lambda doc, scenes: ProgramSpec(scenes, doc.get("slot_count", 0)),
         id=_parse_str, valence=partial(_parse_valence, scale=scale),
     )
 

@@ -101,7 +101,7 @@ def build_relevance_matrix(
     count F); ``all_pairs`` averages over the full cross product of frames.
     By linearity, with unit frames a_f and b_f, mean_f <a_f, b_f> =
     <vec A, vec B> / F and mean_{f,g} <a_f, b_g> = <mean A, mean B>, so the
-    matrix is one product of per-entity summaries, clipped into [-1, 1].
+    matrix is one product of per-entity summaries, clipped by ``RelevanceMatrix``.
     Rows and columns follow the order of the given sequences.
     """
     if pairing not in ("aligned", "all_pairs"):
@@ -124,4 +124,4 @@ def build_relevance_matrix(
     n_frames = ref.frame_count if pairing == "aligned" else 1
     scenes = np.stack([_summary(f, pairing) for f in scene_feats])
     ads = np.stack([_summary(f, pairing) for f in ad_feats])
-    return RelevanceMatrix(np.clip(scenes @ ads.T / n_frames, -1.0, 1.0))
+    return RelevanceMatrix(scenes @ ads.T / n_frames)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import adplacer
-from adplacer import random_instance
+from adplacer import io, random_instance
 from adplacer.core import (
     Ad,
     AdInventory,
     Polarity,
+    ProfilePoint,
     ProgramSpec,
     RelevanceMatrix,
     RewardParams,
@@ -29,8 +30,10 @@ from adplacer.errors import (
     DuplicateSceneId,
     InfeasibleK,
     InfeasibleSchedule,
+    InputError,
     ValenceOutOfRange,
 )
+from adplacer.relevance import KeyframeFeatures
 
 from util import (
     ODD_K,
@@ -99,6 +102,18 @@ class TestContainers:
         with pytest.raises(ValueError):
             make_program(0.1, 0.2, slot_count=5)
 
+    @pytest.mark.parametrize("slot_count", [2.7, 3.0, True, "3", None], ids=repr)
+    def test_program_slot_count_must_be_an_integer(self, slot_count):
+        scenes = make_program(0.1, 0.2, 0.3, 0.4).scenes
+        with pytest.raises(ValueError, match="'slot_count' must be an integer"):
+            ProgramSpec(scenes, slot_count)
+
+    def test_program_numpy_slot_count_saves_as_json(self, tmp_path):
+        program = make_program(0.1, 0.2, 0.3, 0.4, slot_count=np.int64(3))
+        assert type(program.slot_count) is int
+        io.save_program(program, tmp_path / "program.json")
+        assert io.load_program(tmp_path / "program.json") == program
+
     def test_program_needs_two_scenes(self):
         with pytest.raises(ValueError):
             make_program(0.5)
@@ -141,6 +156,41 @@ class TestRewardParams:
 
     def test_k_zero_allowed(self):
         assert RewardParams(1.0, 0.0, 0).k == 0
+
+    @pytest.mark.parametrize("k", [4.0, "4", None, True], ids=repr)
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(InputError, match="'k' must be an integer"):
+            RewardParams(0.5, 0.5, k)
+
+    def test_numpy_k_becomes_int(self):
+        assert type(RewardParams(0.5, 0.5, np.int64(4)).k) is int
+
+
+_SCENES = tuple(Scene(f"s{i}", Valence(0.5)) for i in range(4))
+
+
+@pytest.mark.parametrize(
+    "build, input_error",
+    [
+        (lambda: RelevanceMatrix([[float("nan")]]), False),
+        (lambda: ProgramSpec(()), False),
+        (lambda: AdInventory(()), False),
+        (lambda: KeyframeFeatures("x", [[float("inf")]]), False),
+        (lambda: ProfilePoint(0, "scene", "s1", 50.0), False),
+        (lambda: Schedule((), "weird"), False),
+        (lambda: random_instance(0, 1, 0), False),
+        (lambda: ProgramSpec(_SCENES, 2.7), False),
+        (lambda: RewardParams(0.5, 0.5, "4"), True),
+    ],
+    ids=["relevance_nan", "program_empty", "inventory_empty", "features_inf",
+         "profile_position", "schedule_mode", "random_instance", "slot_count", "k"],
+)
+def test_constructor_rejections_are_value_errors(build, input_error):
+    """``except ValueError`` catches every rejected constructor argument;
+    ``InputError`` marks only those ``adplacer run`` blames on its input."""
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert isinstance(caught.value, InputError) is input_error
 
 
 class TestSlotBlocks:
