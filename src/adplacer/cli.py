@@ -15,7 +15,8 @@ lives in ``perfbench/``, not in the package.
 Exit codes:
     0  success
     1  unreadable or malformed input, bad configuration (``InputError``, ``OSError``)
-    2  infeasible instance (odd k, k > slots (exact routes), unbalanced inventory)
+    2  infeasible instance (``InfeasibleK``: odd or negative k, k > slots (exact
+       routes), fewer than k/2 ads of one polarity)
     4  any other error: a broken internal invariant; the traceback precedes the error line
 """
 
@@ -40,13 +41,7 @@ from .core import (
     build_profile,
     validate_schedule,
 )
-from .errors import (
-    AdPlacerError,
-    InfeasibleInventory,
-    InfeasibleK,
-    InputError,
-    ParseError,
-)
+from .errors import AdPlacerError, InfeasibleK, InputError
 from .relevance import build_relevance_matrix
 from .solvers import solve_assignment, trivial_schedule
 
@@ -56,7 +51,6 @@ EXIT_INFEASIBLE = 2
 EXIT_INTERNAL = 4
 
 _CONFIG_ERRORS = (InputError, OSError)
-_INFEASIBLE_ERRORS = (InfeasibleK, InfeasibleInventory)
 
 
 def _err(message: str) -> None:
@@ -74,7 +68,7 @@ def _resolve_relevance(args, params: RewardParams, program, inventory) -> Releva
     if params.beta == 0.0:
         # the matching term is switched off, so relevance never matters
         return RelevanceMatrix(np.zeros((program.n_scenes, len(inventory))))
-    raise ParseError("beta > 0 requires --rel-file or --features")
+    raise InputError("beta > 0 requires --rel-file or --features")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -125,7 +119,7 @@ def run(args: argparse.Namespace) -> int:
         io.save_profile(profile, out_dir / "profile.json")
         print(f"{summary} outputs in {out_dir}")
         return EXIT_OK
-    except _INFEASIBLE_ERRORS as exc:
+    except InfeasibleK as exc:
         _err(str(exc))
         return EXIT_INFEASIBLE
     except _CONFIG_ERRORS as exc:

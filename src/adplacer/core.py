@@ -29,17 +29,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateAdId,
-    DuplicateSceneId,
-    InfeasibleInventory,
-    InfeasibleK,
-    InfeasibleSchedule,
-    InputError,
-    UnknownAdId,
-    ValenceOutOfRange,
-)
+from .errors import InfeasibleK, InfeasibleSchedule, InputError, UnknownAdId
 
 #: Absolute tolerance used whenever two reward values are compared.
 REWARD_ATOL = 1e-9
@@ -66,7 +56,7 @@ class Valence:
     def __post_init__(self) -> None:
         # ints and floats compare exactly: an integer beyond the float range fails, as does NaN
         if not 0 <= self.value <= 1:
-            raise ValenceOutOfRange(f"valence {self.value!r} outside [0, 1]")
+            raise InputError(f"valence {self.value!r} outside [0, 1]")
         object.__setattr__(self, "value", float(self.value) + 0.0)  # -0.0 becomes 0.0
 
 
@@ -112,7 +102,7 @@ class ProgramSpec:
         seen: set[str] = set()
         for scene in scenes:
             if scene.id in seen:
-                raise DuplicateSceneId(f"duplicate scene id {scene.id!r}")
+                raise InputError(f"duplicate scene id {scene.id!r}")
             seen.add(scene.id)
         m = int(self.slot_count) or len(scenes) - 1
         if not 1 <= m <= len(scenes) - 1:
@@ -146,7 +136,7 @@ class AdInventory:
         seen: set[str] = set()
         for ad in ads:
             if ad.id in seen:
-                raise DuplicateAdId(f"duplicate ad id {ad.id!r}")
+                raise InputError(f"duplicate ad id {ad.id!r}")
             seen.add(ad.id)
 
     def __len__(self) -> int:
@@ -195,7 +185,7 @@ def _check_balance(inventory: AdInventory, k: int) -> int:
     hv = inventory.polarities.count(Polarity.HV)
     lv = len(inventory) - hv
     if hv < half or lv < half:
-        raise InfeasibleInventory(
+        raise InfeasibleK(
             f"need {half} HV and {half} LV ads, inventory has {hv} HV / {lv} LV"
         )
     return half
@@ -294,9 +284,7 @@ class RelevanceMatrix:
     def __init__(self, values) -> None:
         arr = np.array(values, dtype=float)  # copy: callers must not mutate us
         if arr.ndim != 2:
-            raise DimensionMismatch(
-                f"relevance matrix must be 2-D, got shape {arr.shape}"
-            )
+            raise InputError(f"relevance matrix must be 2-D, got shape {arr.shape}")
         if arr.size:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("relevance entries must be finite")
@@ -315,7 +303,7 @@ def _check_relevance_shape(
 ) -> None:
     """Raise unless ``rel`` has one row per scene and one column per ad."""
     if rel.values.shape != (program.n_scenes, len(inventory)):
-        raise DimensionMismatch(
+        raise InputError(
             f"relevance matrix shape {rel.values.shape} does not match "
             f"{program.n_scenes} scenes x {len(inventory)} ads"
         )

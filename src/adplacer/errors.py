@@ -4,10 +4,10 @@ Each check in a constructor raises a ``ValueError``, apart from k's parity
 check (``InfeasibleK``), so ``except ValueError`` catches every rejection; a
 value of the wrong Python type may fail first, with a ``TypeError``.
 ``InputError``, also a ``ValueError``, marks what ``adplacer run`` blames on
-its input; ``io`` re-raises a file's fault naming the file, as a
-``ParseError`` unless it is an ``InputError``.  ``adplacer run`` exits 1 on
-an ``InputError``, 2 on ``InfeasibleK`` or ``InfeasibleInventory``, and 4,
-after a traceback, on any other error.
+its input, and its message says what is wrong; ``io`` re-raises a file's
+fault as an ``InputError`` naming the file.  ``adplacer run`` exits 1 on an
+``InputError`` (or an ``OSError``), 2 on ``InfeasibleK``, and 4, after a
+traceback, on any other error.
 """
 
 
@@ -19,22 +19,6 @@ class InputError(AdPlacerError, ValueError):
     """The input or configuration is malformed or out of range."""
 
 
-class ValenceOutOfRange(InputError):
-    """A valence score falls outside the accepted input range."""
-
-
-class DuplicateSceneId(InputError):
-    """Two scenes in one program share an id."""
-
-
-class DuplicateAdId(InputError):
-    """Two ads in one inventory share an id."""
-
-
-class DimensionMismatch(InputError):
-    """Array or matrix dimensions do not agree with their context."""
-
-
 class InfeasibleSchedule(AdPlacerError):
     """A schedule violates the strict placement constraints."""
 
@@ -43,29 +27,10 @@ class UnknownAdId(AdPlacerError):
     """A schedule references an ad id absent from the inventory."""
 
 
-class ZeroNormVector(InputError):
-    """Cosine similarity is undefined for an all-zero feature vector."""
-
-
-class FrameCountMismatch(InputError):
-    """Aligned frame pairing requires equal keyframe counts."""
-
-
-class MissingEntity(InputError):
-    """A scene or ad id has no feature vectors on record."""
-
-
 class InfeasibleK(AdPlacerError):
-    """The requested ad count cannot be satisfied (odd, negative, or > slots)."""
-
-
-class InfeasibleInventory(AdPlacerError):
-    """The inventory lacks enough high- or low-valence ads."""
+    """k ads cannot be placed: k is odd or negative, k exceeds the slots, or
+    the inventory holds fewer than k/2 ads of one polarity."""
 
 
 class InstanceTooLarge(AdPlacerError):
     """Exhaustive enumeration would exceed the candidate cap."""
-
-
-class ParseError(InputError):
-    """An input file is malformed."""

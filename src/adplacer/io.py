@@ -5,13 +5,15 @@ grids (features, relevance) are whitespace-separated text with a ``#`` header
 comment.  Each JSON record list (scenes, ads, schedule entries, profile
 points) holds objects with that record's keys, and other keys are ignored.
 Fields are checked here for their JSON type only (and a valence for the
-range of its scale): a wrong type or a missing key is a ``ParseError`` that
-names the file, the index and the field.  Every other rule belongs to the
-object built, whose errors name the file.  ``schedule.json`` holds its
-``Schedule.mode``.  Floats serialize via ``repr`` (JSON) or ``%.17g``
-(grids), both of which round-trip float64 exactly, so re-running a solve
-reproduces ``schedule.json`` and ``profile.json`` byte for byte; only
-``report.json`` holds a time.
+range of its scale): a wrong type or a missing key names the file, the index
+and the field.  Every other rule belongs to the object built, whose errors
+name the file.  Each fault in a file's content is an ``InputError``, on
+which ``adplacer run`` exits 1 (as on an unreadable file's ``OSError``);
+``InfeasibleK`` exits 2, and any other error exits 4 after a traceback.
+``schedule.json`` holds its ``Schedule.mode``.  Floats serialize via
+``repr`` (JSON) or ``%.17g`` (grids), both of which round-trip float64
+exactly, so re-running a solve reproduces ``schedule.json`` and
+``profile.json`` byte for byte; only ``report.json`` holds a time.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .core import (
     ScheduleEntry,
     Valence,
 )
-from .errors import AdPlacerError, MissingEntity, ParseError, ValenceOutOfRange
+from .errors import InputError
 from .relevance import KeyframeFeatures
 
 PROGRAM_FORMAT = "adplacer-program/1"
@@ -57,13 +59,13 @@ def _load_json(path, expected_format: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, a JSONDecodeError, or an integer over the digit limit
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
-        raise ParseError(f"{path}: JSON nested too deeply") from None
+        raise InputError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object at top level")
+        raise InputError(f"{path}: expected a JSON object at top level")
     if doc.get("format") != expected_format:
-        raise ParseError(
+        raise InputError(
             f"{path}: expected format header {expected_format!r}, "
             f"got {doc.get('format')!r}"
         )
@@ -73,23 +75,23 @@ def _load_json(path, expected_format: str) -> dict:
 def _parse_str(raw) -> str:
     """A JSON string, as every id is; ``str()`` would turn ``null`` into ``"None"``."""
     if not isinstance(raw, str):
-        raise ParseError(f"must be a string, got {raw!r}")
+        raise InputError(f"must be a string, got {raw!r}")
     return raw
 
 
 def _parse_int(raw) -> int:
     if type(raw) is not int:  # json decodes true and false as bool, an int subclass
-        raise ParseError(f"must be an integer, got {raw!r}")
+        raise InputError(f"must be an integer, got {raw!r}")
     return raw
 
 
 def _parse_float(raw) -> float:
     if type(raw) not in (int, float):
-        raise ParseError(f"must be a number, got {raw!r}")
+        raise InputError(f"must be a number, got {raw!r}")
     try:
         return float(raw)
     except OverflowError:  # a JSON integer beyond the float range
-        raise ParseError(f"is beyond the float range: {raw}") from None
+        raise InputError(f"is beyond the float range: {raw}") from None
 
 
 def _parse_valence(raw, scale: Scale) -> Valence:
@@ -100,10 +102,10 @@ def _parse_valence(raw, scale: Scale) -> Valence:
     -1e-322, which ``/ 100`` would round to -0.0.
     """
     if type(raw) not in (int, float):
-        raise ParseError(f"is not a number: {raw!r}")
+        raise InputError(f"is not a number: {raw!r}")
     limit = 1 if scale == "unit" else 100
     if not 0 <= raw <= limit:
-        raise ValenceOutOfRange(f"{raw} outside [0, {limit}] for scale {scale!r}")
+        raise InputError(f"{raw} outside [0, {limit}] for scale {scale!r}")
     return Valence(raw / limit)
 
 
@@ -115,18 +117,17 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
     field is read by its parser, and ``record`` takes the results in the
     order of ``parsers``.  A field's error, or a ``record`` invariant's, names
     the file, the index and the field; a ``ValueError`` raised by ``build``
-    gains the file path and keeps its type if it is the package's own
-    (otherwise it becomes a ``ParseError``).
+    becomes an ``InputError`` that names the file.
     """
     doc = _load_json(path, format)
     items = doc.get(key)
     if not isinstance(items, list):
-        raise ParseError(f"{path}: {key!r} must be a list")
+        raise InputError(f"{path}: {key!r} must be a list")
     fields = parsers.items()
     records = []
     for idx, item in enumerate(items):
         if not isinstance(item, dict):
-            raise ParseError(
+            raise InputError(
                 f"{path}: {key}[{idx}]: expected an object, got {type(item).__name__}"
             )
         values = []
@@ -135,16 +136,15 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
                 values.append(parse(item[name]))
             records.append(record(*values))
         except KeyError:
-            raise ParseError(f"{path}: {key}[{idx}]: missing key {name!r}") from None
-        except AdPlacerError as exc:  # parsers raise only the package's errors
-            raise type(exc)(f"{path}: {key}[{idx}]: {name!r} {exc}") from None
+            raise InputError(f"{path}: {key}[{idx}]: missing key {name!r}") from None
+        except InputError as exc:  # the only error a parser raises
+            raise InputError(f"{path}: {key}[{idx}]: {name!r} {exc}") from None
         except ValueError as exc:  # a record's own invariant, which names its field
-            raise ParseError(f"{path}: {key}[{idx}]: {exc}") from None
+            raise InputError(f"{path}: {key}[{idx}]: {exc}") from None
     try:
         return build(doc, tuple(records))
     except ValueError as exc:
-        error = type(exc) if isinstance(exc, AdPlacerError) else ParseError
-        raise error(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _dump_entities(path, format: str, key: str, entities, **extra) -> None:
@@ -220,24 +220,21 @@ def _load_grid(path, build):
 
     Handing ``np.loadtxt`` an open file skips numpy's per-path ``DataSource``
     lookup: URL parsing and a probe for compressed siblings (``<path>.gz``).
-    An error raised by ``build`` gains the file path and keeps its type if it
-    is the package's own; any other ``ValueError`` becomes a ``ParseError``.
+    A ``ValueError`` raised by the parse or by ``build`` becomes an
+    ``InputError`` that names the file.
     """
     try:
         with open(path) as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty input warns; it is reported below
             grid = np.loadtxt(fh, ndmin=2)
-    except OSError:
-        raise
-    except Exception as exc:  # np.loadtxt raises assorted ValueError subtypes
-        raise ParseError(f"{path}: cannot parse numeric grid: {exc}") from exc
+    except ValueError as exc:  # assorted subtypes, a UnicodeDecodeError among them
+        raise InputError(f"{path}: cannot parse numeric grid: {exc}") from exc
     if grid.size == 0:
-        raise ParseError(f"{path}: no numeric data")
+        raise InputError(f"{path}: no numeric data")
     try:
         return build(grid)
     except ValueError as exc:
-        error = type(exc) if isinstance(exc, AdPlacerError) else ParseError
-        raise error(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_relevance(path) -> RelevanceMatrix:
@@ -258,12 +255,12 @@ def load_features_dir(dirpath, entity_ids: Sequence[str]) -> list[KeyframeFeatur
     """
     directory = Path(dirpath)
     if not directory.is_dir():
-        raise ParseError(f"{dirpath}: not a directory")
+        raise InputError(f"{dirpath}: not a directory")
     paths = {eid: directory / f"{eid}.txt" for eid in entity_ids}
     # a stem never holds a separator, so an id with one names no file here
     missing = [eid for eid, path in paths.items() if path.stem != eid or not path.is_file()]
     if missing:
-        raise MissingEntity(f"{dirpath}: no feature file for: {', '.join(missing)}")
+        raise InputError(f"{dirpath}: no feature file for: {', '.join(missing)}")
     loaded = {eid: _load_grid(path, partial(KeyframeFeatures, eid)) for eid, path in paths.items()}
     return [loaded[eid] for eid in entity_ids]
 

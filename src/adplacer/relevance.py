@@ -14,11 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .core import RelevanceMatrix
-from .errors import (
-    DimensionMismatch,
-    FrameCountMismatch,
-    ZeroNormVector,
-)
+from .errors import InputError
 
 Pairing = Literal["aligned", "all_pairs"]
 
@@ -33,7 +29,7 @@ class KeyframeFeatures:
     def __post_init__(self) -> None:
         arr = np.array(self.frames, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise DimensionMismatch(
+            raise InputError(
                 f"{self.entity_id!r}: frames must be a (frames, dims) matrix, "
                 f"got shape {arr.shape}"
             )
@@ -43,9 +39,7 @@ class KeyframeFeatures:
         zero_rows = np.abs(arr).max(axis=1) == 0.0
         if np.any(zero_rows):
             zero = np.flatnonzero(zero_rows).tolist()
-            raise ZeroNormVector(
-                f"{self.entity_id!r}: all-zero frame vector(s) at rows {zero}"
-            )
+            raise InputError(f"{self.entity_id!r}: all-zero frame vector(s) at rows {zero}")
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)
 
@@ -70,14 +64,14 @@ def cosine_similarity(u, v) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise DimensionMismatch(
+        raise InputError(
             f"vectors must share one dimension, got shapes {u.shape} and {v.shape}"
         )
     u, v = _pow2_scaled(u), _pow2_scaled(v)
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
-        raise ZeroNormVector("cosine similarity undefined for a zero-norm vector")
+        raise InputError("cosine similarity undefined for a zero-norm vector")
     c = float(np.dot(u, v)) / (nu * nv)
     return min(1.0, max(-1.0, c))
 
@@ -111,12 +105,12 @@ def build_relevance_matrix(
     ref = scene_feats[0]
     for f in [*scene_feats, *ad_feats]:
         if f.dim != ref.dim:
-            raise DimensionMismatch(
+            raise InputError(
                 f"feature dims differ: {ref.entity_id!r} has {ref.dim}, "
                 f"{f.entity_id!r} has {f.dim}"
             )
         if pairing == "aligned" and f.frame_count != ref.frame_count:
-            raise FrameCountMismatch(
+            raise InputError(
                 f"aligned pairing needs equal frame counts: "
                 f"{ref.entity_id!r} has {ref.frame_count}, "
                 f"{f.entity_id!r} has {f.frame_count}"

@@ -4,7 +4,7 @@ import pytest
 
 from adplacer import random_instance, trivial_schedule
 from adplacer.core import RewardParams, validate_schedule
-from adplacer.errors import InfeasibleInventory, InfeasibleK
+from adplacer.errors import InfeasibleK
 
 from util import ODD_K, make_inventory, make_program, polarity_counts
 
@@ -74,7 +74,7 @@ def test_always_passes_baseline_validation():
 def test_infeasible_inventory():
     program = twelve_scene_program()
     inventory = make_inventory(0.9, 0.8)  # HV only
-    with pytest.raises(InfeasibleInventory):
+    with pytest.raises(InfeasibleK, match="need 1 HV and 1 LV ads, inventory has 2 HV / 0 LV"):
         trivial_schedule(program, inventory, 2, seed=0)
 
 

@@ -24,14 +24,7 @@ from adplacer.core import (
     reward,
     validate_schedule,
 )
-from adplacer.errors import (
-    DuplicateAdId,
-    DuplicateSceneId,
-    MissingEntity,
-    ParseError,
-    ValenceOutOfRange,
-    ZeroNormVector,
-)
+from adplacer.errors import InputError
 from adplacer.relevance import KeyframeFeatures
 from adplacer.solvers import solve_assignment
 
@@ -93,14 +86,14 @@ class TestProgramFiles:
         assert program.slot_count == 2
 
     def test_empty_scene_list(self, tmp_path):
-        # and an empty ad list: each is a ParseError that names the file
+        # and an empty ad list: each is an InputError that names the file
         for load, doc in [
             (io.load_program, {"format": io.PROGRAM_FORMAT, "scenes": []}),
             (io.load_inventory, {"format": io.INVENTORY_FORMAT, "ads": []}),
         ]:
             path = tmp_path / "p.json"
             path.write_text(json.dumps(doc))
-            with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            with pytest.raises(InputError, match=f"^{re.escape(str(path))}: "):
                 load(path)
 
     def test_valence_out_of_range(self, tmp_path):
@@ -110,7 +103,7 @@ class TestProgramFiles:
         }
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValenceOutOfRange):
+        with pytest.raises(InputError, match=r"'valence' 120 outside \[0, 100\]"):
             io.load_program(path, scale="hundred")
 
     @pytest.mark.parametrize("sign", ["", "-"])
@@ -121,7 +114,7 @@ class TestProgramFiles:
         path = program if kind == "program" else inventory
         append_entity(path, kind, sign + "1" + "0" * 400)
         load = io.load_program if kind == "program" else io.load_inventory
-        with pytest.raises(ValenceOutOfRange, match="outside"):
+        with pytest.raises(InputError, match="outside"):
             load(path)
 
     def test_duplicate_scene_id(self, tmp_path):
@@ -132,7 +125,7 @@ class TestProgramFiles:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
         message = f"^{re.escape(str(path))}: duplicate scene id 's'$"
-        with pytest.raises(DuplicateSceneId, match=message):
+        with pytest.raises(InputError, match=message):
             io.load_program(path)
 
     def test_duplicate_ad_id(self, tmp_path):
@@ -143,7 +136,7 @@ class TestProgramFiles:
         path = tmp_path / "i.json"
         path.write_text(json.dumps(doc))
         message = f"^{re.escape(str(path))}: duplicate ad id 'a'$"
-        with pytest.raises(DuplicateAdId, match=message):
+        with pytest.raises(InputError, match=message):
             io.load_inventory(path)
 
     def test_boolean_valence(self, tmp_path):
@@ -153,7 +146,7 @@ class TestProgramFiles:
         }
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="not a number"):
+        with pytest.raises(InputError, match="not a number"):
             io.load_program(path)
 
     @pytest.mark.parametrize("raw", ["0.9", " 1e-1 ", None, [0.5]])
@@ -165,7 +158,7 @@ class TestProgramFiles:
         doc["scenes" if kind == "program" else "ads"][0]["valence"] = raw
         path.write_text(json.dumps(doc))
         load = io.load_program if kind == "program" else io.load_inventory
-        with pytest.raises(ParseError, match="not a number"):
+        with pytest.raises(InputError, match="not a number"):
             load(path)
         code = main([
             "run", "--program", str(program), "--inventory", str(inventory),
@@ -183,7 +176,7 @@ class TestProgramFiles:
         doc["scenes" if kind == "program" else "ads"][0]["id"] = raw
         path.write_text(json.dumps(doc))
         load = io.load_program if kind == "program" else io.load_inventory
-        with pytest.raises(ParseError, match="'id' must be a string"):
+        with pytest.raises(InputError, match="'id' must be a string"):
             load(path)
         code = main([
             "run", "--program", str(program), "--inventory", str(inventory),
@@ -195,13 +188,13 @@ class TestProgramFiles:
     def test_bad_json_and_wrong_header(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("{nope")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="invalid JSON"):
             io.load_program(path)
         path.write_text(json.dumps({"format": "other/9", "scenes": []}))
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="expected format header"):
             io.load_program(path)
         path.write_bytes(b'{"format": "adplacer-program/1", "scenes": [{"id": "\xff"}]}')
-        with pytest.raises(ParseError, match="p.json"):  # not UTF-8
+        with pytest.raises(InputError, match="p.json"):  # not UTF-8
             io.load_program(path)
 
 
@@ -266,7 +259,7 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["entries"][0][field] = raw
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match=rf"entries\[0\]: '{field}' must be an integer, got"):
+        with pytest.raises(InputError, match=rf"entries\[0\]: '{field}' must be an integer, got"):
             io.load_schedule(path)
 
     @pytest.mark.parametrize("raw", [None, 3, ["x"]])
@@ -276,7 +269,7 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["entries"][0]["ad_id"] = raw
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="'ad_id' must be a string"):
+        with pytest.raises(InputError, match="'ad_id' must be a string"):
             io.load_schedule(path)
 
     @pytest.mark.parametrize("mode", ["nonsense", "Strict", None, ["strict"], "missing"])
@@ -294,7 +287,7 @@ class TestOtherFormats:
         else:
             doc["mode"] = mode
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError) as exc:
             io.load_schedule(path)
         assert str(exc.value).startswith(f"{path}: 'mode' must be 'strict' or 'baseline', got")
 
@@ -319,7 +312,7 @@ class TestOtherFormats:
         assert np.array_equal(loaded[1].frames, feats[0].frames)
 
     def test_features_dir_empty(self, tmp_path):
-        with pytest.raises(MissingEntity, match="s1"):
+        with pytest.raises(InputError, match="no feature file for: s1$"):
             io.load_features_dir(tmp_path, ["s1"])
 
     def test_features_dir_missing_ids(self, tmp_path):
@@ -329,7 +322,7 @@ class TestOtherFormats:
         (tmp_path / "x" / "y.txt").write_text("1 2\n")
         (tmp_path / ".txt").write_text("1 2\n")
         (tmp_path / "a1.txt").mkdir()  # a directory is not a feature file
-        with pytest.raises(MissingEntity) as exc:
+        with pytest.raises(InputError) as exc:
             io.load_features_dir(tmp_path, ["s2", "s1", "x/y", "", "a1", str(tmp_path / "s1")])
         missing = str(exc.value).split("no feature file for: ")[1]
         assert missing == f"s2, x/y, , a1, {tmp_path / 's1'}"
@@ -347,13 +340,16 @@ class TestOtherFormats:
         assert loaded[0] is loaded[2]
         assert sorted(p.name for p in parsed) == ["a1.txt", "s1.txt"]
 
-    @pytest.mark.parametrize("value, error", [(np.nan, ParseError), (0.0, ZeroNormVector)])
-    def test_feature_error_names_its_file(self, tmp_path, value, error):
-        # a package error keeps its type; a bare ValueError becomes a ParseError
+    @pytest.mark.parametrize("value, message", [
+        pytest.param(np.nan, "feature values must be finite", id="nan"),
+        pytest.param(0.0, r"all-zero frame vector\(s\) at rows \[0, 1\]", id="zero"),
+    ])
+    def test_feature_error_names_its_file(self, tmp_path, value, message):
+        # a bare ValueError and a package InputError alike become an InputError
         np.savetxt(tmp_path / "s1.txt", np.full((2, 3), value))
-        with pytest.raises(error) as exc:
+        with pytest.raises(InputError, match=message) as exc:
             io.load_features_dir(tmp_path, ["s1"])
-        assert type(exc.value) is error
+        assert type(exc.value) is InputError
         assert str(exc.value).startswith(f"{tmp_path / 's1.txt'}: 's1': ")
 
     def test_profile_round_trip(self, tmp_path):
@@ -375,7 +371,7 @@ class TestOtherFormats:
         doc["points"][0][field] = raw
         path.write_text(json.dumps(doc))
         rule = "an integer" if field == "position" else "a number"
-        with pytest.raises(ParseError, match=rf"points\[0\]: '{field}' must be {rule}, got"):
+        with pytest.raises(InputError, match=rf"points\[0\]: '{field}' must be {rule}, got"):
             io.load_profile(path)
 
     @pytest.mark.parametrize("raw", [None, 3, ["x"]])
@@ -387,7 +383,7 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["points"][0][field] = raw
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match=f"'{field}' must be a string"):
+        with pytest.raises(InputError, match=f"'{field}' must be a string"):
             io.load_profile(path)
 
     def test_profile_integer_beyond_float_range(self, tmp_path):
@@ -397,7 +393,7 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["points"][0]["valence_0_100"] = "VALENCE"
         path.write_text(json.dumps(doc).replace('"VALENCE"', "1" + "0" * 400))
-        with pytest.raises(ParseError, match=r"points\[0\]: 'valence_0_100' is beyond the float range"):
+        with pytest.raises(InputError, match=r"points\[0\]: 'valence_0_100' is beyond the float range"):
             io.load_profile(path)
 
     @pytest.mark.parametrize("field, raw", [
@@ -414,7 +410,7 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["points"][1][field] = raw
         path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError) as exc:
             io.load_profile(path)
         assert str(exc.value).startswith(f"{path}: points[1]: '{field}' ")
 
@@ -461,7 +457,7 @@ class TestOtherFormats:
         else:
             doc[key][1] = [field]
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError) as exc:
             load(path)
         assert str(exc.value).startswith(f"{path}: {key}[1]: ")
         if fault == "not_object":
@@ -474,16 +470,7 @@ class TestOtherFormats:
 ERROR_EXIT_CODES = {
     "AdPlacerError": 4,
     "InputError": 1,
-    "ValenceOutOfRange": 1,
-    "DuplicateSceneId": 1,
-    "DuplicateAdId": 1,
-    "DimensionMismatch": 1,
-    "ZeroNormVector": 1,
-    "FrameCountMismatch": 1,
-    "MissingEntity": 1,
-    "ParseError": 1,
     "InfeasibleK": 2,
-    "InfeasibleInventory": 2,
     "InfeasibleSchedule": 4,
     "UnknownAdId": 4,
     "InstanceTooLarge": 4,
@@ -1034,6 +1021,42 @@ class TestRunCommand:
             assert code == 0
         assert len(sources) == 1 + 5
         assert not [s for s in sources if isinstance(s, (str, bytes, os.PathLike))]
+
+    def test_internal_error_while_parsing_a_grid_exits_4(self, tmp_path, capsys, monkeypatch):
+        # only a ValueError from the parse is a fault of the file
+        def failing_loadtxt(*args, **kwargs):
+            raise MemoryError("simulated")
+
+        monkeypatch.setattr(io.np, "loadtxt", failing_loadtxt)
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.endswith("error: internal error: simulated\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["--rel-file", "--features"])
+    def test_undecodable_grid_exits_1_naming_the_file(self, tmp_path, capsys, source):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        for eid in ("s1", "s2", "s3", "a1", "a2"):
+            np.savetxt(feat_dir / f"{eid}.txt", np.ones((2, 3)), fmt="%.17g")
+        arg, bad = (rel, rel) if source == "--rel-file" else (feat_dir, feat_dir / "a1.txt")
+        bad.write_bytes(b"\xff\xfe1 2\n")  # not UTF-8
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            source, arg, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: cannot parse numeric grid: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_rel_file_is_read_exactly_as_named(self, tmp_path, capsys):
         # numpy's path lookup would fall back to the compressed rel.txt.gz

@@ -8,6 +8,7 @@ import pytest
 
 from adplacer import random_instance, solvers
 from adplacer.core import (
+    REWARD_ATOL,
     Ad,
     AdInventory,
     Polarity,
@@ -20,7 +21,7 @@ from adplacer.core import (
     slot_blocks,
     validate_schedule,
 )
-from adplacer.errors import InfeasibleInventory, InfeasibleK, InstanceTooLarge
+from adplacer.errors import InfeasibleK, InstanceTooLarge
 from adplacer.solvers import solve_assignment, solve_brute_force
 
 from util import ODD_K, const_rel, make_inventory, make_program, two_ad_instance
@@ -56,6 +57,41 @@ def block_values(program, inventory, rel, params):
     return g.reshape(len(blocks), len(inventory)), is_hv
 
 
+def quota_padded_optimum(optimize, g, is_hv):
+    """The optimum of scipy's assignment on the k block rows of ``g``, padded
+    to P x P with weight-0 dummy rows that take only HV or only LV ads, so
+    that k/2 of each land in blocks: an oracle independent of the solver."""
+    k, p = g.shape
+    half, n_hv = k // 2, int(is_hv.sum())
+    weights = np.vstack([
+        g,
+        np.tile(np.where(is_hv, 0.0, -np.inf), (n_hv - half, 1)),
+        np.tile(np.where(is_hv, -np.inf, 0.0), (p - n_hv - half, 1)),
+    ])
+    rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
+    return g[rows[:k], cols[:k]].sum()
+
+
+def north_star_instance(k, seed, alpha):
+    """1000 ads and 200 slots, the north star's large scale; seed 1's
+    relevance is rounded to 0.1, so that many contributions tie."""
+    program, inventory, rel = random_instance(1000, 200, seed)
+    if seed == 1:
+        rel = RelevanceMatrix(np.round(rel.values, 1))
+    return program, inventory, rel, RewardParams(alpha, 1.0 - alpha, k)
+
+
+def assert_same_reward(actual, expected):
+    assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=REWARD_ATOL), (actual, expected)
+
+
+NORTH_STAR = [
+    *(pytest.param(100, seed, alpha, id=f"k100-seed{seed}-alpha{alpha}")
+      for seed in (0, 1) for alpha in (0.0, 0.5, 1.0)),
+    pytest.param(200, 1, 0.5, id="k200-seed1-alpha0.5"),
+]
+
+
 class TestBalancedSubsets:
     def test_two_by_two_cross_pairs(self):
         inventory = make_inventory(0.9, 0.8, 0.2, 0.1)  # a1,a2 HV; a3,a4 LV
@@ -68,7 +104,7 @@ class TestBalancedSubsets:
 
     def test_insufficient_polarity(self):
         inventory = make_inventory(0.9, 0.8, 0.7)  # all HV
-        with pytest.raises(InfeasibleInventory):
+        with pytest.raises(InfeasibleK, match="need 1 HV and 1 LV ads, inventory has 3 HV / 0 LV"):
             balanced_subsets(inventory, 2)
 
     def test_odd_k_rejected(self):
@@ -203,7 +239,7 @@ class TestBruteForce:
     def test_unbalanced_inventory(self):
         program = make_program(0.9, 0.1, 0.8)
         inventory = make_inventory(0.9, 0.8)  # no LV ads
-        with pytest.raises(InfeasibleInventory):
+        with pytest.raises(InfeasibleK, match="need 1 HV and 1 LV ads, inventory has 2 HV / 0 LV"):
             solve_brute_force(program, inventory, const_rel(3, 2), RewardParams(0.5, 0.5, 2))
 
     def test_candidate_cap(self):
@@ -283,9 +319,7 @@ class TestAssignment:
             solvers._min_cost_assignment(np.zeros((2, 3)), np.ones(3, dtype=bool))
 
     def test_matches_quota_padded_linear_sum_assignment(self):
-        # an independent oracle beyond brute-force sizes: scipy's assignment
-        # on the k block rows padded to P x P with weight-0 dummy rows that
-        # take only HV or only LV ads, so that k/2 of each land in blocks
+        # an independent oracle beyond brute-force sizes
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(61)
         for case in range(150):
@@ -297,19 +331,41 @@ class TestAssignment:
                 rel = RelevanceMatrix(np.round(rel.values, 1))
             alpha = float(rng.choice([0.0, 0.5, 1.0]))
             params = RewardParams(alpha, 1.0 - alpha, k)
-            g, is_hv = block_values(program, inventory, rel, params)
-            half, n_hv = k // 2, int(is_hv.sum())
-            weights = np.vstack([
-                g,
-                np.tile(np.where(is_hv, 0.0, -np.inf), (n_hv - half, 1)),
-                np.tile(np.where(is_hv, -np.inf, 0.0), (p - n_hv - half, 1)),
-            ])
-            rows, cols = optimize.linear_sum_assignment(weights, maximize=True)
-            expected = g[rows[:k], cols[:k]].sum()
+            expected = quota_padded_optimum(
+                optimize, *block_values(program, inventory, rel, params)
+            )
             exact = solve_assignment(program, inventory, rel, params)
             where = f"case {case}: P={p} M={m} k={k}"
             assert abs(exact.reward - expected) <= 1e-9, where
             assert validate_schedule(exact.schedule, program, inventory, params), where
+
+    @pytest.mark.parametrize("k, seed, alpha", NORTH_STAR)
+    def test_matches_linear_sum_assignment_at_north_star_scale(self, k, seed, alpha):
+        optimize = pytest.importorskip("scipy.optimize")
+        program, inventory, rel, params = north_star_instance(k, seed, alpha)
+        exact = solve_assignment(program, inventory, rel, params)
+        g, is_hv = block_values(program, inventory, rel, params)
+        assert_same_reward(exact.reward, quota_padded_optimum(optimize, g, is_hv))
+        assert validate_schedule(exact.schedule, program, inventory, params)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ad_order_leaves_the_optimum_unchanged(self, seed):
+        program, inventory, rel, params = north_star_instance(100, seed, 0.5)
+        perm = np.random.default_rng(seed).permutation(len(inventory))
+        shuffled = AdInventory(tuple(inventory.ads[j] for j in perm))
+        again = solve_assignment(program, shuffled, RelevanceMatrix(rel.values[:, perm]), params)
+        assert_same_reward(again.reward, solve_assignment(program, inventory, rel, params).reward)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unchosen_ads_leave_the_optimum_unchanged(self, seed):
+        program, inventory, rel, params = north_star_instance(100, seed, 0.5)
+        best = solve_assignment(program, inventory, rel, params)
+        chosen = {entry.ad_id for entry in best.schedule.entries}
+        keep = [j for j, ad in enumerate(inventory.ads) if ad.id in chosen]
+        assert len(keep) == params.k
+        kept = AdInventory(tuple(inventory.ads[j] for j in keep))
+        again = solve_assignment(program, kept, RelevanceMatrix(rel.values[:, keep]), params)
+        assert_same_reward(again.reward, best.reward)
 
 
 def small_grid():
