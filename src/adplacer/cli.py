@@ -6,11 +6,11 @@ Every run input and its default is declared once, in ``build_parser``, and
 is feasible before reading any relevance.  ``run`` times whichever route
 runs and names it in the report (``assignment`` or ``trivial``); it then
 validates the schedule in its own shape (``Schedule.mode``), re-scores the
-objective the assignment reports with the scoring loop of ``core.reward``
-(validated once), builds the profile, and only then creates the output
-directory and writes ``schedule.json``, ``report.json`` and ``profile.json``,
-so a failed run writes no file.  Timing across solvers and instance sizes
-lives in ``perfbench/``, not in the package.
+objective the assignment reports with ``core.reward``, builds the profile,
+and only then creates the output directory and writes ``schedule.json``,
+``report.json`` and ``profile.json``, so a failed run writes no file.
+Timing across solvers and instance sizes lives in ``perfbench/``, not in the
+package.
 
 Exit codes:
     0  success
@@ -37,8 +37,9 @@ from .core import (
     RelevanceMatrix,
     RewardParams,
     _check_feasible,
-    _score,
+    _check_relevance_shape,
     build_profile,
+    reward,
     validate_schedule,
 )
 from .errors import AdPlacerError, InfeasibleK, InputError
@@ -58,13 +59,23 @@ def _err(message: str) -> None:
 
 
 def _resolve_relevance(args, params: RewardParams, program, inventory) -> RelevanceMatrix:
+    """The relevance of the exact routes.  The loaders name a faulty file; a
+    source that does not fit the instance is named here by its given path."""
     if args.rel_file:
-        return io.load_relevance(args.rel_file)
+        rel = io.load_relevance(args.rel_file)
+        try:
+            _check_relevance_shape(rel, program, inventory)
+        except InputError as exc:
+            raise InputError(f"{args.rel_file}: {exc}") from None
+        return rel
     if args.features:
         ids = [s.id for s in program.scenes] + [a.id for a in inventory.ads]
         feats = io.load_features_dir(args.features, ids)
         n = program.n_scenes
-        return build_relevance_matrix(feats[:n], feats[n:], pairing=args.pairing)
+        try:
+            return build_relevance_matrix(feats[:n], feats[n:], pairing=args.pairing)
+        except InputError as exc:
+            raise InputError(f"{args.features}: {exc}") from None
     if params.beta == 0.0:
         # the matching term is switched off, so relevance never matters
         return RelevanceMatrix(np.zeros((program.n_scenes, len(inventory))))
@@ -82,7 +93,7 @@ def run(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         if args.solver == "trivial":
             # the baseline ignores relevance and optimizes nothing
-            route, reward = "trivial", None
+            route, reported = "trivial", None
             schedule = trivial_schedule(program, inventory, args.k, args.seed)
         else:
             route = "assignment"
@@ -90,27 +101,27 @@ def run(args: argparse.Namespace) -> int:
             rel = _resolve_relevance(args, params, program, inventory)
             # bnb and lp both run the exact assignment
             solved = solve_assignment(program, inventory, rel, params)
-            schedule, reward = solved.schedule, solved.reward
+            schedule, reported = solved.schedule, solved.reward
         wall_time = time.perf_counter() - started
 
         check = validate_schedule(schedule, program, inventory, params)
         problem = None if check else check.message
-        if problem is None and reward is not None:  # re-score what was optimized
-            recomputed = _score(schedule, program, inventory, rel, params)
+        if problem is None and reported is not None:  # re-score what was optimized
+            recomputed = reward(schedule, program, inventory, rel, params)
             # summation order alone moves a reward near 1e7 by a few ulps
-            if not math.isclose(recomputed, reward, rel_tol=1e-12, abs_tol=REWARD_ATOL):
-                problem = f"reported reward {reward!r}, re-scored {recomputed!r}"
+            if not math.isclose(recomputed, reported, rel_tol=1e-12, abs_tol=REWARD_ATOL):
+                problem = f"reported reward {reported!r}, re-scored {recomputed!r}"
         if problem is not None:
             raise AdPlacerError(
                 f"{route} emitted a schedule violating its own contract: {problem}"
             )
 
-        doc = {"solver": route, "reward": reward, "wall_time": wall_time}
-        if reward is None:
+        doc = {"solver": route, "reward": reported, "wall_time": wall_time}
+        if reported is None:
             doc["seed"] = args.seed
             summary = f"trivial baseline: {args.k} ads placed,"
         else:
-            summary = f"{route}: reward={reward:.12g} time={wall_time:.3f}s"
+            summary = f"{route}: reward={reported:.12g} time={wall_time:.3f}s"
         profile = build_profile(schedule, program, inventory)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -475,18 +475,6 @@ def reward(
     if not check:
         raise InfeasibleSchedule(f"{check.constraint}: {check.message}")
     _check_relevance_shape(rel, program, inventory)
-    return _score(schedule, program, inventory, rel, params)
-
-
-def _score(
-    schedule: Schedule,
-    program: ProgramSpec,
-    inventory: AdInventory,
-    rel: RelevanceMatrix,
-    params: RewardParams,
-) -> float:
-    """``reward`` without its checks, for a schedule already validated
-    against an N x P relevance matrix; only the mode is checked here."""
     if schedule.mode != "strict":
         raise InfeasibleSchedule(f"only a strict schedule has a reward, got {schedule.mode!r}")
     alpha, beta = params.alpha, params.beta

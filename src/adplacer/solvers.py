@@ -187,7 +187,6 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
     pi = np.zeros(n)
     pi_hub = np.zeros(2)
     pi_sink = 0.0
-    used = [0, 0]
     cols = np.arange(n)
     inf = math.inf
     for _ in range(k):  # one augmenting path per row
@@ -227,7 +226,7 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
             hub_pred[p] = j
             retired = unmatched_of[p]
             key[retired] = offset[retired] = inf
-            if used[p] < half and dj + pi_hub[p] - pi_sink < sink_d:
+            if len(matched_of[p]) < half and dj + pi_hub[p] - pi_sink < sink_d:
                 sink_d, sink_pred = dj + pi_hub[p] - pi_sink, p
             reach = dj + pi_hub[p]
             idx = matched_of[p]
@@ -245,7 +244,6 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
         pi_hub += np.minimum(hub_d, sink_d)
         pi_sink += sink_d
 
-        used[sink_pred] += 1
         j = hub_pred[sink_pred]
         while True:
             b = pred[j]

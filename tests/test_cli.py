@@ -606,7 +606,7 @@ class TestRunCommand:
             cli, "solve_assignment",
             lambda *args: dataclasses.replace(solve(*args), reward=reported),
         )
-        monkeypatch.setattr(cli, "_score", lambda *args: rescored)
+        monkeypatch.setattr(cli, "reward", lambda *args: rescored)
         program, inventory, rel = write_two_ad_instance(tmp_path)
         code = self.run_cli(
             "run", "--program", program, "--inventory", inventory,
@@ -653,26 +653,30 @@ class TestRunCommand:
         )
         assert check, check.message
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp"])
-    def test_schedule_is_validated_once(self, tmp_path, monkeypatch, solver):
-        from adplacer import core
-
+    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
+    def test_exact_routes_rescore_the_emitted_schedule_once(self, tmp_path, monkeypatch, solver):
+        # the public reward is the one scorer; the baseline has no reward to check
         calls = []
-        validate = core.validate_schedule
+        score = cli.reward
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return validate(*args, **kwargs)
+        def counted(schedule, *args):
+            calls.append(schedule)
+            return score(schedule, *args)
 
-        monkeypatch.setattr(core, "validate_schedule", counted)
-        monkeypatch.setattr(cli, "validate_schedule", counted)
+        monkeypatch.setattr(cli, "reward", counted)
         program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / "out"
         code = self.run_cli(
             "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
         )
         assert code == 0
-        assert len(calls) == 1
+        if solver == "trivial":
+            assert calls == []
+        else:
+            [scored] = calls
+            emitted = io.load_schedule(out / "schedule.json")
+            assert (scored.mode, scored.entries) == (emitted.mode, emitted.entries)
 
     def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
         # two ads stacked on one (slot, rank) break even the baseline contract
@@ -1180,6 +1184,58 @@ class TestRunCommand:
             "--out", tmp_path / "out",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "source, shapes, message",
+        [
+            ("--rel-file", {}, "relevance matrix shape (3, 1) does not match 3 scenes x 2 ads"),
+            ("--features", {"a2": (4, 8)},
+             "aligned pairing needs equal frame counts: 's1' has 5, 'a2' has 4"),
+            ("--features", {"s2": (5, 6)}, "feature dims differ: 's1' has 8, 's2' has 6"),
+        ],
+        ids=["rel_shape", "frame_counts", "feature_dims"],
+    )
+    def test_relevance_mismatch_names_its_source(self, tmp_path, capsys, source, shapes, message):
+        # the loaders accept each file alone; the mismatch is named by the given path
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        np.savetxt(rel, np.ones((3, 1)), fmt="%.17g")
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        rng = np.random.default_rng(49)
+        for eid in ("s1", "s2", "s3", "a1", "a2"):
+            np.savetxt(feat_dir / f"{eid}.txt", rng.normal(size=shapes.get(eid, (5, 8))),
+                       fmt="%.17g")
+        arg = rel if source == "--rel-file" else feat_dir
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            source, arg, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {arg}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", ["program_array", "ads_object", "features_file",
+                                       "features_missing"])
+    def test_malformed_input_exits_1_naming_it(self, tmp_path, capsys, fault):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        source = ["--rel-file", rel]
+        if fault == "program_array":
+            program.write_text("[]")
+            bad, message = program, "expected a JSON object at top level"
+        elif fault == "ads_object":
+            doc = json.loads(inventory.read_text())
+            inventory.write_text(json.dumps({**doc, "ads": {"a1": 0.8}}))
+            bad, message = inventory, "'ads' must be a list"
+        else:
+            bad = rel if fault == "features_file" else tmp_path / "nope"
+            source, message = ["--features", bad], "not a directory"
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            *source, "--k", 2, "--out", tmp_path / "out",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("k", [2, 3])
