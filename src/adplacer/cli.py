@@ -4,9 +4,10 @@ Every run input and its default is declared once, in ``build_parser``, and
 ``run`` reads the parsed flags.  ``--solver`` picks the exact assignment
 (``bnb``, ``lp``) or the ``trivial`` baseline; the strict routes check that k
 is feasible before reading any relevance.  ``run`` times whichever route
-runs and names it in the report (``assignment`` or ``trivial``); it then
-validates the schedule in its own shape (``Schedule.mode``), re-scores the
-objective the assignment reports with ``core.reward``, builds the profile,
+runs and names it in the report (``assignment`` or ``trivial``).  It
+validates the ``trivial`` schedule in its baseline shape; ``core.reward``
+validates and re-scores the assignment's schedule, and the re-score must
+match the reward the assignment reports.  ``run`` then builds the profile,
 and only then creates the output directory and writes ``schedule.json``,
 ``report.json`` and ``profile.json``, so a failed run writes no file.
 Timing across solvers and instance sizes lives in ``perfbench/``, not in the
@@ -93,35 +94,32 @@ def run(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         if args.solver == "trivial":
             # the baseline ignores relevance and optimizes nothing
-            route, reported = "trivial", None
             schedule = trivial_schedule(program, inventory, args.k, args.seed)
+            wall_time = time.perf_counter() - started
+            check = validate_schedule(schedule, program, inventory, params)
+            if not check:
+                raise AdPlacerError(
+                    f"trivial emitted a schedule violating its own contract: {check.message}"
+                )
+            doc = {"solver": "trivial", "reward": None, "wall_time": wall_time, "seed": args.seed}
+            summary = f"trivial baseline: {args.k} ads placed,"
         else:
-            route = "assignment"
             _check_feasible(program, inventory, args.k)  # before any relevance is read
             rel = _resolve_relevance(args, params, program, inventory)
             # bnb and lp both run the exact assignment
             solved = solve_assignment(program, inventory, rel, params)
-            schedule, reported = solved.schedule, solved.reward
-        wall_time = time.perf_counter() - started
-
-        check = validate_schedule(schedule, program, inventory, params)
-        problem = None if check else check.message
-        if problem is None and reported is not None:  # re-score what was optimized
+            wall_time = time.perf_counter() - started
+            schedule = solved.schedule
+            # reward validates the schedule: an invalid one raises InfeasibleSchedule
             recomputed = reward(schedule, program, inventory, rel, params)
             # summation order alone moves a reward near 1e7 by a few ulps
-            if not math.isclose(recomputed, reported, rel_tol=1e-12, abs_tol=REWARD_ATOL):
-                problem = f"reported reward {reported!r}, re-scored {recomputed!r}"
-        if problem is not None:
-            raise AdPlacerError(
-                f"{route} emitted a schedule violating its own contract: {problem}"
-            )
-
-        doc = {"solver": route, "reward": reported, "wall_time": wall_time}
-        if reported is None:
-            doc["seed"] = args.seed
-            summary = f"trivial baseline: {args.k} ads placed,"
-        else:
-            summary = f"{route}: reward={reported:.12g} time={wall_time:.3f}s"
+            if not math.isclose(recomputed, solved.reward, rel_tol=1e-12, abs_tol=REWARD_ATOL):
+                raise AdPlacerError(
+                    "assignment emitted a schedule violating its own contract: "
+                    f"reported reward {solved.reward!r}, re-scored {recomputed!r}"
+                )
+            doc = {"solver": "assignment", "reward": solved.reward, "wall_time": wall_time}
+            summary = f"assignment: reward={solved.reward:.12g} time={wall_time:.3f}s"
         profile = build_profile(schedule, program, inventory)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

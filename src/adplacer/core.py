@@ -309,17 +309,6 @@ def _check_relevance_shape(
         )
 
 
-def _check_instance(
-    program: ProgramSpec,
-    inventory: AdInventory,
-    rel: RelevanceMatrix,
-    params: RewardParams,
-) -> None:
-    """Raise unless ``rel`` fits the instance and ``params.k`` is feasible."""
-    _check_relevance_shape(rel, program, inventory)
-    _check_feasible(program, inventory, params.k)
-
-
 def random_instance(
     n_ads: int, n_slots: int, seed: int
 ) -> tuple[ProgramSpec, AdInventory, RelevanceMatrix]:
@@ -357,8 +346,6 @@ def slot_blocks(slot_count: int, k: int) -> tuple[tuple[int, ...], ...]:
     block sizes differ by at most one and every slot belongs to exactly one
     block.  k = 0 yields no blocks.
     """
-    if k == 0:
-        return ()
     if k < 0 or k > slot_count:
         raise InfeasibleK(f"cannot split {slot_count} slots into {k} blocks")
     m = slot_count

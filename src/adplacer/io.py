@@ -1,8 +1,8 @@
 """File formats for programs, inventories, features, relevance and artifacts.
 
 Structured data travels as JSON with a ``format`` version header; numeric
-grids (features, relevance) are whitespace-separated text with a ``#`` header
-comment.  Each JSON record list (scenes, ads, schedule entries, profile
+grids (features, relevance) are whitespace-separated UTF-8 text with a ``#``
+header comment.  Each JSON record list (scenes, ads, schedule entries, profile
 points) holds objects with that record's keys, and other keys are ignored.
 Fields are checked here for their JSON type only (and a valence for the
 range of its scale): a wrong type or a missing key names the file, the index
@@ -224,7 +224,7 @@ def _load_grid(path, build):
     ``InputError`` that names the file.
     """
     try:
-        with open(path) as fh, warnings.catch_warnings():
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty input warns; it is reported below
             grid = np.loadtxt(fh, ndmin=2)
     except ValueError as exc:  # assorted subtypes, a UnicodeDecodeError among them

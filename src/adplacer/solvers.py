@@ -30,7 +30,8 @@ from .core import (
     Schedule,
     ScheduleEntry,
     _check_balance,
-    _check_instance,
+    _check_feasible,
+    _check_relevance_shape,
     slot_blocks,
 )
 from .errors import InstanceTooLarge
@@ -103,7 +104,8 @@ def solve_brute_force(
     orderings times the product of the block sizes; above
     ``DEFAULT_CANDIDATE_CAP`` this raises InstanceTooLarge.
     """
-    _check_instance(program, inventory, rel, params)
+    _check_relevance_shape(rel, program, inventory)
+    _check_feasible(program, inventory, params.k)
     k = params.k
     blocks = slot_blocks(program.slot_count, k)
     hv = inventory.polarities.count(Polarity.HV)
@@ -280,7 +282,8 @@ def solve_assignment(
     and successive shortest paths end on such a vertex.  The reported reward
     is the sum of g over the chosen (block, ad) pairs.
     """
-    _check_instance(program, inventory, rel, params)
+    _check_relevance_shape(rel, program, inventory)
+    _check_feasible(program, inventory, params.k)
     c = _contributions(program, inventory, rel, params)
     starts = [block[0] - 1 for block in slot_blocks(program.slot_count, params.k)]
     g = np.maximum.reduceat(c, starts, axis=0)

@@ -678,6 +678,25 @@ class TestRunCommand:
             emitted = io.load_schedule(out / "schedule.json")
             assert (scored.mode, scored.entries) == (emitted.mode, emitted.entries)
 
+    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
+    def test_each_emitted_schedule_is_validated_once(self, tmp_path, monkeypatch, solver):
+        # reward validates what it scores, so the exact routes add no check of their own
+        calls = []
+
+        def counted(schedule, *args):
+            calls.append(schedule)
+            return validate_schedule(schedule, *args)
+
+        monkeypatch.setattr(cli, "validate_schedule", counted)
+        monkeypatch.setattr(adplacer.core, "validate_schedule", counted)  # as reward finds it
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
         # two ads stacked on one (slot, rank) break even the baseline contract
         stacked = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")), "baseline")
@@ -691,23 +710,30 @@ class TestRunCommand:
         assert "violating its own contract" in capsys.readouterr().err
 
     def test_exact_route_emitting_a_baseline_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
-        # the entries pass the strict rules, but only a strict schedule is re-scored
+        # the first entries pass the strict rules, but only a strict schedule is
+        # re-scored; the second are strict but stack both ads on slot 1, which
+        # reward's own validation rejects
         solve = cli.solve_assignment
-
-        def relabelled(*args):
-            solved = solve(*args)
-            baseline = Schedule(solved.schedule.entries, "baseline")
-            return dataclasses.replace(solved, schedule=baseline)
-
-        monkeypatch.setattr(cli, "solve_assignment", relabelled)
+        cases = [
+            (lambda schedule: Schedule(schedule.entries, "baseline"),
+             "only a strict schedule has a reward, got 'baseline'"),
+            (lambda schedule: Schedule.strict([(1, "a1"), (1, "a2")]),
+             "slot_capacity: slots [1] hold more than one ad"),
+        ]
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 4
-        assert "only a strict schedule has a reward, got 'baseline'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        for corrupt, message in cases:
+            def corrupted(*args, corrupt=corrupt):
+                solved = solve(*args)
+                return dataclasses.replace(solved, schedule=corrupt(solved.schedule))
+
+            monkeypatch.setattr(cli, "solve_assignment", corrupted)
+            code = self.run_cli(
+                "run", "--program", program, "--inventory", inventory,
+                "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
+            )
+            assert code == 4
+            assert capsys.readouterr().err.endswith(f"error: internal error: {message}\n")
+            assert not (tmp_path / "out").exists()
 
     def test_internal_error_prints_its_traceback(self, tmp_path, capsys, monkeypatch):
         def exploding_solver(*args):
@@ -1094,6 +1120,19 @@ class TestRunCommand:
         assert str(rel) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_rel_file_overrides_features(self, tmp_path):
+        # --features names a directory holding no feature file, which is never read
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        (tmp_path / "no-features").mkdir()
+        outs = [tmp_path / "out-rel", tmp_path / "out-both"]
+        for out, extra in zip(outs, [(), ("--features", tmp_path / "no-features")]):
+            code = self.run_cli(
+                "run", "--program", program, "--inventory", inventory,
+                "--rel-file", rel, *extra, "--k", 2, "--out", out,
+            )
+            assert code == 0
+        assert (outs[0] / "schedule.json").read_bytes() == (outs[1] / "schedule.json").read_bytes()
+
     def test_missing_feature_entity_exits_1(self, tmp_path, capsys):
         program, inventory, _ = write_two_ad_instance(tmp_path)
         rng = np.random.default_rng(45)
@@ -1290,7 +1329,8 @@ def test_cli_import_does_not_load_scipy():
 
 @pytest.mark.parametrize("solver", ["bnb", "trivial"])
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, solver):
-    # string hashing changes between processes; no output may follow it
+    # string hashing changes between processes, and the locale picks the
+    # default text encoding; no output may follow either
     program, inventory, _ = random_instance(10, 8, 31)
     io.save_program(program, tmp_path / "program.json")
     io.save_inventory(inventory, tmp_path / "inventory.json")
@@ -1298,17 +1338,25 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, solver):
     feat_dir.mkdir()
     rng = np.random.default_rng(31)
     for eid in [s.id for s in program.scenes] + [a.id for a in inventory.ads]:
-        io.save_features(KeyframeFeatures(eid, rng.normal(size=(4, 8))), feat_dir / f"{eid}.txt")
-    outs = [tmp_path / f"out-{seed}" for seed in ("0", "1")]
-    for out in outs:
+        # grids are UTF-8 text, which an ASCII locale's default codec cannot decode
+        np.savetxt(
+            feat_dir / f"{eid}.txt", rng.normal(size=(4, 8)), fmt="%.17g",
+            header=f"{io.FEATURES_HEADER}\nkeyframes from café", encoding="utf-8",
+        )
+    envs = {
+        "out-0": {"PYTHONHASHSEED": "0"},
+        "out-1": {"PYTHONHASHSEED": "1"},
+        "out-ascii": {"PYTHONHASHSEED": "0", "LC_ALL": "C", "PYTHONUTF8": "0"},
+    }
+    for name, env in envs.items():
         result = run_python(
             "-m", "adplacer.cli", "run", "--program", tmp_path / "program.json",
             "--inventory", tmp_path / "inventory.json", "--features", feat_dir,
-            "--k", 4, "--solver", solver, "--out", out, PYTHONHASHSEED=out.name[-1],
+            "--k", 4, "--solver", solver, "--out", tmp_path / name, **env,
         )
         assert result.returncode == 0, result.stderr
     for name in ("schedule.json", "profile.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert len({(tmp_path / out / name).read_bytes() for out in envs}) == 1
 
 
 def test_readme_library_example_runs(capsys):
