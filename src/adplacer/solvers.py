@@ -146,15 +146,15 @@ def _kept_columns(g: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
     Exact: if block b holds a polarity-p ad outside its k/2 best p-ads, the
     schedule's other k/2 - 1 p-ads leave one of those best unused, and
     swapping it in keeps the balance without lowering the reward.  Ties rank
-    the lower ad index first, so the kept set is deterministic.  At most
-    min(P, k^2) ads are kept.
+    the lower ad index first, so the kept set is deterministic.  The kept
+    ads are marked in one mask over the P ads and returned in ascending
+    index order; at most min(P, k^2) are kept.
     """
     half = len(g) // 2
-    kept = [
-        idx[np.argsort(-g[:, idx], axis=1, kind="stable")[:, :half]].ravel()
-        for idx in (np.flatnonzero(is_hv), np.flatnonzero(~is_hv))
-    ]
-    return np.unique(np.concatenate(kept))
+    kept = np.zeros(len(is_hv), dtype=bool)
+    for idx in (np.flatnonzero(is_hv), np.flatnonzero(~is_hv)):
+        kept[idx[np.argsort(-g[:, idx], axis=1, kind="stable")[:, :half]]] = True
+    return np.flatnonzero(kept)
 
 
 def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:

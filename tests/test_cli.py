@@ -1321,10 +1321,25 @@ def test_empty_grid_exits_1_without_a_warning(tmp_path, source, text):
     assert "Warning" not in result.stderr
 
 
-def test_cli_import_does_not_load_scipy():
-    # the exact solver is plain numpy, so a run pays no scipy import
-    result = run_python("-c", "import sys, adplacer.cli; sys.exit(int('scipy' in sys.modules))")
-    assert result.returncode == 0, result.stderr or "scipy was imported"
+def test_cli_import_does_not_load_scipy(tmp_path):
+    # the exact solver is plain numpy, so a run pays no scipy import, nor a
+    # lazy numpy.ma one (np.unique loads it under numpy 2; numpy 1.x loads it
+    # with numpy itself, so it counts only if the import left it out)
+    program, inventory, rel = write_two_ad_instance(tmp_path)
+    argv = [
+        "run", "--program", str(program), "--inventory", str(inventory),
+        "--rel-file", str(rel), "--k", "2", "--out", str(tmp_path / "out"),
+    ]
+    result = run_python("-c", f"""import sys, adplacer.cli
+ma_at_import = "numpy.ma" in sys.modules
+code = adplacer.cli.main({argv!r})
+if code != 0:
+    sys.exit(f"exit {{code}}")
+if "scipy" in sys.modules:
+    sys.exit("scipy was imported")
+if "numpy.ma" in sys.modules and not ma_at_import:
+    sys.exit("the run imported numpy.ma")""")
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("solver", ["bnb", "trivial"])

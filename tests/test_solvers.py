@@ -313,6 +313,27 @@ class TestAssignment:
             assert abs(exact.reward - bf.reward) <= 1e-9
             assert validate_schedule(exact.schedule, program, inventory, params)
 
+    def test_kept_columns_follow_their_docstring(self):
+        def kept_by_rule(g, is_hv):
+            # each block's k/2 best ads of each polarity, ties to the lower
+            # index; the union, in ascending order
+            kept = set()
+            for row in g.tolist():
+                for polarity in (True, False):
+                    ads = [j for j in range(len(is_hv)) if is_hv[j] == polarity]
+                    kept.update(sorted(ads, key=lambda j: (-row[j], j))[: len(g) // 2])
+            return sorted(kept)
+
+        for case, (p, m, k) in enumerate([(7, 6, 4), (12, 5, 0), (30, 9, 6), (60, 20, 8)]):
+            program, inventory, rel = random_instance(p, m, 7000 + case)
+            g, is_hv = block_values(program, inventory, rel, RewardParams(0.5, 0.5, k))
+            for values in (g, np.round(g, 1)):  # rounding ties many ads
+                # the second mask holds two HV ads, fewer than k/2 at k >= 6
+                for mask in (is_hv, np.arange(p) < 2):
+                    kept = solvers._kept_columns(values, mask)
+                    assert kept.dtype.kind == "i"
+                    assert kept.tolist() == kept_by_rule(values, mask)
+
     def test_flow_without_augmenting_path_raises(self):
         # two rows but only HV columns: the LV hub can never reach the sink
         with pytest.raises(RuntimeError, match="no augmenting path"):
