@@ -13,7 +13,10 @@ which ``adplacer run`` exits 1 (as on an unreadable file's ``OSError``);
 ``schedule.json`` holds its ``Schedule.mode``.  Floats serialize via
 ``repr`` (JSON) or ``%.17g`` (grids), both of which round-trip float64
 exactly, so re-running a solve reproduces ``schedule.json`` and
-``profile.json`` byte for byte; only ``report.json`` holds a time.
+``profile.json`` byte for byte; only ``report.json`` holds a time.  From
+``--features`` that holds for one BLAS build and thread count, because the
+bits of the relevance product depend on BLAS blocking; a ``--rel-file`` run
+uses no BLAS.
 """
 
 from __future__ import annotations
@@ -225,7 +228,8 @@ def _load_grid(path, build):
     """
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # empty input warns; it is reported below
+            # numpy's empty-input UserWarning; the empty grid is reported below
+            warnings.simplefilter("ignore", UserWarning)
             grid = np.loadtxt(fh, ndmin=2)
     except ValueError as exc:  # assorted subtypes, a UnicodeDecodeError among them
         raise InputError(f"{path}: cannot parse numeric grid: {exc}") from exc

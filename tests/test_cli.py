@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -645,6 +646,9 @@ class TestRunCommand:
             "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
         )
         assert code == 0
+        # every artifact reads back, and the schedule validates in the mode its file names
+        io.load_report(out / "report.json")
+        io.load_profile(out / "profile.json")
         schedule = io.load_schedule(out / "schedule.json")
         assert schedule.mode == mode
         check = validate_schedule(
@@ -967,7 +971,9 @@ class TestRunCommand:
         assert "k=6 exceeds the 4 available slots" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
-    @pytest.mark.parametrize("k, rel_name, expected", [(2, "nope.txt", 1), (4, "rel.txt", 2)])
+    @pytest.mark.parametrize(
+        "k, rel_name, expected", [(2, "nope.txt", 1), (4, "rel.txt", 2), (3, "rel.txt", 2)]
+    )
     def test_failed_run_creates_no_out_dir(self, tmp_path, k, rel_name, expected):
         program, inventory, _ = write_two_ad_instance(tmp_path)
         code = self.run_cli(
@@ -1069,6 +1075,21 @@ class TestRunCommand:
             assert code == 0
         assert len(sources) == 1 + 5
         assert not [s for s in sources if isinstance(s, (str, bytes, os.PathLike))]
+
+    def test_grid_parse_mutes_only_the_empty_input_warning(self, tmp_path, monkeypatch):
+        # a deprecated numpy call in the parse must reach pytest's filters,
+        # which turn it into an error
+        _, _, rel = write_two_ad_instance(tmp_path)
+        loadtxt = np.loadtxt
+
+        def deprecated_loadtxt(fname, **kw):
+            warnings.warn("deprecated", DeprecationWarning, stacklevel=2)
+            return loadtxt(fname, **kw)
+
+        monkeypatch.setattr(io.np, "loadtxt", deprecated_loadtxt)
+        with pytest.warns(DeprecationWarning):
+            grid = io.load_relevance(rel)
+        assert grid.values.tolist() == np.ones((3, 2)).tolist()
 
     def test_internal_error_while_parsing_a_grid_exits_4(self, tmp_path, capsys, monkeypatch):
         # only a ValueError from the parse is a fault of the file

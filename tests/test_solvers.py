@@ -436,6 +436,35 @@ def test_exact_routes_match_brute_force_on_small_grid():
 
 
 class TestSolverProperties:
+    @pytest.mark.parametrize(
+        "p, m, k, seed", [(40, 12, 6, 0), (40, 12, 6, 1), (1000, 200, 100, 0)]
+    )
+    def test_alpha_trades_the_two_objectives(self, p, m, k, seed):
+        # A is the positional term and B the contrast term.  The optimum at
+        # each alpha maximizes alpha*A + (1 - alpha)*B, so as alpha grows A
+        # cannot fall and B cannot rise, and the optimal reward, a maximum of
+        # functions affine in alpha, is convex.  These conditions are
+        # necessary for optimality and need no reference solver
+        def at_least(x, y):
+            return x >= y or math.isclose(x, y, rel_tol=1e-12, abs_tol=REWARD_ATOL)
+
+        program, inventory, rel = random_instance(p, m, seed)
+        alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+        optima, a_terms, b_terms = [], [], []
+        for alpha in alphas:
+            report = solve_assignment(program, inventory, rel, RewardParams(alpha, 1.0 - alpha, k))
+            a = reward(report.schedule, program, inventory, rel, RewardParams(1.0, 0.0, k))
+            b = reward(report.schedule, program, inventory, rel, RewardParams(0.0, 1.0, k))
+            assert_same_reward(alpha * a + (1.0 - alpha) * b, report.reward)
+            optima.append(report.reward)
+            a_terms.append(a)
+            b_terms.append(b)
+        for i in range(1, len(alphas)):
+            assert at_least(a_terms[i], a_terms[i - 1]), (alphas[i], a_terms)
+            assert at_least(b_terms[i - 1], b_terms[i]), (alphas[i], b_terms)
+        for i in range(1, len(alphas) - 1):
+            assert at_least((optima[i - 1] + optima[i + 1]) / 2, optima[i]), (alphas[i], optima)
+
     def test_repeat_solves_are_identical(self):
         program, inventory, rel = random_instance(9, 7, 555)
         params = RewardParams(0.5, 0.5, 4)
