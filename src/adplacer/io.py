@@ -228,8 +228,8 @@ def _load_grid(path, build):
     """
     try:
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            # numpy's empty-input UserWarning; the empty grid is reported below
-            warnings.simplefilter("ignore", UserWarning)
+            # numpy's empty-input warning; the empty grid is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             grid = np.loadtxt(fh, ndmin=2)
     except ValueError as exc:  # assorted subtypes, a UnicodeDecodeError among them
         raise InputError(f"{path}: cannot parse numeric grid: {exc}") from exc

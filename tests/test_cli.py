@@ -1076,18 +1076,19 @@ class TestRunCommand:
         assert len(sources) == 1 + 5
         assert not [s for s in sources if isinstance(s, (str, bytes, os.PathLike))]
 
-    def test_grid_parse_mutes_only_the_empty_input_warning(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("category", [DeprecationWarning, UserWarning])
+    def test_grid_parse_mutes_only_the_empty_input_warning(self, tmp_path, monkeypatch, category):
         # a deprecated numpy call in the parse must reach pytest's filters,
-        # which turn it into an error
+        # which turn it into an error; so must any other UserWarning
         _, _, rel = write_two_ad_instance(tmp_path)
         loadtxt = np.loadtxt
 
-        def deprecated_loadtxt(fname, **kw):
-            warnings.warn("deprecated", DeprecationWarning, stacklevel=2)
+        def warning_loadtxt(fname, **kw):
+            warnings.warn("loadtxt: some other warning", category, stacklevel=2)
             return loadtxt(fname, **kw)
 
-        monkeypatch.setattr(io.np, "loadtxt", deprecated_loadtxt)
-        with pytest.warns(DeprecationWarning):
+        monkeypatch.setattr(io.np, "loadtxt", warning_loadtxt)
+        with pytest.warns(category):
             grid = io.load_relevance(rel)
         assert grid.values.tolist() == np.ones((3, 2)).tolist()
 
