@@ -277,6 +277,8 @@ class RelevanceMatrix:
     """Dense scene-by-ad content-similarity matrix with entries in [-1, 1].
 
     Rows follow program scene order, columns follow inventory ad order.
+    Entries up to 1e-9 outside [-1, 1] are rounding and are clipped into
+    it; anything further out is rejected.
     """
 
     __slots__ = ("values",)

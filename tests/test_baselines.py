@@ -26,10 +26,11 @@ def test_twelve_scenes_eight_ads_split_head_and_midpoint():
 
 
 def test_small_program_midpoint():
-    program = make_program(0.2, 0.9, 0.4, 0.6)  # N = 4 -> midpoint slot 2
+    # the midpoint is the slot before scene ceil(N/2) + 1
     inventory = make_inventory(0.9, 0.1)
-    schedule = trivial_schedule(program, inventory, 2, seed=0)
-    assert sorted(e.slot for e in schedule.entries) == [0, 2]
+    for valences, midpoint in [((0.2, 0.9, 0.4, 0.6), 2), ((0.2, 0.9, 0.4, 0.6, 0.3), 3)]:
+        schedule = trivial_schedule(make_program(*valences), inventory, 2, seed=0)
+        assert sorted(e.slot for e in schedule.entries) == [0, midpoint]
 
 
 def test_midpoint_clamped_to_slot_count():

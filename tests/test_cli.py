@@ -530,20 +530,6 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp"])
-    def test_other_solvers_agree(self, tmp_path, solver):
-        program, inventory, rel = write_two_ad_instance(tmp_path)
-        out = tmp_path / f"out-{solver}"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
-        )
-        assert code == 0
-        report = io.load_report(out / "report.json")
-        assert report["reward"] == pytest.approx(1.3, abs=1e-9)
-        assert report["solver"] == "assignment"
-        assert "upper_bound" not in report
-
     def test_default_solver_handles_paper_scale(self, tmp_path):
         # 24 ads / 11 slots / k=8 has ~7.9e10 candidate schedules, far over
         # the brute-force cap, so only the exact assignment can be the default
@@ -630,27 +616,17 @@ class TestRunCommand:
         assert set(report) == (keys | {"seed"} if trivial else keys)
         assert report["format"] == "adplacer-report/3"
         assert report["solver"] == ("trivial" if trivial else "assignment")
-        assert (report["reward"] is None) == trivial
-        schedule = json.loads((out / "schedule.json").read_text())
-        assert set(schedule) == {"format", "mode", "entries"}
-        assert schedule["format"] == "adplacer-schedule/2"
-        assert schedule["mode"] == ("baseline" if trivial else "strict")
-
-    @pytest.mark.parametrize("solver, mode", [("bnb", "strict"), ("lp", "strict"),
-                                              ("trivial", "baseline")])
-    def test_saved_schedule_validates_in_its_own_mode(self, tmp_path, solver, mode):
-        program, inventory, rel = write_two_ad_instance(tmp_path)
-        out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
-        )
-        assert code == 0
-        # every artifact reads back, and the schedule validates in the mode its file names
-        io.load_report(out / "report.json")
+        if trivial:
+            assert report["reward"] is None
+        else:
+            assert report["reward"] == pytest.approx(1.3, abs=1e-9)
         io.load_profile(out / "profile.json")
+        doc = json.loads((out / "schedule.json").read_text())
+        assert set(doc) == {"format", "mode", "entries"}
+        assert doc["format"] == "adplacer-schedule/2"
+        # the schedule reads back and validates in the mode its file names
         schedule = io.load_schedule(out / "schedule.json")
-        assert schedule.mode == mode
+        assert schedule.mode == ("baseline" if trivial else "strict")
         check = validate_schedule(
             schedule, io.load_program(program), io.load_inventory(inventory),
             RewardParams(0.5, 0.5, 2),
@@ -833,19 +809,6 @@ class TestRunCommand:
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
 
-    def test_trivial_is_seed_deterministic(self, tmp_path):
-        program, inventory, rel = write_two_ad_instance(tmp_path)
-        outs = []
-        for name in ("t1", "t2"):
-            out = tmp_path / name
-            code = self.run_cli(
-                "run", "--program", program, "--inventory", inventory,
-                "--k", 2, "--solver", "trivial", "--seed", 7, "--out", out,
-            )
-            assert code == 0
-            outs.append((out / "schedule.json").read_bytes())
-        assert outs[0] == outs[1]
-
     def test_trivial_with_short_slot_count_exits_0(self, tmp_path):
         program = make_program(*[0.1 * i for i in range(1, 11)], slot_count=3)
         inventory = make_inventory(0.9, 0.1)
@@ -948,17 +911,9 @@ class TestRunCommand:
             [value] = [p["valence_0_100"] for p in points if p["entity_id"] == "x"]
             assert math.copysign(1.0, value) == 1.0
 
-    def test_k_over_slots_exits_2(self, tmp_path):
-        program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 4, "--out", tmp_path / "out",
-        )
-        assert code == 2
-
     def test_k_over_slots_is_infeasible_for_exact_routes_only(self, tmp_path, capsys):
         # trivial stacks its ads on two insertion points, so k > slots still fits
-        program = make_program(0.9, 0.1, 0.8, 0.3, 0.6)
+        program = make_program(0.9, 0.1, 0.8, 0.3, 0.6, 0.5)
         inventory = make_inventory(0.9, 0.8, 0.7, 0.1, 0.2, 0.3)
         io.save_program(program, tmp_path / "program.json")
         io.save_inventory(inventory, tmp_path / "inventory.json")
@@ -968,7 +923,7 @@ class TestRunCommand:
         assert len(io.load_schedule(tmp_path / "t" / "schedule.json")) == 6
         capsys.readouterr()
         assert self.run_cli(*args, "--solver", "bnb", "--out", tmp_path / "b") == 2
-        assert "k=6 exceeds the 4 available slots" in capsys.readouterr().err
+        assert "k=6 exceeds the 5 available slots" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize(

@@ -126,12 +126,12 @@ class TestContainers:
     def test_relevance_matrix_validation(self):
         with pytest.raises(InputError, match="relevance matrix must be 2-D"):
             RelevanceMatrix(np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            RelevanceMatrix([[1.5]])
+        with pytest.raises(ValueError, match=r"relevance entries must lie in \[-1, 1\]"):
+            RelevanceMatrix([[1 + 2e-9]])
         with pytest.raises(ValueError):
             RelevanceMatrix([[float("nan")]])
-        rel = RelevanceMatrix([[0.25, -1.0]])
-        assert rel.values.shape == (1, 2)
+        # entries up to 1e-9 outside [-1, 1] are rounding, and are clipped
+        assert RelevanceMatrix([[1 + 5e-10, -1 - 5e-10]]).values.tolist() == [[1.0, -1.0]]
 
 
 class TestRewardParams:
@@ -213,75 +213,11 @@ class TestSlotBlocks:
 
 
 class TestValidation:
-    def setup_method(self):
-        self.program = make_program(0.9, 0.1, 0.8)  # M = 2
-        self.inventory = make_inventory(0.8, 0.2)   # a1 HV, a2 LV
-        self.params = RewardParams(0.5, 0.5, 2)
-
-    def test_minimal_feasible(self):
-        schedule = Schedule.strict([(1, "a1"), (2, "a2")])
-        result = validate_schedule(schedule, self.program, self.inventory, self.params)
-        assert result
-
-    def test_both_hv_fails_polarity_balance(self):
-        inventory = make_inventory(0.8, 0.9)
-        schedule = Schedule.strict([(1, "a1"), (2, "a2")])
-        result = validate_schedule(schedule, self.program, inventory, self.params)
-        assert not result and result.constraint == "polarity_balance"
-
-    def test_both_ads_in_first_block(self):
-        program = make_program(0.9, 0.1, 0.8, 0.7, 0.6)  # M = 4, blocks {1,2},{3,4}
-        schedule = Schedule.strict([(1, "a1"), (2, "a2")])
-        result = validate_schedule(schedule, program, self.inventory, self.params)
-        assert not result and result.constraint == "block_uniformity"
-
-    def test_two_ads_one_slot(self):
-        schedule = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")))
-        result = validate_schedule(schedule, self.program, self.inventory, self.params)
-        assert not result and result.constraint == "slot_capacity"
-        assert "slots [1]" in result.message
-
-    def test_wrong_ad_count(self):
-        program = make_program(0.9, 0.1, 0.8, 0.7, 0.6)
-        schedule = Schedule.strict([(1, "a1")])
-        result = validate_schedule(schedule, program, self.inventory, self.params)
-        assert not result and result.constraint == "ad_count"
-
-    def test_unknown_ad(self):
-        schedule = Schedule.strict([(1, "ghost"), (2, "a2")])
-        result = validate_schedule(schedule, self.program, self.inventory, self.params)
-        assert not result and result.constraint == "unknown_ad"
-
-    def test_slot_out_of_range(self):
-        for slot in (0, 3):
-            schedule = Schedule.strict([(slot, "a1"), (2, "a2")])
-            result = validate_schedule(
-                schedule, self.program, self.inventory, self.params
-            )
-            assert not result and result.constraint == "slot_range"
-
-    def test_nonzero_rank_rejected_in_strict(self):
-        schedule = Schedule((ScheduleEntry(1, 1, "a1"), ScheduleEntry(2, 0, "a2")))
-        result = validate_schedule(schedule, self.program, self.inventory, self.params)
-        assert not result and result.constraint == "rank"
-
-    def test_baseline_allows_head_slot_and_stacking(self):
-        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 1, "a2")), "baseline")
-        assert validate_schedule(schedule, self.program, self.inventory, self.params)
-
-    def test_baseline_rejects_duplicate_position(self):
-        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 0, "a2")), "baseline")
-        result = validate_schedule(schedule, self.program, self.inventory, self.params)
-        assert not result and result.constraint == "duplicate_position"
-
-    def test_baseline_slot_range(self):
-        schedule = Schedule((ScheduleEntry(3, 0, "a1"), ScheduleEntry(0, 0, "a2")), "baseline")
-        result = validate_schedule(schedule, self.program, self.inventory, self.params)
-        assert not result and result.constraint == "slot_range"
-
+    # every other rule is a row of VALIDATION_TABLE, which fixes k = 4
     def test_empty_schedule_passes_with_k_zero(self):
+        program, inventory, _, _ = two_ad_instance()
         params = RewardParams(0.5, 0.5, 0)
-        assert validate_schedule(Schedule.empty(), self.program, self.inventory, params)
+        assert validate_schedule(Schedule.empty(), program, inventory, params)
 
 
 # M = 6 and k = 4 give the blocks 1..1, 2..3, 4..4 and 5..6; a1, a3, a5 are HV.
@@ -322,6 +258,8 @@ VALIDATION_TABLE = [
      "duplicate_position", "(slot, rank) positions [(0, 0)] used more than once"),
     ("baseline", [(0, 0, "a1"), (0, 1, "a2"), (3, 0, "a3")],
      "ad_count", "schedule has 3 ads, expected k=4"),
+    # appended last, so that the ids of the rows above keep their indices
+    ("strict", [(1, -1, "a1")], "rank", "strict schedules require rank 0, got ranks for ['a1']"),
 ]
 
 

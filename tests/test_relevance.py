@@ -16,12 +16,6 @@ def feats(entity_id, rows):
 
 
 class TestCosine:
-    def test_identical_direction(self):
-        assert cosine_similarity([3.0, 4.0], [3.0, 4.0]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
     def test_hand_computed(self):
         # dot = 32, norms sqrt(14) and sqrt(77)
         assert cosine_similarity([1, 2, 3], [4, 5, 6]) == pytest.approx(
@@ -57,91 +51,8 @@ class TestCosine:
         for _ in range(200):
             u, v = rng.normal(size=(2, 8))
             assert -1.0 <= cosine_similarity(u, v) <= 1.0
-
-    def test_matches_scalar_loop_oracle(self):
-        # entries bounded away from zero keep the cosines non-degenerate,
-        # so relative error is well defined
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            d = int(rng.integers(2, 64))
-            u = rng.uniform(0.1, 1.0, size=d)
-            v = rng.uniform(0.1, 1.0, size=d)
-            dot = 0.0
-            nu = 0.0
-            nv = 0.0
-            for a, b in zip(u, v):
-                dot += a * b
-                nu += a * a
-                nv += b * b
-            expected = dot / (nu**0.5 * nv**0.5)
-            got = cosine_similarity(u, v)
-            assert abs(got - expected) <= 1e-12 * abs(expected)
-
-
-class TestPairRelevance:
-    """One scene against one ad: the 1 x 1 relevance matrix."""
-
-    def test_identical_features(self):
-        a = feats("s", [[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]])
-        b = feats("ad", [[1.0, 2.0], [3.0, 4.0], [0.5, 0.5]])
-        rel = build_relevance_matrix([a], [b])
-        assert rel.values[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_mean_of_mixed_pairs(self):
-        a = feats("s", [[1.0, 0.0], [0.0, 1.0]])
-        b = feats("ad", [[2.0, 0.0], [1.0, 0.0]])  # cosines 1.0 and 0.0
-        rel = build_relevance_matrix([a], [b])
-        assert rel.values[0, 0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_matches_per_pair_computation(self):
-        rng = np.random.default_rng(31)
-        a = feats("s", rng.normal(size=(3, 8)))
-        b = feats("ad", rng.normal(size=(3, 8)))
-        expected = sum(
-            cosine_similarity(a.frames[i], b.frames[i]) for i in range(3)
-        ) / 3.0
-        rel = build_relevance_matrix([a], [b])
-        assert rel.values[0, 0] == pytest.approx(expected, abs=1e-12)
-
-    def test_frame_count_mismatch(self):
-        a = feats("s", [[1.0, 0.0]])
-        b = feats("ad", [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(InputError, match="aligned pairing needs equal frame counts"):
-            build_relevance_matrix([a], [b])
-
-    def test_symmetric(self):
-        rng = np.random.default_rng(41)
-        a = feats("s", rng.normal(size=(5, 12)))
-        b = feats("ad", rng.normal(size=(5, 12)))
-        ab = build_relevance_matrix([a], [b]).values[0, 0]
-        ba = build_relevance_matrix([b], [a]).values[0, 0]
-        assert ab == pytest.approx(ba, abs=1e-15)
-
-    def test_all_pairs_mode(self):
-        a = feats("s", [[1.0, 0.0], [0.0, 1.0]])
-        b = feats("ad", [[1.0, 0.0]])
-        # cross product: cos=1 and cos=0
-        rel = build_relevance_matrix([a], [b], pairing="all_pairs")
-        assert rel.values[0, 0] == pytest.approx(0.5, abs=1e-12)
-
-    def test_all_pairs_matches_loop(self):
-        rng = np.random.default_rng(43)
-        a = feats("s", rng.normal(size=(4, 6)))
-        b = feats("ad", rng.normal(size=(3, 6)))
-        expected = np.mean(
-            [
-                cosine_similarity(a.frames[i], b.frames[j])
-                for i in range(4)
-                for j in range(3)
-            ]
-        )
-        rel = build_relevance_matrix([a], [b], pairing="all_pairs")
-        assert rel.values[0, 0] == pytest.approx(float(expected), abs=1e-12)
-
-    def test_unknown_pairing(self):
-        a = feats("s", [[1.0]])
-        with pytest.raises(ValueError):
-            build_relevance_matrix([a], [a], pairing="nope")
+            # unclipped, a vector's cosine with itself can round past 1
+            assert cosine_similarity(u, u) <= 1.0 and cosine_similarity(u, -u) >= -1.0
 
 
 class TestKeyframeFeatures:
@@ -236,7 +147,8 @@ class TestMatrix:
         rng = np.random.default_rng(67)
         scenes = [feats(f"s{i}", rng.normal(size=(3, 4))) for i in range(2)]
         ads = [feats("ad0", rng.normal(size=(3, 4))), feats("ad1", rng.normal(size=(2, 4)))]
-        with pytest.raises(InputError, match="ad1"):
+        message = "^aligned pairing needs equal frame counts: 's0' has 3, 'ad1' has 2$"
+        with pytest.raises(InputError, match=message):
             build_relevance_matrix(scenes, ads)
         assert build_relevance_matrix(scenes, ads, "all_pairs").values.shape == (2, 2)
 

