@@ -530,6 +530,20 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("solver", ["bnb", "lp"])
+    def test_other_solvers_agree(self, tmp_path, solver):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / f"out-{solver}"
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
+        )
+        assert code == 0
+        report = io.load_report(out / "report.json")
+        assert report["reward"] == pytest.approx(1.3, abs=1e-9)
+        assert report["solver"] == "assignment"
+        assert "upper_bound" not in report
+
     def test_default_solver_handles_paper_scale(self, tmp_path):
         # 24 ads / 11 slots / k=8 has ~7.9e10 candidate schedules, far over
         # the brute-force cap, so only the exact assignment can be the default
@@ -616,17 +630,27 @@ class TestRunCommand:
         assert set(report) == (keys | {"seed"} if trivial else keys)
         assert report["format"] == "adplacer-report/3"
         assert report["solver"] == ("trivial" if trivial else "assignment")
-        if trivial:
-            assert report["reward"] is None
-        else:
-            assert report["reward"] == pytest.approx(1.3, abs=1e-9)
+        assert (report["reward"] is None) == trivial
+        schedule = json.loads((out / "schedule.json").read_text())
+        assert set(schedule) == {"format", "mode", "entries"}
+        assert schedule["format"] == "adplacer-schedule/2"
+        assert schedule["mode"] == ("baseline" if trivial else "strict")
+
+    @pytest.mark.parametrize("solver, mode", [("bnb", "strict"), ("lp", "strict"),
+                                              ("trivial", "baseline")])
+    def test_saved_schedule_validates_in_its_own_mode(self, tmp_path, solver, mode):
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / "out"
+        code = self.run_cli(
+            "run", "--program", program, "--inventory", inventory,
+            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
+        )
+        assert code == 0
+        # every artifact reads back, and the schedule validates in the mode its file names
+        io.load_report(out / "report.json")
         io.load_profile(out / "profile.json")
-        doc = json.loads((out / "schedule.json").read_text())
-        assert set(doc) == {"format", "mode", "entries"}
-        assert doc["format"] == "adplacer-schedule/2"
-        # the schedule reads back and validates in the mode its file names
         schedule = io.load_schedule(out / "schedule.json")
-        assert schedule.mode == ("baseline" if trivial else "strict")
+        assert schedule.mode == mode
         check = validate_schedule(
             schedule, io.load_program(program), io.load_inventory(inventory),
             RewardParams(0.5, 0.5, 2),

@@ -55,6 +55,17 @@ class TestCosine:
             assert cosine_similarity(u, u) <= 1.0 and cosine_similarity(u, -u) >= -1.0
 
 
+class TestPairRelevance:
+    """One scene against one ad: the 1 x 1 relevance matrix."""
+
+    def test_frame_count_mismatch(self):
+        # the scene has fewer frames than the ad; TestMatrix covers the reverse
+        a = feats("s", [[1.0, 0.0]])
+        b = feats("ad", [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match="aligned pairing needs equal frame counts"):
+            build_relevance_matrix([a], [b])
+
+
 class TestKeyframeFeatures:
     def test_rejects_zero_row(self):
         with pytest.raises(InputError, match=r"all-zero frame vector\(s\) at rows \[1\]"):

@@ -112,6 +112,30 @@ class TestBalancedSubsets:
         with pytest.raises(InfeasibleK, match=ODD_K):
             balanced_subsets(inventory, 1)
 
+    def test_matches_filtered_combinations_oracle(self):
+        rng = np.random.default_rng(71)
+        for trial in range(20):
+            p = int(rng.integers(4, 9))
+            vals = [float(v) for v in rng.random(p)]
+            inventory = make_inventory(*vals)
+            for k in (0, 2, 4):
+                half = k // 2
+                hv = inventory.polarities.count(Polarity.HV)
+                if hv < half or len(inventory) - hv < half:
+                    continue
+                ids = [ad.id for ad in inventory.ads]
+                expected = [
+                    combo
+                    for combo in itertools.combinations(ids, k)
+                    if sum(
+                        1
+                        for ad_id in combo
+                        if inventory.ad(ad_id).polarity is Polarity.HV
+                    )
+                    == half
+                ]
+                assert balanced_subsets(inventory, k) == expected
+
     def test_lexicographic_order_on_every_polarity_pattern(self):
         # brute force breaks ties by this order, so it must be exactly the
         # filtered itertools.combinations order on every small inventory; its
