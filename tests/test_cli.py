@@ -1,5 +1,6 @@
 """File formats, the run pipeline and its exit codes."""
 
+import contextlib
 import dataclasses
 import gzip
 import json
@@ -33,26 +34,57 @@ from util import make_inventory, make_program, two_ad_instance
 
 
 def write_two_ad_instance(tmp_path, scale="unit"):
+    """Write ``two_ad_instance()`` to program.json, inventory.json and rel.txt
+    in ``tmp_path``, its valences times 100 when ``scale`` is "hundred"."""
+    program, inventory, rel, _ = two_ad_instance()
     factor = 100.0 if scale == "hundred" else 1.0
-    program = {
-        "format": io.PROGRAM_FORMAT,
-        "scenes": [
-            {"id": "s1", "valence": 0.9 * factor},
-            {"id": "s2", "valence": 0.1 * factor},
-            {"id": "s3", "valence": 0.8 * factor},
-        ],
-    }
-    inventory = {
-        "format": io.INVENTORY_FORMAT,
-        "ads": [
-            {"id": "a1", "valence": 0.8 * factor},
-            {"id": "a2", "valence": 0.2 * factor},
-        ],
-    }
-    (tmp_path / "program.json").write_text(json.dumps(program))
-    (tmp_path / "inventory.json").write_text(json.dumps(inventory))
-    np.savetxt(tmp_path / "rel.txt", np.ones((3, 2)), fmt="%.17g")
-    return tmp_path / "program.json", tmp_path / "inventory.json", tmp_path / "rel.txt"
+    paths = tmp_path / "program.json", tmp_path / "inventory.json", tmp_path / "rel.txt"
+    for path, format, key, entities in [
+        (paths[0], io.PROGRAM_FORMAT, "scenes", program.scenes),
+        (paths[1], io.INVENTORY_FORMAT, "ads", inventory.ads),
+    ]:
+        records = [{"id": e.id, "valence": e.valence.value * factor} for e in entities]
+        path.write_text(json.dumps({"format": format, key: records}))
+    np.savetxt(paths[2], rel.values, fmt="%.17g")
+    return paths
+
+
+def write_features(feat_dir, seed, ids=("s1", "s2", "s3", "a1", "a2"), shapes=None,
+                   bad_row=None, header=""):
+    """Write one grid of normal draws per id, in id order, into ``feat_dir``
+    (created here), and return ``feat_dir``.  ``seed`` is a seed or a
+    Generator; a grid is 5 x 8 unless ``shapes`` names its shape, and
+    ``bad_row`` replaces row 3 of the last id's grid."""
+    rng = np.random.default_rng(seed)
+    feat_dir.mkdir(exist_ok=True)
+    for eid in ids:
+        frames = rng.normal(size=(shapes or {}).get(eid, (5, 8)))
+        if bad_row is not None and eid == ids[-1]:
+            frames[3] = bad_row
+        np.savetxt(feat_dir / f"{eid}.txt", frames, fmt="%.17g", header=header, encoding="utf-8")
+    return feat_dir
+
+
+@contextlib.contextmanager
+def edit_json(path):
+    """Yield the JSON document saved at ``path``, and save the caller's edits."""
+    doc = json.loads(path.read_text())
+    yield doc
+    path.write_text(json.dumps(doc))
+
+
+def run_cli(program, inventory, *flags, k=2, out=None):
+    """Run ``adplacer run`` in-process on the two files and ``flags``, and return
+    its exit code.  ``out`` defaults to ``out`` beside the program file; a
+    failed run must leave it absent, unless it existed before the call."""
+    out = Path(program).parent / "out" if out is None else out
+    existed = out.exists()
+    code = main([
+        "run", "--program", str(program), "--inventory", str(inventory),
+        *map(str, flags), "--k", str(k), "--out", str(out),
+    ])
+    assert code == 0 or existed or not out.exists(), f"exit {code} left {out}"
+    return code
 
 
 def append_entity(path, kind, token):
@@ -155,17 +187,12 @@ class TestProgramFiles:
     def test_non_number_valence(self, tmp_path, kind, raw):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         path = program if kind == "program" else inventory
-        doc = json.loads(path.read_text())
-        doc["scenes" if kind == "program" else "ads"][0]["valence"] = raw
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            doc["scenes" if kind == "program" else "ads"][0]["valence"] = raw
         load = io.load_program if kind == "program" else io.load_inventory
         with pytest.raises(InputError, match="not a number"):
             load(path)
-        code = main([
-            "run", "--program", str(program), "--inventory", str(inventory),
-            "--rel-file", str(rel), "--k", "2", "--out", str(tmp_path / "out"),
-        ])
-        assert code == 1
+        assert run_cli(program, inventory, "--rel-file", rel) == 1
 
     @pytest.mark.parametrize("raw", [None, True, 3, ["x"], {"a": 1}])
     @pytest.mark.parametrize("kind", ["program", "inventory"])
@@ -173,18 +200,12 @@ class TestProgramFiles:
         # str() would have loaded these as the ids "None", "True", "3", ...
         program, inventory, rel = write_two_ad_instance(tmp_path)
         path = program if kind == "program" else inventory
-        doc = json.loads(path.read_text())
-        doc["scenes" if kind == "program" else "ads"][0]["id"] = raw
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            doc["scenes" if kind == "program" else "ads"][0]["id"] = raw
         load = io.load_program if kind == "program" else io.load_inventory
         with pytest.raises(InputError, match="'id' must be a string"):
             load(path)
-        code = main([
-            "run", "--program", str(program), "--inventory", str(inventory),
-            "--rel-file", str(rel), "--k", "2", "--out", str(tmp_path / "out"),
-        ])
-        assert code == 1
-        assert not (tmp_path / "out").exists()
+        assert run_cli(program, inventory, "--rel-file", rel) == 1
 
     def test_bad_json_and_wrong_header(self, tmp_path):
         path = tmp_path / "p.json"
@@ -257,9 +278,8 @@ class TestOtherFormats:
     def test_schedule_non_integer_field(self, tmp_path, field, raw):
         path = tmp_path / "schedule.json"
         io.save_schedule(Schedule.strict([(2, "a1"), (1, "a2")]), path)
-        doc = json.loads(path.read_text())
-        doc["entries"][0][field] = raw
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            doc["entries"][0][field] = raw
         with pytest.raises(InputError, match=rf"entries\[0\]: '{field}' must be an integer, got"):
             io.load_schedule(path)
 
@@ -267,9 +287,8 @@ class TestOtherFormats:
     def test_schedule_non_string_ad_id(self, tmp_path, raw):
         path = tmp_path / "schedule.json"
         io.save_schedule(Schedule.strict([(2, "a1"), (1, "a2")]), path)
-        doc = json.loads(path.read_text())
-        doc["entries"][0]["ad_id"] = raw
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            doc["entries"][0]["ad_id"] = raw
         with pytest.raises(InputError, match="'ad_id' must be a string"):
             io.load_schedule(path)
 
@@ -282,12 +301,11 @@ class TestOtherFormats:
             schedule = Schedule(placed.entries, known)
             io.save_schedule(schedule, path)
             assert io.load_schedule(path) == schedule
-        doc = json.loads(path.read_text())
-        if mode == "missing":
-            del doc["mode"]
-        else:
-            doc["mode"] = mode
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            if mode == "missing":
+                del doc["mode"]
+            else:
+                doc["mode"] = mode
         with pytest.raises(InputError) as exc:
             io.load_schedule(path)
         assert str(exc.value).startswith(f"{path}: 'mode' must be 'strict' or 'baseline', got")
@@ -368,9 +386,8 @@ class TestOtherFormats:
         program, inventory, _, _ = two_ad_instance()
         path = tmp_path / "profile.json"
         io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
-        doc = json.loads(path.read_text())
-        doc["points"][0][field] = raw
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            doc["points"][0][field] = raw
         rule = "an integer" if field == "position" else "a number"
         with pytest.raises(InputError, match=rf"points\[0\]: '{field}' must be {rule}, got"):
             io.load_profile(path)
@@ -381,9 +398,8 @@ class TestOtherFormats:
         program, inventory, _, _ = two_ad_instance()
         path = tmp_path / "profile.json"
         io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
-        doc = json.loads(path.read_text())
-        doc["points"][0][field] = raw
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            doc["points"][0][field] = raw
         with pytest.raises(InputError, match=f"'{field}' must be a string"):
             io.load_profile(path)
 
@@ -408,9 +424,8 @@ class TestOtherFormats:
         program, inventory, _, _ = two_ad_instance()
         path = tmp_path / "profile.json"
         io.save_profile(build_profile(Schedule.strict([(1, "a2")]), program, inventory), path)
-        doc = json.loads(path.read_text())
-        doc["points"][1][field] = raw
-        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        with edit_json(path) as doc:  # NaN and Infinity as Python's json writes them
+            doc["points"][1][field] = raw
         with pytest.raises(InputError) as exc:
             io.load_profile(path)
         assert str(exc.value).startswith(f"{path}: points[1]: '{field}' ")
@@ -450,14 +465,13 @@ class TestOtherFormats:
             ),
         }[key]
         save()
-        doc = json.loads(path.read_text())
-        if fault == "missing":
-            del doc[key][1][field]
-        elif fault == "wrong_type":
-            doc[key][1][field] = [0]  # a list is no valid value for any field
-        else:
-            doc[key][1] = [field]
-        path.write_text(json.dumps(doc))
+        with edit_json(path) as doc:
+            if fault == "missing":
+                del doc[key][1][field]
+            elif fault == "wrong_type":
+                doc[key][1][field] = [0]  # a list is no valid value for any field
+            else:
+                doc[key][1] = [field]
         with pytest.raises(InputError) as exc:
             load(path)
         assert str(exc.value).startswith(f"{path}: {key}[1]: ")
@@ -493,18 +507,11 @@ FOLDED_ERRORS = {
 
 
 class TestRunCommand:
-    def run_cli(self, *args):
-        return main([str(a) for a in args])
-
     def test_brute_force_end_to_end(self, tmp_path, capsys):
         # the run's artifacts match the library's brute-force oracle
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, out=out) == 0
         oracle = solvers.solve_brute_force(
             io.load_program(program), io.load_inventory(inventory),
             io.load_relevance(rel), RewardParams(0.5, 0.5, 2),
@@ -523,10 +530,10 @@ class TestRunCommand:
     def test_brute_force_flags_are_gone(self, tmp_path, capsys, flags):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            self.run_cli(
+            main([str(a) for a in (
                 "run", "--program", program, "--inventory", inventory,
                 "--rel-file", rel, "--k", 2, *flags, "--out", tmp_path / "out",
-            )
+            )])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
@@ -534,11 +541,7 @@ class TestRunCommand:
     def test_other_solvers_agree(self, tmp_path, solver):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / f"out-{solver}"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
         assert report["solver"] == "assignment"
@@ -552,11 +555,8 @@ class TestRunCommand:
         io.save_inventory(inventory, tmp_path / "inventory.json")
         io.save_relevance(rel, tmp_path / "rel.txt")
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", tmp_path / "program.json",
-            "--inventory", tmp_path / "inventory.json",
-            "--rel-file", tmp_path / "rel.txt", "--k", 8, "--out", out,
-        )
+        code = run_cli(tmp_path / "program.json", tmp_path / "inventory.json",
+                       "--rel-file", tmp_path / "rel.txt", k=8, out=out)
         assert code == 0
         report = io.load_report(out / "report.json")
         expected = solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 8))
@@ -568,10 +568,10 @@ class TestRunCommand:
         # every default lives in build_parser: solver, --out, alpha and beta
         program, inventory, rel = write_two_ad_instance(tmp_path)
         monkeypatch.chdir(tmp_path)
-        code = self.run_cli(
+        code = main([str(a) for a in (
             "run", "--program", program, "--inventory", inventory,
             "--rel-file", rel, "--k", 2, *alpha_args,
-        )
+        )])
         assert code == 0
         schedule = io.load_schedule(tmp_path / "out" / "schedule.json")
         report = io.load_report(tmp_path / "out" / "report.json")
@@ -588,11 +588,7 @@ class TestRunCommand:
         contributions = solvers._contributions
         monkeypatch.setattr(solvers, "_contributions", lambda *args: contributions(*args) + 1.0)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
-        )
-        assert code == 4
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver) == 4
         assert "violating its own contract" in capsys.readouterr().err
 
     @pytest.mark.parametrize("ulps, expected", [(2, 0), (10_000, 4)])
@@ -609,21 +605,13 @@ class TestRunCommand:
         )
         monkeypatch.setattr(cli, "reward", lambda *args: rescored)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == expected
+        assert run_cli(program, inventory, "--rel-file", rel) == expected
 
     @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
     def test_artifact_shape(self, tmp_path, solver):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
         trivial = solver == "trivial"
         report = io.load_report(out / "report.json")
         keys = {"format", "solver", "reward", "wall_time"}
@@ -641,11 +629,7 @@ class TestRunCommand:
     def test_saved_schedule_validates_in_its_own_mode(self, tmp_path, solver, mode):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
         # every artifact reads back, and the schedule validates in the mode its file names
         io.load_report(out / "report.json")
         io.load_profile(out / "profile.json")
@@ -670,11 +654,7 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "reward", counted)
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
         if solver == "trivial":
             assert calls == []
         else:
@@ -694,11 +674,7 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "validate_schedule", counted)
         monkeypatch.setattr(adplacer.core, "validate_schedule", counted)  # as reward finds it
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver) == 0
         assert len(calls) == 1
 
     def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -706,11 +682,7 @@ class TestRunCommand:
         stacked = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")), "baseline")
         monkeypatch.setattr(cli, "trivial_schedule", lambda *args: stacked)
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--k", 2, "--solver", "trivial", "--out", tmp_path / "out",
-        )
-        assert code == 4
+        assert run_cli(program, inventory, "--solver", "trivial") == 4
         assert "violating its own contract" in capsys.readouterr().err
 
     def test_exact_route_emitting_a_baseline_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -731,13 +703,8 @@ class TestRunCommand:
                 return dataclasses.replace(solved, schedule=corrupt(solved.schedule))
 
             monkeypatch.setattr(cli, "solve_assignment", corrupted)
-            code = self.run_cli(
-                "run", "--program", program, "--inventory", inventory,
-                "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-            )
-            assert code == 4
+            assert run_cli(program, inventory, "--rel-file", rel) == 4
             assert capsys.readouterr().err.endswith(f"error: internal error: {message}\n")
-            assert not (tmp_path / "out").exists()
 
     def test_internal_error_prints_its_traceback(self, tmp_path, capsys, monkeypatch):
         def exploding_solver(*args):
@@ -745,11 +712,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "solve_assignment", exploding_solver)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 4
+        assert run_cli(program, inventory, "--rel-file", rel) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err and "exploding_solver" in err
         assert err.endswith("error: internal error: boom\n")
@@ -760,27 +723,17 @@ class TestRunCommand:
             solvers, "_min_cost_assignment", lambda cost, is_hv: np.zeros(len(cost), dtype=int)
         )
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 4
+        assert run_cli(program, inventory, "--rel-file", rel) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert err.endswith("error: internal error: ad 'a1' scheduled more than once\n")
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alpha", ["2", "nan"])
     def test_alpha_out_of_range_exits_1(self, tmp_path, capsys, alpha):
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--alpha", alpha, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, "--rel-file", rel, "--alpha", alpha) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and "alpha and beta must lie in [0, 1]" in err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", sorted(ERROR_EXIT_CODES.keys() | FOLDED_ERRORS.keys()))
     def test_exit_code_of_every_package_error(self, tmp_path, capsys, monkeypatch, name):
@@ -793,13 +746,9 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "solve_assignment", failing_solver)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
+        code = run_cli(program, inventory, "--rel-file", rel)
         assert code == ERROR_EXIT_CODES[FOLDED_ERRORS.get(name, name)]
         assert ("Traceback" in capsys.readouterr().err) == (code == 4)
-        assert not (tmp_path / "out").exists()
 
     def test_every_package_error_has_an_exit_code(self):
         defined = {
@@ -814,22 +763,13 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "build_profile", failing_profile)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 4
+        assert run_cli(program, inventory, "--rel-file", rel) == 4
         assert capsys.readouterr().err.endswith("error: internal error: no profile\n")
-        assert not (tmp_path / "out").exists()
 
     def test_hundred_scale_flag(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path, scale="hundred")
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--scale", "hundred", "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--scale", "hundred", out=out) == 0
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
 
@@ -839,68 +779,41 @@ class TestRunCommand:
         io.save_program(program, tmp_path / "program.json")
         io.save_inventory(inventory, tmp_path / "inventory.json")
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", tmp_path / "program.json",
-            "--inventory", tmp_path / "inventory.json",
-            "--k", 2, "--solver", "trivial", "--out", out,
-        )
+        code = run_cli(tmp_path / "program.json", tmp_path / "inventory.json",
+                       "--solver", "trivial", out=out)
         assert code == 0
         schedule = io.load_schedule(out / "schedule.json")
         assert sorted(e.slot for e in schedule.entries) == [0, 3]
 
     def test_odd_k_exits_2_naming_balance(self, tmp_path, capsys):
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 3, "--out", tmp_path / "out",
-        )
-        assert code == 2
+        assert run_cli(program, inventory, "--rel-file", rel, k=3) == 2
         assert "balance" in capsys.readouterr().err
 
     def test_missing_program_exits_1(self, tmp_path):
         _, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", tmp_path / "nope.json", "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(tmp_path / "nope.json", inventory, "--rel-file", rel) == 1
 
     @pytest.mark.parametrize("raw", ["1e400", "2.7", "true", '"2"', "null"])
     def test_non_integer_slot_count_exits_1(self, tmp_path, capsys, raw):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         doc = {**json.loads(program.read_text()), "slot_count": "SLOTS"}
         program.write_text(json.dumps(doc).replace('"SLOTS"', raw))
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, "--rel-file", rel) == 1
         assert "slot_count" in capsys.readouterr().err
 
     def test_deeply_nested_json_exits_1(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         program.write_text("[" * 100_000 + "]" * 100_000)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, "--rel-file", rel) == 1
 
     def test_beta_without_relevance_exits_1(self, tmp_path):
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory) == 1
 
     def test_alpha_one_needs_no_relevance(self, tmp_path):
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--k", 2, "--alpha", 1.0, "--out", tmp_path / "out",
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--alpha", 1.0) == 0
 
     @pytest.mark.parametrize("scale, token, expected", [
         ("unit", "0", 0), ("unit", "0.5", 0), ("unit", "1", 0),
@@ -921,10 +834,7 @@ class TestRunCommand:
         path = program if kind == "program" else inventory
         append_entity(path, kind, token)
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--k", 2, "--alpha", 1, "--scale", scale, "--out", out,
-        )
+        code = run_cli(program, inventory, "--alpha", 1, "--scale", scale, out=out)
         assert code == expected
         assert out.exists() == (code == 0)
         if code:
@@ -941,24 +851,20 @@ class TestRunCommand:
         inventory = make_inventory(0.9, 0.8, 0.7, 0.1, 0.2, 0.3)
         io.save_program(program, tmp_path / "program.json")
         io.save_inventory(inventory, tmp_path / "inventory.json")
-        args = ["run", "--program", tmp_path / "program.json",
-                "--inventory", tmp_path / "inventory.json", "--k", 6, "--alpha", 1.0]
-        assert self.run_cli(*args, "--solver", "trivial", "--out", tmp_path / "t") == 0
+        args = [tmp_path / "program.json", tmp_path / "inventory.json", "--alpha", 1.0]
+        assert run_cli(*args, "--solver", "trivial", k=6, out=tmp_path / "t") == 0
         assert len(io.load_schedule(tmp_path / "t" / "schedule.json")) == 6
         capsys.readouterr()
-        assert self.run_cli(*args, "--solver", "bnb", "--out", tmp_path / "b") == 2
+        assert run_cli(*args, "--solver", "bnb", k=6, out=tmp_path / "b") == 2
         assert "k=6 exceeds the 5 available slots" in capsys.readouterr().err
-        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize(
         "k, rel_name, expected", [(2, "nope.txt", 1), (4, "rel.txt", 2), (3, "rel.txt", 2)]
     )
     def test_failed_run_creates_no_out_dir(self, tmp_path, k, rel_name, expected):
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", tmp_path / rel_name, "--k", k, "--out", tmp_path / "out" / "nested",
-        )
+        code = run_cli(program, inventory, "--rel-file", tmp_path / rel_name, k=k,
+                       out=tmp_path / "out" / "nested")
         assert code == expected
         assert not (tmp_path / "out").exists()
 
@@ -969,18 +875,13 @@ class TestRunCommand:
         program, inventory, rel = write_two_ad_instance(tmp_path)
         k = 4 if case == "k_over_slots" else 2
         if case == "unbalanced":
-            doc = json.loads(inventory.read_text())
-            doc["ads"][1]["valence"] = 0.7  # two HV ads, no LV ad
-            inventory.write_text(json.dumps(doc))
+            with edit_json(inventory) as doc:
+                doc["ads"][1]["valence"] = 0.7  # two HV ads, no LV ad
         feat_dir = tmp_path / "features"
         feat_dir.mkdir()
         (feat_dir / "s1.txt").write_text("1 2\n3 oops\n")
         rel.write_text("not a grid\n")
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            source, feat_dir if source == "--features" else rel,
-            "--k", k, "--out", tmp_path / "out",
-        )
+        code = run_cli(program, inventory, source, feat_dir if source == "--features" else rel, k=k)
         assert code == 2
         assert ("exceeds" if case == "k_over_slots" else "inventory has") in capsys.readouterr().err
 
@@ -988,70 +889,41 @@ class TestRunCommand:
     def test_relevance_missing_an_ad_column_exits_1(self, tmp_path, capsys, solver):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         np.savetxt(rel, np.ones((3, 1)), fmt="%.17g")
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--solver", solver, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver) == 1
         assert "does not match 3 scenes x 2 ads" in capsys.readouterr().err
 
     def test_out_naming_a_file_exits_1(self, tmp_path):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
         out.write_text("")
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", out,
-        )
-        assert code == 1
+        assert run_cli(program, inventory, "--rel-file", rel, out=out) == 1
 
     def test_input_under_a_regular_file_exits_1(self, tmp_path):
         _, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", inventory / "p.json", "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
+        code = run_cli(inventory / "p.json", inventory, "--rel-file", rel, out=tmp_path / "out")
         assert code == 1
 
     def test_features_pipeline(self, tmp_path):
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        rng = np.random.default_rng(44)
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for eid in ("s1", "s2", "s3", "a1", "a2"):
-            np.savetxt(feat_dir / f"{eid}.txt", rng.normal(size=(5, 8)), fmt="%.17g")
+        feat_dir = write_features(tmp_path / "features", 44)
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--features", feat_dir, "--k", 2, "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--features", feat_dir, out=out) == 0
         assert (out / "schedule.json").exists()
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--features", feat_dir, "--pairing", "all_pairs", "--k", 2,
-            "--out", tmp_path / "out-allpairs",
-        )
+        code = run_cli(program, inventory, "--features", feat_dir, "--pairing", "all_pairs",
+                       out=tmp_path / "out-allpairs")
         assert code == 0
 
     def test_grids_are_parsed_from_open_files(self, tmp_path, monkeypatch):
         # a path would send np.loadtxt through numpy's DataSource lookup
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for eid in ("s1", "s2", "s3", "a1", "a2"):
-            np.savetxt(feat_dir / f"{eid}.txt", np.eye(2, 3), fmt="%.17g")
+        feat_dir = write_features(tmp_path / "features", 50)
         sources = []
         loadtxt = np.loadtxt
         monkeypatch.setattr(
             io.np, "loadtxt", lambda fname, **kw: sources.append(fname) or loadtxt(fname, **kw)
         )
         for source, arg in (("--rel-file", rel), ("--features", feat_dir)):
-            code = self.run_cli(
-                "run", "--program", program, "--inventory", inventory,
-                source, arg, "--k", 2, "--out", tmp_path / source.strip("-"),
-            )
-            assert code == 0
+            assert run_cli(program, inventory, source, arg, out=tmp_path / source.strip("-")) == 0
         assert len(sources) == 1 + 5
         assert not [s for s in sources if isinstance(s, (str, bytes, os.PathLike))]
 
@@ -1078,34 +950,21 @@ class TestRunCommand:
 
         monkeypatch.setattr(io.np, "loadtxt", failing_loadtxt)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 4
+        assert run_cli(program, inventory, "--rel-file", rel) == 4
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert err.endswith("error: internal error: simulated\n")
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("source", ["--rel-file", "--features"])
     def test_undecodable_grid_exits_1_naming_the_file(self, tmp_path, capsys, source):
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for eid in ("s1", "s2", "s3", "a1", "a2"):
-            np.savetxt(feat_dir / f"{eid}.txt", np.ones((2, 3)), fmt="%.17g")
+        feat_dir = write_features(tmp_path / "features", 51)
         arg, bad = (rel, rel) if source == "--rel-file" else (feat_dir, feat_dir / "a1.txt")
         bad.write_bytes(b"\xff\xfe1 2\n")  # not UTF-8
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            source, arg, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, source, arg) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: cannot parse numeric grid: ")
         assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
 
     def test_rel_file_is_read_exactly_as_named(self, tmp_path, capsys):
         # numpy's path lookup would fall back to the compressed rel.txt.gz
@@ -1113,13 +972,8 @@ class TestRunCommand:
         with gzip.open(f"{rel}.gz", "wb") as fh:
             fh.write(rel.read_bytes())
         rel.unlink()
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, "--rel-file", rel) == 1
         assert str(rel) in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_rel_file_overrides_features(self, tmp_path):
         # --features names a directory holding no feature file, which is never read
@@ -1127,25 +981,13 @@ class TestRunCommand:
         (tmp_path / "no-features").mkdir()
         outs = [tmp_path / "out-rel", tmp_path / "out-both"]
         for out, extra in zip(outs, [(), ("--features", tmp_path / "no-features")]):
-            code = self.run_cli(
-                "run", "--program", program, "--inventory", inventory,
-                "--rel-file", rel, *extra, "--k", 2, "--out", out,
-            )
-            assert code == 0
+            assert run_cli(program, inventory, "--rel-file", rel, *extra, out=out) == 0
         assert (outs[0] / "schedule.json").read_bytes() == (outs[1] / "schedule.json").read_bytes()
 
     def test_missing_feature_entity_exits_1(self, tmp_path, capsys):
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        rng = np.random.default_rng(45)
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for eid in ("s1", "a1"):  # s2, s3 and a2 missing
-            np.savetxt(feat_dir / f"{eid}.txt", rng.normal(size=(5, 8)), fmt="%.17g")
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--features", feat_dir, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        feat_dir = write_features(tmp_path / "features", 45, ["s1", "a1"])  # s2, s3, a2 missing
+        assert run_cli(program, inventory, "--features", feat_dir) == 1
         # every missing id, in program-then-inventory order
         assert capsys.readouterr().err.rstrip().endswith("no feature file for: s2, s3, a2")
 
@@ -1154,20 +996,15 @@ class TestRunCommand:
         # a malformed notes.txt and a zz.txt of other dims are never read
         program, inventory, _ = write_two_ad_instance(tmp_path)
         rng = np.random.default_rng(47)
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for eid in ("s1", "s2", "s3", "a1", "a2"):
-            np.savetxt(feat_dir / f"{eid}.txt", rng.normal(size=(5, 8)), fmt="%.17g")
+        feat_dir = write_features(tmp_path / "features", rng)
         outs = []
         for extra in (False, True):
             if extra:
                 (feat_dir / "notes.txt").write_text("not a grid\n")
-                np.savetxt(feat_dir / "zz.txt", rng.normal(size=(5, 3)), fmt="%.17g")
+                write_features(feat_dir, rng, ["zz"], {"zz": (5, 3)})
             outs.append(tmp_path / f"out-{extra}")
-            code = self.run_cli(
-                "run", "--program", program, "--inventory", inventory,
-                "--features", feat_dir, "--pairing", pairing, "--k", 2, "--out", outs[-1],
-            )
+            code = run_cli(program, inventory, "--features", feat_dir, "--pairing", pairing,
+                           out=outs[-1])
             assert code == 0
         for name in ("schedule.json", "profile.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -1176,30 +1013,15 @@ class TestRunCommand:
     def test_k_zero_writes_an_empty_schedule(self, tmp_path, solver):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--rel-file", rel, "--k", 0, "--solver", solver, "--out", out,
-        )
-        assert code == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, k=0, out=out) == 0
         doc = json.loads((out / "schedule.json").read_text())
         assert doc["entries"] == []
 
     @pytest.mark.parametrize("bad_row", [np.full(8, np.nan), np.zeros(8)], ids=["nan", "zero"])
     def test_bad_feature_values_exit_1_naming_the_file(self, tmp_path, capsys, bad_row):
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        rng = np.random.default_rng(48)
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for eid in ("s1", "s2", "s3", "a1", "a2"):
-            frames = rng.normal(size=(5, 8))
-            if eid == "a2":
-                frames[3] = bad_row
-            np.savetxt(feat_dir / f"{eid}.txt", frames, fmt="%.17g")
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--features", feat_dir, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        feat_dir = write_features(tmp_path / "features", 48, bad_row=bad_row)
+        assert run_cli(program, inventory, "--features", feat_dir) == 1
         assert capsys.readouterr().err.startswith(f"error: {feat_dir / 'a2.txt'}: 'a2': ")
 
     @pytest.mark.parametrize(
@@ -1212,18 +1034,8 @@ class TestRunCommand:
     )
     def test_inconsistent_features_exit_1(self, tmp_path, pairing, shapes):
         program, inventory, _ = write_two_ad_instance(tmp_path)
-        rng = np.random.default_rng(46)
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        for eid in ("s1", "s2", "s3", "a1", "a2"):
-            frames = rng.normal(size=shapes.get(eid, (5, 8)))
-            np.savetxt(feat_dir / f"{eid}.txt", frames, fmt="%.17g")
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            "--features", feat_dir, "--pairing", pairing, "--k", 2,
-            "--out", tmp_path / "out",
-        )
-        assert code == 1
+        feat_dir = write_features(tmp_path / "features", 46, shapes=shapes)
+        assert run_cli(program, inventory, "--features", feat_dir, "--pairing", pairing) == 1
 
     @pytest.mark.parametrize(
         "source, shapes, message",
@@ -1239,20 +1051,10 @@ class TestRunCommand:
         # the loaders accept each file alone; the mismatch is named by the given path
         program, inventory, rel = write_two_ad_instance(tmp_path)
         np.savetxt(rel, np.ones((3, 1)), fmt="%.17g")
-        feat_dir = tmp_path / "features"
-        feat_dir.mkdir()
-        rng = np.random.default_rng(49)
-        for eid in ("s1", "s2", "s3", "a1", "a2"):
-            np.savetxt(feat_dir / f"{eid}.txt", rng.normal(size=shapes.get(eid, (5, 8))),
-                       fmt="%.17g")
+        feat_dir = write_features(tmp_path / "features", 49, shapes=shapes)
         arg = rel if source == "--rel-file" else feat_dir
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            source, arg, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, source, arg) == 1
         assert capsys.readouterr().err == f"error: {arg}: {message}\n"
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fault", ["program_array", "ads_object", "features_file",
                                        "features_missing"])
@@ -1263,19 +1065,14 @@ class TestRunCommand:
             program.write_text("[]")
             bad, message = program, "expected a JSON object at top level"
         elif fault == "ads_object":
-            doc = json.loads(inventory.read_text())
-            inventory.write_text(json.dumps({**doc, "ads": {"a1": 0.8}}))
+            with edit_json(inventory) as doc:
+                doc["ads"] = {"a1": 0.8}
             bad, message = inventory, "'ads' must be a list"
         else:
             bad = rel if fault == "features_file" else tmp_path / "nope"
             source, message = ["--features", bad], "not a directory"
-        code = self.run_cli(
-            "run", "--program", program, "--inventory", inventory,
-            *source, "--k", 2, "--out", tmp_path / "out",
-        )
-        assert code == 1
+        assert run_cli(program, inventory, *source) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
-        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -1289,6 +1086,8 @@ def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, k):
         cli.entrypoint()
     assert exc.value.code == expected
     assert (tmp_path / "out" / "schedule.json").exists() == (expected == 0)
+    for name in ("out-main", "out"):
+        assert (tmp_path / name).exists() == (expected == 0)
 
 
 def run_python(*args, **env_vars):
@@ -1307,10 +1106,7 @@ def run_python(*args, **env_vars):
 def test_empty_grid_exits_1_without_a_warning(tmp_path, source, text):
     # numpy's "input contained no data" warning would reach stderr unfiltered
     program, inventory, rel = write_two_ad_instance(tmp_path)
-    feat_dir = tmp_path / "features"
-    feat_dir.mkdir()
-    for eid in ("s1", "s2", "s3", "a1", "a2"):
-        np.savetxt(feat_dir / f"{eid}.txt", np.ones((2, 3)), fmt="%.17g")
+    feat_dir = write_features(tmp_path / "features", 52)
     arg, empty = (rel, rel) if source == "--rel-file" else (feat_dir, feat_dir / "s2.txt")
     empty.write_text(text)
     result = run_python(
@@ -1320,6 +1116,7 @@ def test_empty_grid_exits_1_without_a_warning(tmp_path, source, text):
     assert result.returncode == 1
     assert f"{empty}: no numeric data" in result.stderr
     assert "Warning" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
@@ -1350,15 +1147,12 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, solver):
     program, inventory, _ = random_instance(10, 8, 31)
     io.save_program(program, tmp_path / "program.json")
     io.save_inventory(inventory, tmp_path / "inventory.json")
-    feat_dir = tmp_path / "features"
-    feat_dir.mkdir()
-    rng = np.random.default_rng(31)
-    for eid in [s.id for s in program.scenes] + [a.id for a in inventory.ads]:
-        # grids are UTF-8 text, which an ASCII locale's default codec cannot decode
-        np.savetxt(
-            feat_dir / f"{eid}.txt", rng.normal(size=(4, 8)), fmt="%.17g",
-            header=f"{io.FEATURES_HEADER}\nkeyframes from café", encoding="utf-8",
-        )
+    ids = [s.id for s in program.scenes] + [a.id for a in inventory.ads]
+    # grids are UTF-8 text, which an ASCII locale's default codec cannot decode
+    feat_dir = write_features(
+        tmp_path / "features", 31, ids, dict.fromkeys(ids, (4, 8)),
+        header=f"{io.FEATURES_HEADER}\nkeyframes from café",
+    )
     envs = {
         "out-0": {"PYTHONHASHSEED": "0"},
         "out-1": {"PYTHONHASHSEED": "1"},
