@@ -175,9 +175,5 @@ def main(argv: list[str] | None = None) -> int:
     return run(build_parser().parse_args(argv))
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

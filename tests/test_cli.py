@@ -1076,15 +1076,17 @@ class TestRunCommand:
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_entrypoint_exits_with_mains_code(tmp_path, monkeypatch, k):
+def test_entrypoint_exits_with_mains_code(tmp_path, k):
+    # `python -m adplacer.cli` and the installed `adplacer` script both exit
+    # with what cli.main returns
     program, inventory, rel = write_two_ad_instance(tmp_path)
-    args = ["run", "--program", str(program), "--inventory", str(inventory),
-            "--rel-file", str(rel), "--k", str(k)]
-    expected = main(args + ["--out", str(tmp_path / "out-main")])
-    monkeypatch.setattr(sys, "argv", ["adplacer", *args, "--out", str(tmp_path / "out")])
-    with pytest.raises(SystemExit) as exc:
-        cli.entrypoint()
-    assert exc.value.code == expected
+    expected = run_cli(program, inventory, "--rel-file", rel, k=k, out=tmp_path / "out-main")
+    assert expected == {2: 0, 3: 2}[k]
+    result = run_python(
+        "-m", "adplacer.cli", "run", "--program", program, "--inventory", inventory,
+        "--rel-file", rel, "--k", k, "--out", tmp_path / "out",
+    )
+    assert result.returncode == expected, result.stderr
     assert (tmp_path / "out" / "schedule.json").exists() == (expected == 0)
     for name in ("out-main", "out"):
         assert (tmp_path / name).exists() == (expected == 0)

@@ -132,6 +132,7 @@ class TestContainers:
             RelevanceMatrix([[float("nan")]])
         # entries up to 1e-9 outside [-1, 1] are rounding, and are clipped
         assert RelevanceMatrix([[1 + 5e-10, -1 - 5e-10]]).values.tolist() == [[1.0, -1.0]]
+        assert repr(RelevanceMatrix(np.zeros((2, 3)))) == "RelevanceMatrix(shape=(2, 3))"
 
 
 class TestRewardParams:
