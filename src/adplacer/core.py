@@ -360,19 +360,11 @@ def slot_blocks(slot_count: int, k: int) -> tuple[tuple[int, ...], ...]:
 class ValidationResult:
     """Outcome of a schedule validation; truthy iff the schedule passed."""
 
-    ok: bool
     constraint: str | None = None
     message: str = ""
 
     def __bool__(self) -> bool:
-        return self.ok
-
-
-_PASS = ValidationResult(True)
-
-
-def _fail(constraint: str, message: str) -> ValidationResult:
-    return ValidationResult(False, constraint, message)
+        return self.constraint is None
 
 
 def validate_schedule(
@@ -400,16 +392,18 @@ def validate_schedule(
 
     for e in entries:
         if e.ad_id not in inventory:
-            return _fail("unknown_ad", f"ad {e.ad_id!r} not in inventory")
+            return ValidationResult("unknown_ad", f"ad {e.ad_id!r} not in inventory")
     bad = [e.slot for e in entries if not first <= e.slot <= m]
     if bad:
-        return _fail("slot_range", f"slots {bad} outside {first}..{m}")
+        return ValidationResult("slot_range", f"slots {bad} outside {first}..{m}")
     if strict:
         nonzero = [e.ad_id for e in entries if e.rank != 0]
         if nonzero:
-            return _fail("rank", f"strict schedules require rank 0, got ranks for {nonzero}")
+            return ValidationResult(
+                "rank", f"strict schedules require rank 0, got ranks for {nonzero}"
+            )
     elif any(e.rank < 0 for e in entries):
-        return _fail("rank", "ranks must be non-negative")
+        return ValidationResult("rank", "ranks must be non-negative")
     # (a) strict ranks are all 0 here, so a (slot, rank) place is its slot
     reused: list[tuple[int, int]] = []
     for prev, e in zip(entries, entries[1:]):
@@ -417,20 +411,24 @@ def validate_schedule(
         if place == (prev.slot, prev.rank) and place not in reused[-1:]:
             reused.append(place)
     if reused and strict:
-        return _fail("slot_capacity", f"slots {[s for s, _ in reused]} hold more than one ad")
+        return ValidationResult(
+            "slot_capacity", f"slots {[s for s, _ in reused]} hold more than one ad"
+        )
     if reused:
-        return _fail("duplicate_position", f"(slot, rank) positions {reused} used more than once")
+        return ValidationResult(
+            "duplicate_position", f"(slot, rank) positions {reused} used more than once"
+        )
     if len(entries) != k:  # (b)
-        return _fail("ad_count", f"schedule has {len(entries)} ads, expected k={k}")
+        return ValidationResult("ad_count", f"schedule has {len(entries)} ads, expected k={k}")
     if not strict:
-        return _PASS
+        return ValidationResult()
 
     # (c) one ad inside each contiguous block
     slots = [e.slot for e in entries]
     for b, block in enumerate(slot_blocks(m, k), start=1):
         inside = bisect_right(slots, block[-1]) - bisect_left(slots, block[0])
         if inside != 1:
-            return _fail(
+            return ValidationResult(
                 "block_uniformity",
                 f"block {b} (slots {block[0]}..{block[-1]}) holds {inside} ads, expected 1",
             )
@@ -439,11 +437,11 @@ def validate_schedule(
     hv = sum(1 for e in entries if inventory.ad(e.ad_id).polarity is Polarity.HV)
     lv = len(entries) - hv
     if hv != k // 2 or lv != k // 2:
-        return _fail(
+        return ValidationResult(
             "polarity_balance",
             f"schedule holds {hv} HV and {lv} LV ads, expected {k // 2} of each",
         )
-    return _PASS
+    return ValidationResult()
 
 
 def reward(

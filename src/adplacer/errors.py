@@ -5,9 +5,8 @@ check (``InfeasibleK``), so ``except ValueError`` catches every rejection; a
 value of the wrong Python type may fail first, with a ``TypeError``.
 ``InputError``, also a ``ValueError``, marks what ``adplacer run`` blames on
 its input, and its message says what is wrong; ``io`` re-raises a file's
-fault as an ``InputError`` naming the file.  ``adplacer run`` exits 1 on an
-``InputError`` (or an ``OSError``), 2 on ``InfeasibleK``, and 4, after a
-traceback, on any other error.
+fault as an ``InputError`` naming the file.  ``adplacer.cli`` maps each
+class to its exit code.
 """
 
 

@@ -7,9 +7,8 @@ points) holds objects with that record's keys, and other keys are ignored.
 Fields are checked here for their JSON type only (and a valence for the
 range of its scale): a wrong type or a missing key names the file, the index
 and the field.  Every other rule belongs to the object built, whose errors
-name the file.  Each fault in a file's content is an ``InputError``, on
-which ``adplacer run`` exits 1 (as on an unreadable file's ``OSError``);
-``InfeasibleK`` exits 2, and any other error exits 4 after a traceback.
+name the file.  Each fault in a file's content is an ``InputError``, and an
+unreadable file an ``OSError``; ``adplacer.cli`` gives their exit codes.
 ``schedule.json`` holds its ``Schedule.mode``.  Floats serialize via
 ``repr`` (JSON) or ``%.17g`` (grids), both of which round-trip float64
 exactly, so re-running a solve reproduces ``schedule.json`` and

@@ -45,11 +45,8 @@ class KeyframeFeatures:
 
     @property
     def frame_count(self) -> int:
+        """``frames.shape[0]``; perfbench's tracer counts frame pairs with it."""
         return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
 
 
 def _pow2_scaled(x: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -103,19 +100,21 @@ def build_relevance_matrix(
     if not scene_feats or not ad_feats:
         return RelevanceMatrix(np.empty((len(scene_feats), len(ad_feats))))
     ref = scene_feats[0]
+    ref_frames, ref_dim = ref.frames.shape
     for f in [*scene_feats, *ad_feats]:
-        if f.dim != ref.dim:
+        count, dim = f.frames.shape
+        if dim != ref_dim:
             raise InputError(
-                f"feature dims differ: {ref.entity_id!r} has {ref.dim}, "
-                f"{f.entity_id!r} has {f.dim}"
+                f"feature dims differ: {ref.entity_id!r} has {ref_dim}, "
+                f"{f.entity_id!r} has {dim}"
             )
-        if pairing == "aligned" and f.frame_count != ref.frame_count:
+        if pairing == "aligned" and count != ref_frames:
             raise InputError(
                 f"aligned pairing needs equal frame counts: "
-                f"{ref.entity_id!r} has {ref.frame_count}, "
-                f"{f.entity_id!r} has {f.frame_count}"
+                f"{ref.entity_id!r} has {ref_frames}, "
+                f"{f.entity_id!r} has {count}"
             )
-    n_frames = ref.frame_count if pairing == "aligned" else 1
+    n_frames = ref_frames if pairing == "aligned" else 1
     scenes = np.stack([_summary(f, pairing) for f in scene_feats])
     ads = np.stack([_summary(f, pairing) for f in ad_feats])
     return RelevanceMatrix(scenes @ ads.T / n_frames)

@@ -52,6 +52,12 @@ def test_solve_report_holds_only_what_a_solver_knows():
     assert fields == ["schedule", "reward"]
 
 
+def test_validation_result_is_the_rule_it_failed():
+    """A result holds no flag that could contradict the rule it names."""
+    fields = [f.name for f in dataclasses.fields(adplacer.ValidationResult)]
+    assert fields == ["constraint", "message"]
+
+
 class TestValence:
     def test_bounds(self):
         assert Valence(0.0).value == 0.0
@@ -186,6 +192,30 @@ def test_constructor_rejections_are_value_errors(build, input_error):
     assert isinstance(caught.value, InputError) is input_error
 
 
+def test_random_instance_redraws_a_zero_hv_draw(monkeypatch):
+    """A draw of exactly 0.0 would give an even ad valence 0.5, which is LV."""
+    make_rng = np.random.default_rng
+
+    class FirstScalarDrawIsZero:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+            self.zeroed = False
+
+        def random(self, *shape):
+            if shape or self.zeroed:
+                return self.rng.random(*shape)
+            self.zeroed = True
+            return 0.0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", FirstScalarDrawIsZero)
+    _, inventory, _ = random_instance(2, 1, 0)
+    ad = inventory.ad("ad000")
+    assert ad.polarity is Polarity.HV and ad.valence.value > 0.5
+
+
 class TestSlotBlocks:
     def test_even_split(self):
         assert slot_blocks(4, 2) == ((1, 2), (3, 4))
@@ -270,7 +300,7 @@ def test_validation_messages(mode, entries, constraint, message):
     inventory = make_inventory(0.8, 0.2, 0.9, 0.1, 0.7, 0.3)
     schedule = Schedule(tuple(ScheduleEntry(*e) for e in entries), mode)
     result = validate_schedule(schedule, program, inventory, RewardParams(0.5, 0.5, 4))
-    assert (result.ok, result.constraint, result.message) == (constraint is None, constraint, message)
+    assert (bool(result), result.constraint, result.message) == (constraint is None, constraint, message)
 
 
 def test_unknown_mode_raises_before_any_rule():

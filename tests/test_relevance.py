@@ -84,7 +84,7 @@ class TestKeyframeFeatures:
 
     def test_shape_accessors(self):
         f = feats("s", np.ones((7, 3)))
-        assert f.frame_count == 7 and f.dim == 3
+        assert f.frame_count == 7 and f.frames.shape == (7, 3)
 
 
 class TestMatrix:
