@@ -21,6 +21,7 @@ checks its own arguments, ``slot_count`` and ``k`` being integers.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ import numpy as np
 
 from .errors import InfeasibleK, InfeasibleSchedule, InputError, UnknownAdId
 
-#: Absolute tolerance used whenever two reward values are compared.
+#: Absolute tolerance for comparing the rewards of two different schedules, such
+#: as tied optima; ``perfbench/oracle.py`` imports it.
 REWARD_ATOL = 1e-9
 
 ScheduleMode = Literal["strict", "baseline"]
@@ -456,7 +458,8 @@ def reward(
     Each placed ad contributes its 1-indexed slot number times
     (1 - ad valence), weighted by ``alpha``, plus |scene valence - ad
     valence| times the scene-ad relevance, weighted by ``beta``; the scene
-    is the one immediately preceding the slot.  Pure function of its inputs.
+    is the one immediately preceding the slot.  The reward is the correctly
+    rounded sum of these terms (``math.fsum``).  Pure function of its inputs.
     """
     check = validate_schedule(schedule, program, inventory, params)
     if not check:
@@ -466,16 +469,16 @@ def reward(
         raise InfeasibleSchedule(f"only a strict schedule has a reward, got {schedule.mode!r}")
     alpha, beta = params.alpha, params.beta
     scene_vals = program.valences
-    total = 0.0
+    terms = []
     for entry in schedule.entries:
         j = inventory.index_of(entry.ad_id)
         ad_val = inventory.ads[j].valence.value
         scene_val = float(scene_vals[entry.slot - 1])
         r = float(rel.values[entry.slot - 1, j])
-        total += alpha * (entry.slot * (1.0 - ad_val)) + beta * (
+        terms.append(alpha * (entry.slot * (1.0 - ad_val)) + beta * (
             abs(scene_val - ad_val) * r
-        )
-    return total
+        ))
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)

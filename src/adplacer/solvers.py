@@ -42,8 +42,8 @@ DEFAULT_CANDIDATE_CAP = 10**8
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A solver's answer: its schedule and the objective it optimized,
-    summed from its own per-(slot, ad) contributions."""
+    """A solver's answer: its schedule and its reward, the correctly rounded
+    sum of its per-(slot, ad) terms: ``reward == core.reward(schedule, ...)``."""
 
     schedule: Schedule
     reward: float
@@ -137,7 +137,7 @@ def solve_brute_force(
 
     assert best_placement is not None and count == total
     schedule = Schedule.strict((slot, inventory.ads[j].id) for slot, j in best_placement)
-    return SolveReport(schedule, best_val)
+    return SolveReport(schedule, math.fsum(c_rows[slot - 1][j] for slot, j in best_placement))
 
 
 def _kept_columns(g: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
@@ -280,7 +280,7 @@ def solve_assignment(
     is totally unimodular (Hoffman & Kruskal) and the LP optimum is attained
     at an integral vertex, which is a schedule; the flow network is that LP,
     and successive shortest paths end on such a vertex.  The reported reward
-    is the sum of g over the chosen (block, ad) pairs.
+    is the ``math.fsum`` of g over the chosen (block, ad) pairs.
     """
     _check_relevance_shape(rel, program, inventory)
     _check_feasible(program, inventory, params.k)
@@ -297,7 +297,7 @@ def solve_assignment(
         (int(start + c[start:end, j].argmax()) + 1, inventory.ads[j].id)
         for start, end, j in zip(starts, ends, picks)
     )
-    return SolveReport(schedule, float(g[np.arange(len(g)), picks].sum()))
+    return SolveReport(schedule, math.fsum(g[np.arange(len(g)), picks].tolist()))
 
 
 def trivial_schedule(

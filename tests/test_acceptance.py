@@ -103,7 +103,7 @@ def test_relaxation_sandwich(pool):
     bad = []
     for r in records:
         rescored = reward(r.exact.schedule, r.program, r.inventory, r.rel, r.params)
-        if not (abs(r.exact.reward - r.brute.reward) <= 1e-9 and abs(r.brute.reward - rescored) <= 1e-9):
+        if not (abs(r.exact.reward - r.brute.reward) <= 1e-9 and rescored == r.exact.reward):
             bad.append(r)
     _criterion(
         "objective sandwich: assignment objective == optimum == re-scored reward",

@@ -19,7 +19,6 @@ import adplacer
 from adplacer import build_profile, cli, errors, io, random_instance, solvers, trivial_schedule
 from adplacer.cli import main
 from adplacer.core import (
-    REWARD_ATOL,
     RewardParams,
     Schedule,
     ScheduleEntry,
@@ -521,7 +520,7 @@ class TestRunCommand:
         assert schedule.entries == oracle.schedule.entries
         report = io.load_report(out / "report.json")
         assert report["reward"] == pytest.approx(1.3, abs=1e-9)
-        assert report["reward"] == pytest.approx(oracle.reward, abs=1e-12)
+        assert report["reward"] == oracle.reward
         assert report["solver"] == "assignment"
         profile = io.load_profile(out / "profile.json")
         assert len(profile) == 5
@@ -561,7 +560,7 @@ class TestRunCommand:
         report = io.load_report(out / "report.json")
         expected = solve_assignment(program, inventory, rel, RewardParams(0.5, 0.5, 8))
         assert report["solver"] == "assignment"
-        assert report["reward"] == pytest.approx(expected.reward, abs=1e-9)
+        assert report["reward"] == expected.reward
 
     @pytest.mark.parametrize("alpha_args, alpha", [((), 0.5), (("--alpha", 0.25), 0.25)])
     def test_parser_defaults(self, tmp_path, monkeypatch, alpha_args, alpha):
@@ -580,7 +579,7 @@ class TestRunCommand:
             schedule, io.load_program(program), io.load_inventory(inventory),
             io.load_relevance(rel), RewardParams(alpha, 1.0 - alpha, 2),
         )
-        assert report["reward"] == pytest.approx(expected, abs=1e-12)
+        assert report["reward"] == expected
 
     @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_objective_disagreeing_with_reward_exits_4(self, tmp_path, capsys, monkeypatch, solver):
@@ -591,21 +590,20 @@ class TestRunCommand:
         assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver) == 4
         assert "violating its own contract" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("ulps, expected", [(2, 0), (10_000, 4)])
-    def test_rescore_tolerance_scales_with_the_reward(self, tmp_path, monkeypatch, ulps, expected):
-        # rewards near 1e7 re-score a few ulps apart from summation order alone,
-        # more than the absolute REWARD_ATOL, while a real disagreement exits 4
-        reported = 15497016.807755072
-        rescored = reported - ulps * math.ulp(reported)
-        assert abs(rescored - reported) > REWARD_ATOL
+    def test_rescore_one_ulp_off_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the solver and the re-score both take the correctly rounded sum of the
+        # same terms, so a reward one ulp off is a broken contract, not rounding;
+        # run_cli asserts that the failed run left no --out directory
         solve = cli.solve_assignment
-        monkeypatch.setattr(
-            cli, "solve_assignment",
-            lambda *args: dataclasses.replace(solve(*args), reward=reported),
-        )
-        monkeypatch.setattr(cli, "reward", lambda *args: rescored)
+
+        def one_ulp_up(*args):
+            solved = solve(*args)
+            return dataclasses.replace(solved, reward=math.nextafter(solved.reward, math.inf))
+
+        monkeypatch.setattr(cli, "solve_assignment", one_ulp_up)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        assert run_cli(program, inventory, "--rel-file", rel) == expected
+        assert run_cli(program, inventory, "--rel-file", rel) == 4
+        assert "violating its own contract" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
     def test_artifact_shape(self, tmp_path, solver):

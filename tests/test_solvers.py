@@ -340,12 +340,13 @@ class TestAssignment:
 
     @pytest.mark.parametrize("k, seed, alpha", NORTH_STAR)
     def test_matches_linear_sum_assignment_at_north_star_scale(self, k, seed, alpha):
-        optimize = pytest.importorskip("scipy.optimize")
         program, inventory, rel, params = north_star_instance(k, seed, alpha)
         exact = solve_assignment(program, inventory, rel, params)
+        # the reported reward is its schedule's re-score, exactly, with or without scipy
+        assert exact.reward == reward(exact.schedule, program, inventory, rel, params)
+        optimize = pytest.importorskip("scipy.optimize")
         g, is_hv = block_values(program, inventory, rel, params)
         assert_same_reward(exact.reward, quota_padded_optimum(optimize, g, is_hv))
-        assert validate_schedule(exact.schedule, program, inventory, params)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ad_order_leaves_the_optimum_unchanged(self, seed):
@@ -409,6 +410,11 @@ def test_exact_routes_match_brute_force_on_small_grid():
             failures.append(f"{where}: assignment {exact.reward!r} != brute {bf.reward!r}")
         if not validate_schedule(exact.schedule, program, inventory, params):
             failures.append(f"{where}: assignment schedule is not strict-valid")
+        # each solver reports exactly its own schedule's re-score
+        for name, report in (("brute", bf), ("assignment", exact)):
+            rescored = reward(report.schedule, program, inventory, rel, params)
+            if report.reward != rescored:
+                failures.append(f"{where}: {name} reports {report.reward!r}, re-scored {rescored!r}")
     assert cells > 1000
     assert not failures, failures[:10]
 
