@@ -15,7 +15,8 @@ exactly, so re-running a solve reproduces ``schedule.json`` and
 ``profile.json`` byte for byte; only ``report.json`` holds a time.  From
 ``--features`` that holds for one BLAS build and thread count, because the
 bits of the relevance product depend on BLAS blocking; a ``--rel-file`` run
-uses no BLAS.
+uses no BLAS.  Identical creatives (or scenes) tie exactly on any build,
+because identical frame stacks share one row or column of the product.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Feature extraction itself happens upstream; this module only consumes the
 per-entity stacks of frame vectors (typically 40 frames x 512 dims, but any
 consistent shape works) and turns them into a relevance matrix: for either
-frame pairing, one product of per-entity summaries of the unit-norm frames.
+frame pairing, one product of the distinct per-entity summaries of the
+unit-norm frames.
 """
 
 from __future__ import annotations
@@ -73,11 +74,33 @@ def cosine_similarity(u, v) -> float:
     return min(1.0, max(-1.0, c))
 
 
-def _summary(feats: KeyframeFeatures, pairing: Pairing) -> np.ndarray:
-    """One vector per entity whose inner products give the mean frame cosine."""
-    frames = _pow2_scaled(feats.frames, axis=1)
-    unit = frames / np.linalg.norm(frames, axis=1, keepdims=True)
-    return unit.ravel() if pairing == "aligned" else unit.mean(axis=0)
+def _summaries(
+    entities: Sequence[KeyframeFeatures], pairing: Pairing
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct per-entity summaries, whose inner products give the mean
+    frame cosine, stacked in first-seen order, and the row of each entity
+    among them, or None when all are distinct.
+
+    An entity's per-frame norms key its summary, and ``np.array_equal``
+    confirms a match, so identical frame stacks share one row (or column) of
+    the product and their relevance entries tie exactly on any BLAS build and
+    thread count.
+    """
+    rows: list[np.ndarray] = []
+    index: list[int] = []
+    seen: dict[bytes, list[int]] = {}
+    for f in entities:
+        frames = _pow2_scaled(f.frames, axis=1)
+        norms = np.linalg.norm(frames, axis=1, keepdims=True)
+        unit = frames / norms
+        summary = unit.ravel() if pairing == "aligned" else unit.mean(axis=0)
+        twins = seen.setdefault(norms.tobytes(), [])
+        i = next((i for i in twins if np.array_equal(rows[i], summary)), len(rows))
+        if i == len(rows):
+            twins.append(i)
+            rows.append(summary)
+        index.append(i)
+    return np.stack(rows), None if len(rows) == len(index) else np.array(index)
 
 
 def build_relevance_matrix(
@@ -92,7 +115,8 @@ def build_relevance_matrix(
     count F); ``all_pairs`` averages over the full cross product of frames.
     By linearity, with unit frames a_f and b_f, mean_f <a_f, b_f> =
     <vec A, vec B> / F and mean_{f,g} <a_f, b_g> = <mean A, mean B>, so the
-    matrix is one product of per-entity summaries, clipped by ``RelevanceMatrix``.
+    matrix is one product of the distinct per-entity summaries, clipped by
+    ``RelevanceMatrix``; identical entities copy one row or column of it.
     Rows and columns follow the order of the given sequences.
     """
     if pairing not in ("aligned", "all_pairs"):
@@ -115,6 +139,11 @@ def build_relevance_matrix(
                 f"{f.entity_id!r} has {count}"
             )
     n_frames = ref_frames if pairing == "aligned" else 1
-    scenes = np.stack([_summary(f, pairing) for f in scene_feats])
-    ads = np.stack([_summary(f, pairing) for f in ad_feats])
-    return RelevanceMatrix(scenes @ ads.T / n_frames)
+    scenes, scene_rows = _summaries(scene_feats, pairing)
+    ads, ad_rows = _summaries(ad_feats, pairing)
+    values = scenes @ ads.T / n_frames
+    if scene_rows is not None:
+        values = values[scene_rows]
+    if ad_rows is not None:
+        values = values[:, ad_rows]
+    return RelevanceMatrix(values)

@@ -167,7 +167,8 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
     *Network Flows*, 1993, ch. 9).  Each path comes from one Dijkstra in the
     manner of Jonker & Volgenant (1987), keyed by reduced distance:
 
-    - every free row is a source at distance 0, relaxed in one vector step;
+    - the source is the last unmatched row (last first popped fewer nodes than
+      first first), whose edges seed every column in one vector step;
     - a matched column leads over a tight reverse edge to its row, so popping
       it relaxes that row's forward edges to every column;
     - an unmatched column's only out-edge goes to its hub, so its key is the
@@ -175,11 +176,12 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
       unmatched columns retire, its reverse edges reach the matched columns
       of its polarity (swapping one out) and, below capacity, the sink.
 
-    Costs are non-negative, so zero starting potentials are valid.  Columns
-    carry path costs (reduced distance plus potential).  A matched row is
-    reached only from its column, over a reverse edge that the potentials
-    keep tight, so the row is popped with the column.  A popped node is
-    never relabelled, so float round-off cannot break the predecessor chain.
+    The source's edges only seed the search and need no reduced-cost bound;
+    every other residual edge stays non-negative under the potentials, which
+    start at zero on non-negative costs.  Columns carry path costs (reduced
+    distance plus potential).  A matched row is reached only from its column,
+    over a tight reverse edge, so the row is popped with the column.  A
+    popped node is never relabelled, so round-off cannot break the chain.
     """
     k, n = cost.shape
     half = k // 2
@@ -189,16 +191,13 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
     pi = np.zeros(n)
     pi_hub = np.zeros(2)
     pi_sink = 0.0
-    cols = np.arange(n)
     inf = math.inf
-    for _ in range(k):  # one augmenting path per row
+    for row in reversed(range(k)):  # one augmenting path per row, last first
         matched = row_of >= 0
         unmatched_of = [~matched & (pol == p) for p in (0, 1)]
         matched_of = [np.flatnonzero(matched & (pol == p)) for p in (0, 1)]
-        free = np.flatnonzero(col_of < 0)
-        best = cost[free].argmin(axis=0)
-        dist = cost[free[best], cols]  # path cost to each column; -inf once popped
-        pred = free[best]  # row feeding each column, or -1 - p for hub p
+        dist = cost[row].copy()  # path cost to each column; -inf once popped
+        pred = np.full(n, row)  # row feeding each column, or -1 - p for hub p
         # key: a matched column's reduced distance, or its hub's through an
         # unmatched one; inf once popped or retired
         offset = np.where(matched, -pi, -pi_hub[pol])

@@ -154,6 +154,23 @@ class TestMatrix:
         rel_perm = build_relevance_matrix(scenes, [ads[j] for j in perm])
         assert np.array_equal(rel_perm.values, rel.values[:, perm])
 
+    @pytest.mark.parametrize("pairing", ["aligned", "all_pairs"])
+    def test_identical_creatives_tie_exactly(self, pairing):
+        # scenes i and i+3 are twins, and so are ads j and j+7.  Twins sit
+        # apart, so without sharing one summary they land at different
+        # positions of the BLAS product, whose bits depend on that position
+        # and on the thread count; on a BLAS whose product does not, this
+        # test passes even without the sharing
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            scene_bases = rng.standard_normal((3, 4, 64))
+            ad_bases = rng.standard_normal((7, 4, 64))
+            scenes = [feats(f"s{i}", scene_bases[i % 3]) for i in range(6)]
+            ads = [feats(f"ad{j}", ad_bases[j % 7]) for j in range(14)]
+            rel = build_relevance_matrix(scenes, ads, pairing).values
+            assert np.array_equal(rel[:, :7], rel[:, 7:]), seed
+            assert np.array_equal(rel[:3], rel[3:]), seed
+
     def test_frame_count_mismatch(self):
         rng = np.random.default_rng(67)
         scenes = [feats(f"s{i}", rng.normal(size=(3, 4))) for i in range(2)]

@@ -89,6 +89,7 @@ NORTH_STAR = [
     *(pytest.param(100, seed, alpha, id=f"k100-seed{seed}-alpha{alpha}")
       for seed in (0, 1) for alpha in (0.0, 0.5, 1.0)),
     pytest.param(200, 1, 0.5, id="k200-seed1-alpha0.5"),
+    pytest.param(200, 1, 0.0, id="k200-seed1-alpha0.0"),
 ]
 
 
@@ -253,14 +254,18 @@ class TestAssignment:
         bf = solve_brute_force(program, inventory, rel, params)
         assert abs(first.reward - bf.reward) <= 1e-9
         # every (slot, ad) contribution ties here, which pins both documented
-        # tie-breaks: the assignment puts each pick on its block's earliest
-        # best slot, and brute force keeps the first schedule it enumerates
+        # slot tie-breaks: the assignment puts each pick on its block's
+        # earliest best slot, and brute force keeps the first schedule it
+        # enumerates.  Their ad-to-block tie-breaks differ (the flow augments
+        # the last block first) until ROADMAP item 6 defines one optimum
         program = make_program(0.5, 0.5, 0.5, 0.5, 0.5)  # M = 4, blocks {1,2},{3,4}
         inventory = make_inventory(0.9, 0.1)
         params = RewardParams(0.0, 1.0, 2)
-        for solve in (solve_assignment, solve_brute_force):
-            report = solve(program, inventory, const_rel(5, 2, 0.5), params)
-            assert [(e.slot, e.ad_id) for e in report.schedule.entries] == [(1, "a1"), (3, "a2")]
+        rel = const_rel(5, 2, 0.5)
+        bf = solve_brute_force(program, inventory, rel, params)
+        assert [(e.slot, e.ad_id) for e in bf.schedule.entries] == [(1, "a1"), (3, "a2")]
+        report = solve_assignment(program, inventory, rel, params)
+        assert [(e.slot, e.ad_id) for e in report.schedule.entries] == [(1, "a2"), (3, "a1")]
 
     def test_k_zero(self):
         program, inventory, rel, _ = two_ad_instance()
