@@ -6,12 +6,13 @@ Every run input and its default is declared once, in ``build_parser``, and
 is feasible before reading any relevance.  ``run`` times whichever route
 runs and names it in the report (``assignment`` or ``trivial``).  It
 validates the ``trivial`` schedule in its baseline shape; ``core.reward``
-validates and re-scores the assignment's schedule, and the re-score must
-equal the reward the assignment reports.  ``run`` then builds the profile,
-and only then creates the output directory and writes ``schedule.json``,
-``report.json`` and ``profile.json``, so a failed run writes no file.
-Timing across solvers and instance sizes lives in ``perfbench/``, not in the
-package.
+validates the assignment's schedule and re-scores it with ``core``'s one
+statement of the per-placement term, so the re-score checks the solver's
+choices and their sum: it must equal the reported reward.  ``run`` then
+builds the profile, and only then creates the output directory and writes
+``schedule.json``, ``report.json`` and ``profile.json``, so a failed run
+writes no file.  Timing across solvers and instance sizes lives in
+``perfbench/``, not in the package.
 
 Exit codes:
     0  success

@@ -227,6 +227,15 @@ class RewardParams:
         object.__setattr__(self, "k", int(self.k))
 
 
+def _term(slot, ad_val, scene_val, r, params: RewardParams):
+    """One placed ad's reward, the one statement of it: ``alpha`` * slot * (1 - ad
+    valence) + ``beta`` * |scene valence - ad valence| * relevance, the scene being
+    the one right before the slot.  Takes numbers or broadcasting arrays."""
+    return params.alpha * (slot * (1.0 - ad_val)) + params.beta * (
+        abs(scene_val - ad_val) * r
+    )
+
+
 @dataclass(frozen=True, order=True)
 class ScheduleEntry:
     """One placement: ``ad_id`` shown at ``slot``, ordered by ``rank`` inside it."""
@@ -455,11 +464,8 @@ def reward(
 ) -> float:
     """Score of a strict schedule; any other raises ``InfeasibleSchedule``.
 
-    Each placed ad contributes its 1-indexed slot number times
-    (1 - ad valence), weighted by ``alpha``, plus |scene valence - ad
-    valence| times the scene-ad relevance, weighted by ``beta``; the scene
-    is the one immediately preceding the slot.  The reward is the correctly
-    rounded sum of these terms (``math.fsum``).  Pure function of its inputs.
+    The correctly rounded sum (``math.fsum``) of ``_term`` over the k placed
+    (slot, ad) pairs, whatever their order.  Pure function of its inputs.
     """
     check = validate_schedule(schedule, program, inventory, params)
     if not check:
@@ -467,18 +473,11 @@ def reward(
     _check_relevance_shape(rel, program, inventory)
     if schedule.mode != "strict":
         raise InfeasibleSchedule(f"only a strict schedule has a reward, got {schedule.mode!r}")
-    alpha, beta = params.alpha, params.beta
-    scene_vals = program.valences
-    terms = []
-    for entry in schedule.entries:
-        j = inventory.index_of(entry.ad_id)
-        ad_val = inventory.ads[j].valence.value
-        scene_val = float(scene_vals[entry.slot - 1])
-        r = float(rel.values[entry.slot - 1, j])
-        terms.append(alpha * (entry.slot * (1.0 - ad_val)) + beta * (
-            abs(scene_val - ad_val) * r
-        ))
-    return math.fsum(terms)
+    slots = np.array([e.slot for e in schedule.entries], dtype=int)
+    ads = np.array([inventory.index_of(e.ad_id) for e in schedule.entries], dtype=int)
+    terms = _term(slots, inventory.valences[ads], program.valences[slots - 1],
+                  rel.values[slots - 1, ads], params)
+    return math.fsum(terms.tolist())
 
 
 @dataclass(frozen=True)

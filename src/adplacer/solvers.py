@@ -32,6 +32,7 @@ from .core import (
     _check_balance,
     _check_feasible,
     _check_relevance_shape,
+    _term,
     slot_blocks,
 )
 from .errors import InstanceTooLarge
@@ -55,15 +56,11 @@ def _contributions(
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> np.ndarray:
-    """Per-(slot, ad) reward contribution; row i-1 is slot i (1-indexed)."""
+    """Every (slot, ad) pair's ``core._term`` in one M x P broadcast, bit for bit
+    the terms ``core.reward`` sums; row i-1 is slot i (1-indexed)."""
     m = program.slot_count
-    slots = np.arange(1, m + 1, dtype=float)[:, None]
-    ad_vals = inventory.valences[None, :]
-    scene_vals = program.valences[:m, None]
-    r = rel.values[:m, :]
-    return params.alpha * (slots * (1.0 - ad_vals)) + params.beta * (
-        np.abs(scene_vals - ad_vals) * r
-    )
+    return _term(np.arange(1, m + 1, dtype=float)[:, None], inventory.valences[None, :],
+                 program.valences[:m, None], rel.values[:m, :], params)
 
 
 def _iter_balanced_index_subsets(

@@ -1,6 +1,7 @@
 """Core domain types, polarity, validation and the reward function."""
 
 import dataclasses
+import math
 import random
 
 import numpy as np
@@ -368,6 +369,14 @@ class TestReward:
             pure_a = reward(schedule, program, inventory, rel, RewardParams(1.0, 0.0, k))
             pure_b = reward(schedule, program, inventory, rel, RewardParams(0.0, 1.0, k))
             assert mixed == pytest.approx(alpha * pure_a + (1.0 - alpha) * pure_b, abs=1e-12)
+            # the scalar reference: the same operations, one entry at a time
+            terms = []
+            for e in schedule.entries:
+                j, scene = inventory.index_of(e.ad_id), program.scenes[e.slot - 1]
+                v = inventory.ads[j].valence.value
+                terms.append(alpha * (e.slot * (1.0 - v)) + (1.0 - alpha) * (
+                    abs(scene.valence.value - v) * float(rel.values[e.slot - 1, j])))
+            assert mixed == math.fsum(terms)
 
     def test_beta_zero_ignores_relevance(self):
         rng = random.Random(7)

@@ -1,10 +1,12 @@
 """Memory bounds of ``adplacer run``: no dense P x P, M x M or O(M^2 P) array.
 
-Each test traces two in-process runs with ``tracemalloc``, the second with
-twice the slots or ads of the first.  Each peak must stay within a stated
-multiple of the input's float64 bytes plus a constant slack, and doubling
-the input may raise the peak at most 2.3x, so the peak grows linearly.
-Time is not bounded here; the benchmark measures it.
+Each run test traces two in-process runs with ``tracemalloc``, the second
+with twice the slots or ads of the first.  Each peak must stay within a
+stated multiple of the input's float64 bytes plus a constant slack, and
+doubling the input may raise the peak at most 2.3x, so the peak grows
+linearly.  The re-score, ``reward``, evaluates only the k placed pairs, so
+its peak stays a small fraction of the relevance bytes.  Time is not
+bounded here; the benchmark measures it.
 """
 
 import tracemalloc
@@ -14,6 +16,7 @@ import pytest
 
 from adplacer import io, random_instance
 from adplacer.cli import main
+from adplacer.core import RewardParams, Schedule, reward, slot_blocks
 
 MB = 2**20
 #: (multiple, slack): the runs below peak at 4.7-8.2x their relevance bytes,
@@ -26,6 +29,10 @@ REL_FILE_BOUND = 6.0, 2 * MB
 FEATURES_BOUND = 3.5, MB // 4
 #: doubling the input at most this many times the peak
 DOUBLING = 2.3
+#: reward's peak over the relevance bytes: scoring 100 placements of a 2000-ad,
+#: 200-slot instance peaks at ~9 KB, 0.3% of its 3.2 MB of relevance, while one
+#: M x P array of terms would take all of it
+RESCORE_BOUND = 0.01
 
 
 def write_instance(path, n_ads, n_slots):
@@ -100,3 +107,20 @@ def test_features_run_peak_is_linear(tmp_path):
         argvs.append(run_argv(path, "--features", frames, k=4))
         input_bytes.append((len(program.scenes) + len(inventory)) * 16 * 64 * 8)
     assert_linear(run_peaks(*argvs), input_bytes, FEATURES_BOUND)
+
+
+def test_rescore_peak_ignores_the_unplaced_pairs():
+    program, inventory, rel = random_instance(2000, 200, 0)
+    params = RewardParams(0.5, 0.5, 100)
+    # ad b in block b: even indices are HV and odd ones LV, so 50 of each
+    schedule = Schedule.strict(
+        (block[0], inventory.ads[b].id) for b, block in enumerate(slot_blocks(200, 100))
+    )
+    expected = reward(schedule, program, inventory, rel, params)  # fills the cached arrays
+    tracemalloc.start()
+    try:
+        assert reward(schedule, program, inventory, rel, params) == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= RESCORE_BOUND * rel.values.nbytes, peak
