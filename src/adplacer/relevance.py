@@ -76,31 +76,31 @@ def cosine_similarity(u, v) -> float:
 
 def _summaries(
     entities: Sequence[KeyframeFeatures], pairing: Pairing
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The distinct per-entity summaries, whose inner products give the mean
-    frame cosine, stacked in first-seen order, and the row of each entity
-    among them, or None when all are distinct.
+    frame cosine, in first-seen order, and the row of each entity among them.
 
-    An entity's per-frame norms key its summary, and ``np.array_equal``
-    confirms a match, so identical frame stacks share one row (or column) of
-    the product and their relevance entries tie exactly on any BLAS build and
-    thread count.
+    A summary's own bits, with -0.0 folded into 0.0, key it, and
+    ``np.array_equal`` confirms a match, so identical frame stacks share one
+    row (or column) of the product and their relevance entries tie exactly
+    on any BLAS build and thread count.
     """
-    rows: list[np.ndarray] = []
-    index: list[int] = []
-    seen: dict[bytes, list[int]] = {}
-    for f in entities:
+    count, dim = entities[0].frames.shape
+    buf = np.empty((len(entities), count * dim if pairing == "aligned" else dim))
+    index = np.empty(len(entities), dtype=np.intp)
+    seen: dict[int, list[int]] = {}
+    n = 0
+    for e, f in enumerate(entities):
         frames = _pow2_scaled(f.frames, axis=1)
-        norms = np.linalg.norm(frames, axis=1, keepdims=True)
-        unit = frames / norms
+        unit = frames / np.linalg.norm(frames, axis=1, keepdims=True)
         summary = unit.ravel() if pairing == "aligned" else unit.mean(axis=0)
-        twins = seen.setdefault(norms.tobytes(), [])
-        i = next((i for i in twins if np.array_equal(rows[i], summary)), len(rows))
-        if i == len(rows):
-            twins.append(i)
-            rows.append(summary)
-        index.append(i)
-    return np.stack(rows), None if len(rows) == len(index) else np.array(index)
+        twins = seen.setdefault(hash((summary + 0.0).tobytes()), [])
+        index[e] = next((i for i in twins if np.array_equal(buf[i], summary)), n)
+        if index[e] == n:
+            twins.append(n)
+            buf[n] = summary
+            n += 1
+    return buf[:n], index
 
 
 def build_relevance_matrix(
@@ -141,9 +141,4 @@ def build_relevance_matrix(
     n_frames = ref_frames if pairing == "aligned" else 1
     scenes, scene_rows = _summaries(scene_feats, pairing)
     ads, ad_rows = _summaries(ad_feats, pairing)
-    values = scenes @ ads.T / n_frames
-    if scene_rows is not None:
-        values = values[scene_rows]
-    if ad_rows is not None:
-        values = values[:, ad_rows]
-    return RelevanceMatrix(values)
+    return RelevanceMatrix((scenes @ ads.T / n_frames)[np.ix_(scene_rows, ad_rows)])

@@ -23,10 +23,10 @@ MB = 2**20
 #: highest on the wide ones, where an ad's Python objects (~0.5 KB) outweigh
 #: its 11 relevance entries; the slack covers those at these sizes
 REL_FILE_BOUND = 6.0, 2 * MB
-#: a --features run holds the frames, their unit copies and one stack of them,
-#: 3.1x the frame bytes with almost no constant; the small slack lets one more
+#: a --features run holds the frames and one buffer of their summaries,
+#: 2.1x the frame bytes with almost no constant; the small slack lets one more
 #: stacked copy of the ad summaries (+0.9x) exceed the bound
-FEATURES_BOUND = 3.5, MB // 4
+FEATURES_BOUND = 2.5, MB // 4
 #: doubling the input at most this many times the peak
 DOUBLING = 2.3
 #: reward's peak over the relevance bytes: scoring 100 placements of a 2000-ad,

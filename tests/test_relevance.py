@@ -1,5 +1,7 @@
 """Cosine similarity, frame pairing and relevance-matrix construction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,20 +158,46 @@ class TestMatrix:
 
     @pytest.mark.parametrize("pairing", ["aligned", "all_pairs"])
     def test_identical_creatives_tie_exactly(self, pairing):
-        # scenes i and i+3 are twins, and so are ads j and j+7.  Twins sit
-        # apart, so without sharing one summary they land at different
-        # positions of the BLAS product, whose bits depend on that position
-        # and on the thread count; on a BLAS whose product does not, this
-        # test passes even without the sharing
+        # scenes i and i+3 are twins, and so are ads j and j+6; ad 12 is a
+        # twin of ads 0 and 6 whose zeros are -0.0.  Twins sit apart, so
+        # without sharing one summary they land at different positions of
+        # the BLAS product, whose bits depend on that position and on the
+        # thread count; on a BLAS whose product does not, this test passes
+        # even without the sharing
         for seed in range(20):
             rng = np.random.default_rng(seed)
             scene_bases = rng.standard_normal((3, 4, 64))
-            ad_bases = rng.standard_normal((7, 4, 64))
+            ad_bases = rng.standard_normal((6, 4, 64))
+            ad_bases[0, :, ::4] = 0.0
             scenes = [feats(f"s{i}", scene_bases[i % 3]) for i in range(6)]
-            ads = [feats(f"ad{j}", ad_bases[j % 7]) for j in range(14)]
+            ads = [feats(f"ad{j}", ad_bases[j % 6]) for j in range(12)]
+            ads.append(feats("ad12", np.where(ad_bases[0] == 0.0, -0.0, ad_bases[0])))
             rel = build_relevance_matrix(scenes, ads, pairing).values
-            assert np.array_equal(rel[:, :7], rel[:, 7:]), seed
+            assert np.array_equal(rel[:, :6], rel[:, 6:12]), seed
+            assert np.array_equal(rel[:, 0], rel[:, 12]), seed
             assert np.array_equal(rel[:3], rel[3:]), seed
+
+    @pytest.mark.parametrize("pairing", ["aligned", "all_pairs"])
+    def test_equal_norm_creatives_stay_distinct(self, monkeypatch, pairing):
+        # 200 distinct ads of two one-hot frames, every frame of norm 1, and
+        # a twin of ad 3 at the end: a lookup keyed on the norms alone either
+        # merges distinct ads or confirms each ad against every earlier one
+        rng = np.random.default_rng(89)
+        scenes = [feats(f"s{i}", rng.normal(size=(2, 32))) for i in range(4)]
+        hot = list(itertools.combinations(range(32), 2))
+        ads = [feats(f"ad{j}", np.eye(32)[list(hot[h])])
+               for j, h in enumerate(rng.choice(len(hot), 200, replace=False))]
+        ads.append(feats("ad200", ads[3].frames))
+        array_equal, calls = np.array_equal, []
+        monkeypatch.setattr(np, "array_equal", lambda *a: calls.append(a) or array_equal(*a))
+        rel = build_relevance_matrix(scenes, ads, pairing).values
+        monkeypatch.undo()
+        frame_pairs = [(0, 0), (1, 1)] if pairing == "aligned" else [(0, 0), (0, 1), (1, 0), (1, 1)]
+        expected = [[np.mean([cosine_similarity(s.frames[f], a.frames[g]) for f, g in frame_pairs])
+                     for a in ads] for s in scenes]
+        np.testing.assert_allclose(rel, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(rel[:, 3], rel[:, 200])
+        assert len(calls) <= 1  # one confirmation, for the one twin
 
     def test_frame_count_mismatch(self):
         rng = np.random.default_rng(67)
