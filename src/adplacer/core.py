@@ -135,18 +135,14 @@ class AdInventory:
         object.__setattr__(self, "ads", ads)
         if not ads:
             raise ValueError("inventory must contain at least one ad")
-        seen: set[str] = set()
-        for ad in ads:
-            if ad.id in seen:
+        index: dict[str, int] = {}
+        for i, ad in enumerate(ads):
+            if index.setdefault(ad.id, i) != i:
                 raise InputError(f"duplicate ad id {ad.id!r}")
-            seen.add(ad.id)
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.ads)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {ad.id: i for i, ad in enumerate(self.ads)}
 
     def __contains__(self, ad_id: str) -> bool:
         return ad_id in self._index

@@ -34,10 +34,12 @@ class KeyframeFeatures:
                 f"{self.entity_id!r}: frames must be a (frames, dims) matrix, "
                 f"got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        # each row's largest |value|, not its norm (which can underflow to 0):
+        # NaN or inf exactly when the row is not finite, 0 when it is all zeros
+        peak = np.abs(arr).max(axis=1)
+        if not np.all(np.isfinite(peak)):
             raise ValueError(f"{self.entity_id!r}: feature values must be finite")
-        # the largest |value|, not the norm, which can underflow to 0 on a valid row
-        zero_rows = np.abs(arr).max(axis=1) == 0.0
+        zero_rows = peak == 0.0
         if np.any(zero_rows):
             zero = np.flatnonzero(zero_rows).tolist()
             raise InputError(f"{self.entity_id!r}: all-zero frame vector(s) at rows {zero}")
@@ -75,25 +77,36 @@ def cosine_similarity(u, v) -> float:
 
 
 def _summaries(
-    entities: Sequence[KeyframeFeatures], pairing: Pairing
+    entities: Sequence[KeyframeFeatures], ref: KeyframeFeatures, pairing: Pairing
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct per-entity summaries, whose inner products give the mean
     frame cosine, in first-seen order, and the row of each entity among them.
 
-    A summary's own bits, with -0.0 folded into 0.0, key it, and
+    Each entity must have the dims of ``ref`` and, for ``aligned``, its frame
+    count.  A summary's own bits, with -0.0 folded into 0.0, key it, and
     ``np.array_equal`` confirms a match, so identical frame stacks share one
     row (or column) of the product and their relevance entries tie exactly
     on any BLAS build and thread count.
     """
-    count, dim = entities[0].frames.shape
+    count, dim = ref.frames.shape
     buf = np.empty((len(entities), count * dim if pairing == "aligned" else dim))
     index = np.empty(len(entities), dtype=np.intp)
     seen: dict[int, list[int]] = {}
     n = 0
     for e, f in enumerate(entities):
+        f_count, f_dim = f.frames.shape
+        if f_dim != dim:
+            raise InputError(
+                f"feature dims differ: {ref.entity_id!r} has {dim}, {f.entity_id!r} has {f_dim}"
+            )
+        if pairing == "aligned" and f_count != count:
+            raise InputError(
+                f"aligned pairing needs equal frame counts: "
+                f"{ref.entity_id!r} has {count}, {f.entity_id!r} has {f_count}"
+            )
         frames = _pow2_scaled(f.frames, axis=1)
-        unit = frames / np.linalg.norm(frames, axis=1, keepdims=True)
-        summary = unit.ravel() if pairing == "aligned" else unit.mean(axis=0)
+        frames /= np.linalg.norm(frames, axis=1, keepdims=True)
+        summary = frames.ravel() if pairing == "aligned" else frames.mean(axis=0)
         twins = seen.setdefault(hash((summary + 0.0).tobytes()), [])
         index[e] = next((i for i in twins if np.array_equal(buf[i], summary)), n)
         if index[e] == n:
@@ -124,21 +137,7 @@ def build_relevance_matrix(
     if not scene_feats or not ad_feats:
         return RelevanceMatrix(np.empty((len(scene_feats), len(ad_feats))))
     ref = scene_feats[0]
-    ref_frames, ref_dim = ref.frames.shape
-    for f in [*scene_feats, *ad_feats]:
-        count, dim = f.frames.shape
-        if dim != ref_dim:
-            raise InputError(
-                f"feature dims differ: {ref.entity_id!r} has {ref_dim}, "
-                f"{f.entity_id!r} has {dim}"
-            )
-        if pairing == "aligned" and count != ref_frames:
-            raise InputError(
-                f"aligned pairing needs equal frame counts: "
-                f"{ref.entity_id!r} has {ref_frames}, "
-                f"{f.entity_id!r} has {count}"
-            )
-    n_frames = ref_frames if pairing == "aligned" else 1
-    scenes, scene_rows = _summaries(scene_feats, pairing)
-    ads, ad_rows = _summaries(ad_feats, pairing)
+    n_frames = ref.frames.shape[0] if pairing == "aligned" else 1
+    scenes, scene_rows = _summaries(scene_feats, ref, pairing)
+    ads, ad_rows = _summaries(ad_feats, ref, pairing)
     return RelevanceMatrix((scenes @ ads.T / n_frames)[np.ix_(scene_rows, ad_rows)])

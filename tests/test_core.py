@@ -125,6 +125,9 @@ class TestContainers:
     def test_duplicate_ad_id(self):
         with pytest.raises(InputError, match="duplicate ad id 'a'"):
             AdInventory((Ad("a", Valence(0.1)), Ad("a", Valence(0.2))))
+        # the first repeated id is named, not the first id that repeats
+        with pytest.raises(InputError, match="^duplicate ad id 'b'$"):
+            AdInventory(tuple(Ad(ad_id, Valence(0.1)) for ad_id in "abba"))
 
     def test_schedule_rejects_repeated_ad(self):
         with pytest.raises(ValueError):

@@ -72,6 +72,17 @@ class TestKeyframeFeatures:
     def test_rejects_zero_row(self):
         with pytest.raises(InputError, match=r"all-zero frame vector\(s\) at rows \[1\]"):
             feats("s", [[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InputError, match=r"at rows \[0, 2, 3\]$"):
+            feats("s", [[0.0, 0.0], [1.0, 0.0], [0.0, -0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 0.0], [1.0, np.nan]],  # an all-zero row before a NaN row
+        [[1.0, 1.0], [2.0, -np.inf]],
+        [[0.0, 0.0], [0.0, np.nan], [0.0, 0.0]],
+    ])
+    def test_rejects_non_finite_before_zero_rows(self, rows):
+        with pytest.raises(ValueError, match=r"^'s': feature values must be finite$"):
+            feats("s", rows)
 
     def test_accepts_tiny_rows(self):
         # the norm of this row underflows to 0, but the row is not all-zero
@@ -215,6 +226,18 @@ class TestMatrix:
         for pairing in ("aligned", "all_pairs"):
             with pytest.raises(InputError, match="s1"):
                 build_relevance_matrix(scenes, ads, pairing)
+
+    @pytest.mark.parametrize("pairing", ["aligned", "all_pairs"])
+    def test_first_failing_entity_is_named(self, pairing):
+        # scenes are checked before ads, and an entity's dims before its frame count
+        rng = np.random.default_rng(83)
+        scenes = [feats("s0", rng.normal(size=(3, 4))), feats("s1", rng.normal(size=(3, 5)))]
+        ads = [feats("ad0", rng.normal(size=(2, 4)))]
+        with pytest.raises(InputError, match="^feature dims differ: 's0' has 4, 's1' has 5$"):
+            build_relevance_matrix(scenes, ads, pairing)
+        ads = [feats("ad0", rng.normal(size=(3, 4))), feats("ad1", rng.normal(size=(2, 5)))]
+        with pytest.raises(InputError, match="^feature dims differ: 's0' has 4, 'ad1' has 5$"):
+            build_relevance_matrix(scenes[:1], ads, pairing)
 
     def test_unknown_pairing(self):
         a = feats("s", [[1.0, 2.0]])
