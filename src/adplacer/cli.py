@@ -10,8 +10,9 @@ validates the assignment's schedule and re-scores it with ``core``'s one
 statement of the per-placement term, so the re-score checks the solver's
 choices and their sum: it must equal the reported reward.  ``run`` then
 builds the profile, and only then creates the output directory and writes
-``schedule.json``, ``report.json`` and ``profile.json``, so a failed run
-writes no file.  Timing across solvers and instance sizes lives in
+``schedule.json``, ``report.json`` and ``profile.json``, so a run that fails
+before writing leaves no file.  A write that fails exits 1 and may leave the
+files written before it.  Timing across solvers and instance sizes lives in
 ``perfbench/``, not in the package.
 
 Exit codes:

@@ -25,7 +25,6 @@ import math
 import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Literal
 
 import numpy as np
@@ -83,12 +82,29 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)  # numpy's too
 
 
+def _index_ids(items, kind: str) -> dict[str, int]:
+    """Map each id to its position, raising on the first repeated id."""
+    index: dict[str, int] = {}
+    for i, item in enumerate(items):
+        if index.setdefault(item.id, i) != i:
+            raise InputError(f"duplicate {kind} id {item.id!r}")
+    return index
+
+
+def _valence_array(items) -> np.ndarray:
+    """The items' valences as a read-only float64 array, in item order."""
+    arr = np.array([x.valence.value for x in items], dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ProgramSpec:
     """Ordered scenes plus the number of candidate ad slots.
 
     ``slot_count``, an integer, defaults to N - 1 (one slot per scene
     transition); a smaller value restricts placement to the first ones only.
+    ``valences`` holds the scenes' valences, read-only, in scene order.
     """
 
     scenes: tuple[Scene, ...]
@@ -101,32 +117,24 @@ class ProgramSpec:
         object.__setattr__(self, "scenes", scenes)
         if len(scenes) < 2:
             raise ValueError(f"a program needs at least 2 scenes, got {len(scenes)}")
-        seen: set[str] = set()
-        for scene in scenes:
-            if scene.id in seen:
-                raise InputError(f"duplicate scene id {scene.id!r}")
-            seen.add(scene.id)
+        _index_ids(scenes, "scene")
         m = int(self.slot_count) or len(scenes) - 1
         if not 1 <= m <= len(scenes) - 1:
             raise ValueError(
                 f"slot_count must lie in 1..{len(scenes) - 1}, got {self.slot_count}"
             )
         object.__setattr__(self, "slot_count", m)
+        object.__setattr__(self, "valences", _valence_array(scenes))
 
     @property
     def n_scenes(self) -> int:
         return len(self.scenes)
 
-    @cached_property
-    def valences(self) -> np.ndarray:
-        arr = np.array([s.valence.value for s in self.scenes], dtype=float)
-        arr.setflags(write=False)
-        return arr
-
 
 @dataclass(frozen=True)
 class AdInventory:
-    """The pool of candidate ads; ids must be unique."""
+    """The pool of candidate ads; ids must be unique.  ``valences`` (read-only)
+    and ``polarities`` follow ad order."""
 
     ads: tuple[Ad, ...]
 
@@ -135,11 +143,9 @@ class AdInventory:
         object.__setattr__(self, "ads", ads)
         if not ads:
             raise ValueError("inventory must contain at least one ad")
-        index: dict[str, int] = {}
-        for i, ad in enumerate(ads):
-            if index.setdefault(ad.id, i) != i:
-                raise InputError(f"duplicate ad id {ad.id!r}")
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", _index_ids(ads, "ad"))
+        object.__setattr__(self, "valences", _valence_array(ads))
+        object.__setattr__(self, "polarities", tuple(a.polarity for a in ads))
 
     def __len__(self) -> int:
         return len(self.ads)
@@ -155,16 +161,6 @@ class AdInventory:
 
     def ad(self, ad_id: str) -> Ad:
         return self.ads[self.index_of(ad_id)]
-
-    @cached_property
-    def valences(self) -> np.ndarray:
-        arr = np.array([a.valence.value for a in self.ads], dtype=float)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def polarities(self) -> tuple[Polarity, ...]:
-        return tuple(a.polarity for a in self.ads)
 
 
 def _half(k: int) -> int:
@@ -295,9 +291,10 @@ class RelevanceMatrix:
         if arr.ndim != 2:
             raise InputError(f"relevance matrix must be 2-D, got shape {arr.shape}")
         if arr.size:
-            if not np.all(np.isfinite(arr)):
+            lo, hi = arr.min(), arr.max()  # NaN or +-inf makes one of them non-finite
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("relevance entries must be finite")
-            if arr.min() < -1.0 - 1e-9 or arr.max() > 1.0 + 1e-9:
+            if lo < -1.0 - 1e-9 or hi > 1.0 + 1e-9:
                 raise ValueError("relevance entries must lie in [-1, 1]")
             np.clip(arr, -1.0, 1.0, out=arr)
         arr.setflags(write=False)

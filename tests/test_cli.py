@@ -896,6 +896,15 @@ class TestRunCommand:
         out.write_text("")
         assert run_cli(program, inventory, "--rel-file", rel, out=out) == 1
 
+    def test_failed_write_exits_1_naming_the_file(self, tmp_path, capsys):
+        # outputs are written one by one: a write that fails may leave the earlier ones
+        program, inventory, rel = write_two_ad_instance(tmp_path)
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert run_cli(program, inventory, "--rel-file", rel, out=out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "report.json" in err
+
     def test_input_under_a_regular_file_exits_1(self, tmp_path):
         _, inventory, rel = write_two_ad_instance(tmp_path)
         code = run_cli(inventory / "p.json", inventory, "--rel-file", rel, out=tmp_path / "out")
@@ -1055,11 +1064,18 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"error: {arg}: {message}\n"
 
     @pytest.mark.parametrize("fault", ["program_array", "ads_object", "features_file",
-                                       "features_missing"])
+                                       "features_missing", "rel_nan", "rel_inf", "rel_range"])
     def test_malformed_input_exits_1_naming_it(self, tmp_path, capsys, fault):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         source = ["--rel-file", rel]
-        if fault == "program_array":
+        if fault.startswith("rel_"):
+            # a non-finite entry is reported before an out-of-range one
+            first, last = {"rel_nan": ("nan", "0"), "rel_inf": ("inf", "-2"),
+                           "rel_range": ("1.5", "0")}[fault]
+            rel.write_text(f"0.1 {first}\n-0.2 0.3\n0.4 {last}\n")
+            bad, message = rel, ("relevance entries must lie in [-1, 1]" if fault == "rel_range"
+                                 else "relevance entries must be finite")
+        elif fault == "program_array":
             program.write_text("[]")
             bad, message = program, "expected a JSON object at top level"
         elif fault == "ads_object":

@@ -121,6 +121,9 @@ class TestContainers:
         scenes = (Scene("s", Valence(0.1)), Scene("s", Valence(0.2)))
         with pytest.raises(InputError, match="duplicate scene id 's'"):
             ProgramSpec(scenes)
+        # the first repeated id is named, not the first id that repeats
+        with pytest.raises(InputError, match="^duplicate scene id 'b'$"):
+            ProgramSpec(tuple(Scene(scene_id, Valence(0.1)) for scene_id in "abba"))
 
     def test_duplicate_ad_id(self):
         with pytest.raises(InputError, match="duplicate ad id 'a'"):
@@ -128,6 +131,21 @@ class TestContainers:
         # the first repeated id is named, not the first id that repeats
         with pytest.raises(InputError, match="^duplicate ad id 'b'$"):
             AdInventory(tuple(Ad(ad_id, Valence(0.1)) for ad_id in "abba"))
+
+    def test_entity_lists_hold_read_only_arrays_in_entity_order(self):
+        program = make_program(0.7, -0.0, 1.0)
+        inventory = AdInventory(tuple(
+            Ad(f"a{i}", Valence(v)) for i, v in enumerate([0.9, 0.5, -0.0, 0.51])
+        ))
+        for arr, expected in [(program.valences, [0.7, 0.0, 1.0]),
+                              (inventory.valences, [0.9, 0.5, 0.0, 0.51])]:
+            assert arr.dtype == np.float64
+            assert arr.tolist() == expected
+            assert not np.signbit(arr).any()  # -0.0 is read as 0.0
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert inventory.polarities == tuple(a.polarity for a in inventory.ads)
+        assert inventory.polarities == (Polarity.HV, Polarity.LV, Polarity.LV, Polarity.HV)
 
     def test_schedule_rejects_repeated_ad(self):
         with pytest.raises(ValueError):
