@@ -9,11 +9,11 @@ validates the ``trivial`` schedule in its baseline shape; ``core.reward``
 validates the assignment's schedule and re-scores it with ``core``'s one
 statement of the per-placement term, so the re-score checks the solver's
 choices and their sum: it must equal the reported reward.  ``run`` then
-builds the profile, and only then creates the output directory and writes
-``schedule.json``, ``report.json`` and ``profile.json``, so a run that fails
-before writing leaves no file.  A write that fails exits 1 and may leave the
-files written before it.  Timing across solvers and instance sizes lives in
-``perfbench/``, not in the package.
+builds the profile, and only then creates the output directory, removes the
+old ``schedule.json``, ``report.json`` and ``profile.json`` and writes new
+ones, so a run that fails before writing leaves no file, and an ``OSError``
+while removing or writing exits 1 with files of at most one run.  Timing
+across solvers and instance sizes lives in ``perfbench/``, not in the package.
 
 Exit codes:
     0  success
@@ -122,6 +122,8 @@ def run(args: argparse.Namespace) -> int:
         profile = build_profile(schedule, program, inventory)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        for name in ("schedule.json", "report.json", "profile.json"):
+            (out_dir / name).unlink(missing_ok=True)
         io.save_schedule(schedule, out_dir / "schedule.json")
         io.save_report(doc, out_dir / "report.json")
         io.save_profile(profile, out_dir / "profile.json")

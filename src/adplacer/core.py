@@ -82,20 +82,16 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)  # numpy's too
 
 
-def _index_ids(items, kind: str) -> dict[str, int]:
-    """Map each id to its position, raising on the first repeated id."""
+def _entities(items, kind: str) -> tuple[tuple, dict[str, int], np.ndarray]:
+    """``items`` as a tuple, id -> position map and read-only float64 valences."""
+    items = tuple(items)
     index: dict[str, int] = {}
     for i, item in enumerate(items):
         if index.setdefault(item.id, i) != i:
             raise InputError(f"duplicate {kind} id {item.id!r}")
-    return index
-
-
-def _valence_array(items) -> np.ndarray:
-    """The items' valences as a read-only float64 array, in item order."""
-    arr = np.array([x.valence.value for x in items], dtype=float)
-    arr.setflags(write=False)
-    return arr
+    valences = np.array([x.valence.value for x in items], dtype=float)
+    valences.setflags(write=False)
+    return items, index, valences
 
 
 @dataclass(frozen=True)
@@ -113,18 +109,17 @@ class ProgramSpec:
     def __post_init__(self) -> None:
         if not _is_integer(self.slot_count):
             raise ValueError(f"'slot_count' must be an integer, got {self.slot_count!r}")
-        scenes = tuple(self.scenes)
-        object.__setattr__(self, "scenes", scenes)
+        scenes, _, valences = _entities(self.scenes, "scene")  # < 2 scenes repeat no id
         if len(scenes) < 2:
             raise ValueError(f"a program needs at least 2 scenes, got {len(scenes)}")
-        _index_ids(scenes, "scene")
         m = int(self.slot_count) or len(scenes) - 1
         if not 1 <= m <= len(scenes) - 1:
             raise ValueError(
                 f"slot_count must lie in 1..{len(scenes) - 1}, got {self.slot_count}"
             )
+        object.__setattr__(self, "scenes", scenes)
         object.__setattr__(self, "slot_count", m)
-        object.__setattr__(self, "valences", _valence_array(scenes))
+        object.__setattr__(self, "valences", valences)
 
     @property
     def n_scenes(self) -> int:
@@ -139,12 +134,12 @@ class AdInventory:
     ads: tuple[Ad, ...]
 
     def __post_init__(self) -> None:
-        ads = tuple(self.ads)
-        object.__setattr__(self, "ads", ads)
+        ads, index, valences = _entities(self.ads, "ad")
         if not ads:
             raise ValueError("inventory must contain at least one ad")
-        object.__setattr__(self, "_index", _index_ids(ads, "ad"))
-        object.__setattr__(self, "valences", _valence_array(ads))
+        object.__setattr__(self, "ads", ads)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "valences", valences)
         object.__setattr__(self, "polarities", tuple(a.polarity for a in ads))
 
     def __len__(self) -> int:

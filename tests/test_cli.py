@@ -897,13 +897,32 @@ class TestRunCommand:
         assert run_cli(program, inventory, "--rel-file", rel, out=out) == 1
 
     def test_failed_write_exits_1_naming_the_file(self, tmp_path, capsys):
-        # outputs are written one by one: a write that fails may leave the earlier ones
+        # the old outputs are removed, then the new ones written one by one
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
         (out / "report.json").mkdir(parents=True)
         assert run_cli(program, inventory, "--rel-file", rel, out=out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "report.json" in err
+
+    def test_failed_write_leaves_files_of_one_run(self, tmp_path, capsys):
+        program, inventory, rel = random_instance(6, 5, 3)
+        paths = tmp_path / "program.json", tmp_path / "inventory.json", tmp_path / "rel.txt"
+        io.save_program(program, paths[0])
+        io.save_inventory(inventory, paths[1])
+        io.save_relevance(rel, paths[2])
+        out = tmp_path / "out"
+        assert run_cli(*paths[:2], "--rel-file", paths[2], k=2, out=out) == 0
+        (out / "report.json").unlink()
+        (out / "report.json").mkdir()
+        assert run_cli(*paths[:2], "--rel-file", paths[2], k=4, out=out) == 1
+        assert "report.json" in capsys.readouterr().err
+        runs = set()  # the k of each run whose schedule or profile is left
+        if (out / "schedule.json").exists():
+            runs.add(len(io.load_schedule(out / "schedule.json")))
+        if (out / "profile.json").exists():
+            runs.add(sum(p.kind == "ad" for p in io.load_profile(out / "profile.json")))
+        assert len(runs) <= 1, f"schedule and profile of runs with k in {runs}"
 
     def test_input_under_a_regular_file_exits_1(self, tmp_path):
         _, inventory, rel = write_two_ad_instance(tmp_path)

@@ -98,7 +98,7 @@ class TestContainers:
 
     def test_program_custom_slot_count(self):
         assert make_program(0.1, 0.2, 0.3, slot_count=1).slot_count == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^slot_count must lie in 1\.\.1, got 5$"):
             make_program(0.1, 0.2, slot_count=5)
 
     @pytest.mark.parametrize("slot_count", [2.7, 3.0, True, "3", None], ids=repr)
@@ -114,8 +114,12 @@ class TestContainers:
         assert io.load_program(tmp_path / "program.json") == program
 
     def test_program_needs_two_scenes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a program needs at least 2 scenes, got 1$"):
             make_program(0.5)
+
+    def test_inventory_needs_an_ad(self):
+        with pytest.raises(ValueError, match="^inventory must contain at least one ad$"):
+            AdInventory(())
 
     def test_duplicate_scene_id(self):
         scenes = (Scene("s", Valence(0.1)), Scene("s", Valence(0.2)))
@@ -124,6 +128,9 @@ class TestContainers:
         # the first repeated id is named, not the first id that repeats
         with pytest.raises(InputError, match="^duplicate scene id 'b'$"):
             ProgramSpec(tuple(Scene(scene_id, Valence(0.1)) for scene_id in "abba"))
+        # the id check comes before the slot range
+        with pytest.raises(InputError, match="^duplicate scene id 'a'$"):
+            ProgramSpec((Scene("a", Valence(0.1)), Scene("a", Valence(0.2))), slot_count=5)
 
     def test_duplicate_ad_id(self):
         with pytest.raises(InputError, match="duplicate ad id 'a'"):
