@@ -110,7 +110,7 @@ def run(args: argparse.Namespace) -> int:
             solved = solve_assignment(program, inventory, rel, params)
             wall_time = time.perf_counter() - started
             schedule = solved.schedule
-            # reward validates the schedule: an invalid one raises InfeasibleSchedule
+            # reward validates the schedule: an invalid one raises AdPlacerError
             recomputed = reward(schedule, program, inventory, rel, params)
             if recomputed != solved.reward:
                 raise AdPlacerError(

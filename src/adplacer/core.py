@@ -29,7 +29,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
-from .errors import InfeasibleK, InfeasibleSchedule, InputError, UnknownAdId
+from .errors import AdPlacerError, InfeasibleK, InputError
 
 #: Absolute tolerance for comparing the rewards of two different schedules, such
 #: as tied optima; ``perfbench/oracle.py`` imports it.
@@ -152,7 +152,7 @@ class AdInventory:
         try:
             return self._index[ad_id]
         except KeyError:
-            raise UnknownAdId(f"ad id {ad_id!r} not in inventory") from None
+            raise AdPlacerError(f"ad id {ad_id!r} not in inventory") from None
 
     def ad(self, ad_id: str) -> Ad:
         return self.ads[self.index_of(ad_id)]
@@ -450,17 +450,17 @@ def reward(
     rel: RelevanceMatrix,
     params: RewardParams,
 ) -> float:
-    """Score of a strict schedule; any other raises ``InfeasibleSchedule``.
+    """Score of a strict schedule; any other raises ``AdPlacerError``.
 
     The correctly rounded sum (``math.fsum``) of ``_term`` over the k placed
     (slot, ad) pairs, whatever their order.  Pure function of its inputs.
     """
     check = validate_schedule(schedule, program, inventory, params)
     if not check:
-        raise InfeasibleSchedule(f"{check.constraint}: {check.message}")
+        raise AdPlacerError(f"{check.constraint}: {check.message}")
     _check_relevance_shape(rel, program, inventory)
     if schedule.mode != "strict":
-        raise InfeasibleSchedule(f"only a strict schedule has a reward, got {schedule.mode!r}")
+        raise AdPlacerError(f"only a strict schedule has a reward, got {schedule.mode!r}")
     slots = np.array([e.slot for e in schedule.entries], dtype=int)
     ads = np.array([inventory.index_of(e.ad_id) for e in schedule.entries], dtype=int)
     terms = _term(slots, inventory.valences[ads], program.valences[slots - 1],
@@ -500,7 +500,7 @@ def build_profile(
         if not 0 <= entry.slot <= program.slot_count:
             raise ValueError(f"slot {entry.slot} outside 0..{program.slot_count}")
         order += [("scene", scene) for scene in scenes[shown : entry.slot]]
-        order.append(("ad", inventory.ad(entry.ad_id)))  # raises UnknownAdId
+        order.append(("ad", inventory.ad(entry.ad_id)))  # raises AdPlacerError
         shown = entry.slot
     order += [("scene", scene) for scene in scenes[shown:]]
     return tuple(

@@ -1,14 +1,14 @@
 """Solvers maximizing the placement reward under the strict constraints.
 
-Two routes: ``solve_brute_force``, which scores every balanced ad subset in
-every block-respecting placement and refuses instances above
-``DEFAULT_CANDIDATE_CAP`` candidates (a test oracle; no CLI route runs it),
-and the exact polynomial route ``solve_assignment`` - a block reduction
-(each ad's best slot inside each block), pruned to the ads an optimum needs
-and solved as a min-cost flow by successive shortest paths in numpy.  Each
-route returns its schedule and the reward it optimized, which callers
-re-score.  ``trivial_schedule`` is a naive scheduler, the comparison point
-for the exact routes.
+Two routes: ``solve_brute_force``, one loop that scores every balanced ad
+subset in every block-respecting placement and refuses, with an
+``AdPlacerError``, instances above ``DEFAULT_CANDIDATE_CAP`` candidates (a
+test oracle; no CLI route runs it), and the exact polynomial route
+``solve_assignment`` - a block reduction (each ad's best slot inside each
+block), pruned to the ads an optimum needs and solved as a min-cost flow by
+successive shortest paths in numpy.  Each route returns its schedule and
+the reward it optimized, which callers re-score.  ``trivial_schedule`` is a
+naive scheduler, the comparison point for the exact routes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .core import (
     _term,
     slot_blocks,
 )
-from .errors import InstanceTooLarge
+from .errors import AdPlacerError
 
 #: Brute force refuses instances with more candidate schedules than this.
 DEFAULT_CANDIDATE_CAP = 10**8
@@ -63,30 +62,6 @@ def _contributions(
                  program.valences[:m, None], rel.values[:m, :], params)
 
 
-def _iter_balanced_index_subsets(
-    inventory: AdInventory, k: int
-) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of ad indices with k/2 of each polarity, lexicographic."""
-    half = _check_balance(inventory, k)
-    is_hv = [p is Polarity.HV for p in inventory.polarities]
-    for subset in itertools.combinations(range(len(is_hv)), k):
-        if sum(is_hv[i] for i in subset) == half:
-            yield subset
-
-
-def _iter_placements_idx(
-    ads: Sequence[int], blocks: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All (slot, ad) assignments, one ad per block, deterministic order.
-
-    Orderings of the given ads come first (lexicographic relative to the
-    input sequence), then the slot choice within each block, block by block.
-    """
-    for perm in itertools.permutations(ads):
-        for slot_choice in itertools.product(*blocks):
-            yield tuple(zip(slot_choice, perm))
-
-
 def solve_brute_force(
     program: ProgramSpec,
     inventory: AdInventory,
@@ -95,25 +70,29 @@ def solve_brute_force(
 ) -> SolveReport:
     """Exhaustively score every feasible schedule and keep the best.
 
-    Ties go to the first schedule in enumeration order (lexicographic in
-    subset, ad ordering, then slot choice).  The candidate count, taken
-    before any enumeration, is C(HV, k/2) * C(LV, k/2) subsets times k!
-    orderings times the product of the block sizes; above
-    ``DEFAULT_CANDIDATE_CAP`` this raises InstanceTooLarge.
+    One loop walks the balanced ad subsets (``itertools.combinations``, the
+    unbalanced ones skipped), each subset's orderings (``permutations``) and
+    the slot choices (``product`` over the blocks); ties go to the first
+    schedule in that order.  The candidate count, taken before any
+    enumeration, is C(HV, k/2) * C(LV, k/2) subsets times k! orderings times
+    the product of the block sizes; above ``DEFAULT_CANDIDATE_CAP`` this
+    raises ``AdPlacerError``, and scoring any other count raises
+    ``RuntimeError``.
     """
     _check_relevance_shape(rel, program, inventory)
     _check_feasible(program, inventory, params.k)
     k = params.k
     blocks = slot_blocks(program.slot_count, k)
-    hv = inventory.polarities.count(Polarity.HV)
+    is_hv = [p is Polarity.HV for p in inventory.polarities]
+    hv = sum(is_hv)
     total = (
         math.comb(hv, k // 2)
-        * math.comb(len(inventory) - hv, k // 2)
+        * math.comb(len(is_hv) - hv, k // 2)
         * math.factorial(k)
         * math.prod(len(b) for b in blocks)
     )
     if total > DEFAULT_CANDIDATE_CAP:
-        raise InstanceTooLarge(
+        raise AdPlacerError(
             f"{total} candidate schedules exceed the cap of "
             f"{DEFAULT_CANDIDATE_CAP}; use solve_assignment"
         )
@@ -122,17 +101,21 @@ def solve_brute_force(
     best_val = -math.inf
     best_placement: tuple[tuple[int, int], ...] | None = None
     count = 0
-    for subset in _iter_balanced_index_subsets(inventory, k):
-        for placement in _iter_placements_idx(subset, blocks):
-            value = 0.0
-            for slot, j in placement:
-                value += c_rows[slot - 1][j]
-            if value > best_val:
-                best_val = value
-                best_placement = placement
-            count += 1
+    for subset in itertools.combinations(range(len(is_hv)), k):
+        if sum(is_hv[j] for j in subset) != k // 2:
+            continue
+        for perm in itertools.permutations(subset):
+            for slots in itertools.product(*blocks):
+                value = 0.0
+                for slot, j in zip(slots, perm):
+                    value += c_rows[slot - 1][j]
+                if value > best_val:
+                    best_val = value
+                    best_placement = tuple(zip(slots, perm))
+                count += 1
 
-    assert best_placement is not None and count == total
+    if count != total:
+        raise RuntimeError(f"enumerated {count} candidate schedules, expected {total}")
     schedule = Schedule.strict((slot, inventory.ads[j].id) for slot, j in best_placement)
     return SolveReport(schedule, math.fsum(c_rows[slot - 1][j] for slot, j in best_placement))
 

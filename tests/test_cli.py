@@ -485,9 +485,6 @@ ERROR_EXIT_CODES = {
     "AdPlacerError": 4,
     "InputError": 1,
     "InfeasibleK": 2,
-    "InfeasibleSchedule": 4,
-    "UnknownAdId": 4,
-    "InstanceTooLarge": 4,
 }
 
 #: Classes that earlier releases of ``adplacer.errors`` defined, each with the
@@ -498,8 +495,11 @@ FOLDED_ERRORS = {
     "DuplicateSceneId": "InputError",
     "FrameCountMismatch": "InputError",
     "InfeasibleInventory": "InfeasibleK",
+    "InfeasibleSchedule": "AdPlacerError",
+    "InstanceTooLarge": "AdPlacerError",
     "MissingEntity": "InputError",
     "ParseError": "InputError",
+    "UnknownAdId": "AdPlacerError",
     "ValenceOutOfRange": "InputError",
     "ZeroNormVector": "InputError",
 }

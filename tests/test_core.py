@@ -25,7 +25,7 @@ from adplacer.core import (
     slot_blocks,
     validate_schedule,
 )
-from adplacer.errors import InfeasibleK, InfeasibleSchedule, InputError
+from adplacer.errors import AdPlacerError, InfeasibleK, InputError
 from adplacer.relevance import KeyframeFeatures
 
 from util import (
@@ -354,8 +354,10 @@ class TestReward:
         baseline = Schedule(placed.entries, "baseline")
         assert validate_schedule(placed, program, inventory, params)
         assert validate_schedule(baseline, program, inventory, params)
-        with pytest.raises(InfeasibleSchedule, match="only a strict schedule has a reward"):
+        with pytest.raises(AdPlacerError) as exc:
             reward(baseline, program, inventory, rel, params)
+        assert type(exc.value) is AdPlacerError
+        assert str(exc.value) == "only a strict schedule has a reward, got 'baseline'"
 
     def test_empty_schedule_scores_zero(self):
         program, inventory, rel, _ = two_ad_instance()
@@ -376,8 +378,10 @@ class TestReward:
     def test_infeasible_schedule_raises(self):
         program, inventory, rel, params = two_ad_instance()
         unbalanced = Schedule.strict([(1, "a1")])
-        with pytest.raises(InfeasibleSchedule):
+        with pytest.raises(AdPlacerError) as exc:
             reward(unbalanced, program, inventory, rel, params)
+        assert type(exc.value) is AdPlacerError
+        assert str(exc.value) == "ad_count: schedule has 1 ads, expected k=2"
 
     def test_relevance_shape_mismatch(self):
         program, inventory, _, params = two_ad_instance()

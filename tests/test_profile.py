@@ -4,7 +4,7 @@ import pytest
 
 from adplacer import build_profile, random_instance, trivial_schedule
 from adplacer.core import RewardParams, Schedule, ScheduleEntry
-from adplacer.errors import UnknownAdId
+from adplacer.errors import AdPlacerError
 from adplacer.solvers import solve_assignment
 
 from util import make_inventory, make_program
@@ -70,8 +70,10 @@ def test_unknown_ad():
     program = make_program(0.9, 0.1)
     inventory = make_inventory(0.8)
     schedule = Schedule.strict([(1, "ghost")])
-    with pytest.raises(UnknownAdId):
+    with pytest.raises(AdPlacerError) as exc:
         build_profile(schedule, program, inventory)
+    assert type(exc.value) is AdPlacerError
+    assert str(exc.value) == "ad id 'ghost' not in inventory"
 
 
 @pytest.mark.parametrize("slot", [-1, 3])

@@ -1,4 +1,4 @@
-"""Enumeration, brute force and the exact assignment."""
+"""Brute force and the exact assignment."""
 
 import itertools
 import math
@@ -21,29 +21,24 @@ from adplacer.core import (
     slot_blocks,
     validate_schedule,
 )
-from adplacer.errors import InfeasibleK, InstanceTooLarge
+from adplacer.errors import AdPlacerError, InfeasibleK
 from adplacer.solvers import solve_assignment, solve_brute_force
 
-from util import ODD_K, const_rel, make_inventory, make_program, two_ad_instance
+from util import const_rel, make_inventory, make_program, two_ad_instance
 
 
-def balanced_subsets(inventory, k):
-    """The balanced subsets brute force scores, as ad ids, in its order."""
-    return [
-        tuple(inventory.ads[i].id for i in subset)
-        for subset in solvers._iter_balanced_index_subsets(inventory, k)
-    ]
-
-
-def placements(ads, program, k):
-    """The placements brute force scores for the ad indices ``ads``, in its
-    order, as schedules of the ids ``make_inventory`` gives (index j is
-    ``a{j + 1}``)."""
-    blocks = slot_blocks(program.slot_count, k)
-    return [
-        Schedule.strict((slot, f"a{j + 1}") for slot, j in placement)
-        for placement in solvers._iter_placements_idx(ads, blocks)
-    ]
+def best_valid_reward(program, inventory, rel, params):
+    """The optimum by definition: the best ``reward`` over every strict
+    schedule that ``validate_schedule`` accepts, built literally as each
+    k-slot combination times each ordered k-tuple of ad ids."""
+    ids = [ad.id for ad in inventory.ads]
+    best = -math.inf
+    for slots in itertools.combinations(range(1, program.slot_count + 1), params.k):
+        for ads in itertools.permutations(ids, params.k):
+            schedule = Schedule.strict(zip(slots, ads))
+            if validate_schedule(schedule, program, inventory, params):
+                best = max(best, reward(schedule, program, inventory, rel, params))
+    return best
 
 
 def block_values(program, inventory, rel, params):
@@ -93,111 +88,6 @@ NORTH_STAR = [
 ]
 
 
-class TestBalancedSubsets:
-    def test_two_by_two_cross_pairs(self):
-        inventory = make_inventory(0.9, 0.8, 0.2, 0.1)  # a1,a2 HV; a3,a4 LV
-        subsets = balanced_subsets(inventory, 2)
-        assert subsets == [("a1", "a3"), ("a1", "a4"), ("a2", "a3"), ("a2", "a4")]
-
-    def test_k_zero_yields_single_empty_subset(self):
-        inventory = make_inventory(0.9, 0.1)
-        assert balanced_subsets(inventory, 0) == [()]
-
-    def test_insufficient_polarity(self):
-        inventory = make_inventory(0.9, 0.8, 0.7)  # all HV
-        with pytest.raises(InfeasibleK, match="need 1 HV and 1 LV ads, inventory has 3 HV / 0 LV"):
-            balanced_subsets(inventory, 2)
-
-    def test_odd_k_rejected(self):
-        inventory = make_inventory(0.9, 0.1)
-        with pytest.raises(InfeasibleK, match=ODD_K):
-            balanced_subsets(inventory, 1)
-
-    def test_matches_filtered_combinations_oracle(self):
-        rng = np.random.default_rng(71)
-        for trial in range(20):
-            p = int(rng.integers(4, 9))
-            vals = [float(v) for v in rng.random(p)]
-            inventory = make_inventory(*vals)
-            for k in (0, 2, 4):
-                half = k // 2
-                hv = inventory.polarities.count(Polarity.HV)
-                if hv < half or len(inventory) - hv < half:
-                    continue
-                ids = [ad.id for ad in inventory.ads]
-                expected = [
-                    combo
-                    for combo in itertools.combinations(ids, k)
-                    if sum(
-                        1
-                        for ad_id in combo
-                        if inventory.ad(ad_id).polarity is Polarity.HV
-                    )
-                    == half
-                ]
-                assert balanced_subsets(inventory, k) == expected
-
-    def test_lexicographic_order_on_every_polarity_pattern(self):
-        # brute force breaks ties by this order, so it must be exactly the
-        # filtered itertools.combinations order on every small inventory; its
-        # candidate count assumes C(HV, k/2) * C(LV, k/2) subsets
-        cases = 0
-        for p in range(2, 9):
-            for pattern in itertools.product((True, False), repeat=p):
-                inventory = make_inventory(*(0.9 if hv else 0.1 for hv in pattern))
-                ids = [ad.id for ad in inventory.ads]
-                n_hv = sum(pattern)
-                for k in range(0, 2 * min(n_hv, p - n_hv) + 1, 2):
-                    expected = [
-                        tuple(ids[i] for i in combo)
-                        for combo in itertools.combinations(range(p), k)
-                        if sum(pattern[i] for i in combo) == k // 2
-                    ]
-                    assert balanced_subsets(inventory, k) == expected
-                    assert len(expected) == math.comb(n_hv, k // 2) * math.comb(
-                        p - n_hv, k // 2
-                    )
-                    cases += 1
-        assert cases > 1000
-
-
-class TestPlacements:
-    def test_two_ads_two_slots(self):
-        program = make_program(0.5, 0.5, 0.5)  # M = 2, blocks {1},{2}
-        schedules = placements((0, 1), program, 2)
-        assert len(schedules) == 2
-        assert schedules[0].entries[0].ad_id == "a1"
-        assert schedules[1].entries[0].ad_id == "a2"
-
-    def test_one_ad_three_slots(self):
-        program = make_program(0.5, 0.5, 0.5, 0.5)  # M = 3, single block
-        schedules = placements((0,), program, 1)
-        assert [s.entries[0].slot for s in schedules] == [1, 2, 3]
-
-    def test_two_ads_four_slots(self):
-        program = make_program(0.5, 0.5, 0.5, 0.5, 0.5)  # M = 4
-        schedules = placements((0, 1), program, 2)
-        assert len(schedules) == 8  # 2! orderings x 2 x 2 slot choices
-
-    def test_matches_literal_permutation_filter(self):
-        # oracle: place the ads on every injective slot choice, keep the
-        # block-feasible ones; must equal the direct enumeration as a set
-        inventory = make_inventory(0.8, 0.2)
-        params = RewardParams(0.5, 0.5, 2)
-        for m in (2, 3, 4):
-            program = make_program(*([0.5] * (m + 1)))
-            direct = {
-                frozenset((e.slot, e.ad_id) for e in s.entries)
-                for s in placements((0, 1), program, 2)
-            }
-            literal = set()
-            for slots in itertools.permutations(range(1, m + 1), 2):
-                schedule = Schedule.strict(zip(slots, ("a1", "a2")))
-                if validate_schedule(schedule, program, inventory, params):
-                    literal.add(frozenset((e.slot, e.ad_id) for e in schedule.entries))
-            assert direct == literal
-
-
 class TestBruteForce:
     def test_hand_scored_instance(self):
         program, inventory, rel, params = two_ad_instance()
@@ -238,8 +128,63 @@ class TestBruteForce:
         # the count is taken before any enumeration, so this stays instant
         program, inventory, rel = random_instance(40, 30, 0)
         params = RewardParams(0.5, 0.5, 10)
-        with pytest.raises(InstanceTooLarge, match="use solve_assignment"):
+        with pytest.raises(AdPlacerError) as exc:
             solve_brute_force(program, inventory, rel, params)
+        assert type(exc.value) is AdPlacerError
+        assert str(exc.value) == (
+            "51506625718620979200 candidate schedules exceed the cap of 100000000; "
+            "use solve_assignment"
+        )
+
+    def test_incomplete_enumeration_raises(self, monkeypatch):
+        # the count check is a raise, not an assert, so it holds under python -O
+        factorial = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda n: 2 * factorial(n))
+        program, inventory, rel, params = two_ad_instance()
+        with pytest.raises(RuntimeError, match=r"^enumerated 2 candidate schedules, expected 4$"):
+            solve_brute_force(program, inventory, rel, params)
+
+    def test_reward_is_the_best_of_every_valid_schedule(self):
+        # blocks of up to 3 slots, so the slot choice inside a block matters
+        for case, (p, m, k) in enumerate([(2, 3, 2), (4, 5, 2), (4, 5, 4), (5, 6, 4)]):
+            program, inventory, rel = random_instance(p, m, 8000 + case)
+            for alpha in (0.0, 0.5, 1.0):
+                params = RewardParams(alpha, 1.0 - alpha, k)
+                bf = solve_brute_force(program, inventory, rel, params)
+                best = best_valid_reward(program, inventory, rel, params)
+                assert reward(bf.schedule, program, inventory, rel, params) == best
+
+    def test_every_polarity_pattern(self):
+        # each HV/LV pattern of up to 6 ads; brute force also checks that it
+        # scored its C(HV, k/2) * C(LV, k/2) * k! * prod(block sizes) candidates
+        rng = np.random.default_rng(83)
+        cases = 0
+        for p in range(1, 7):
+            for pattern in itertools.product((True, False), repeat=p):
+                inventory = make_inventory(*(
+                    rng.uniform(0.55, 1.0) if hv else rng.uniform(0.0, 0.5) for hv in pattern
+                ))
+                n_hv = sum(pattern)
+                for k in range(0, 2 * min(n_hv, p - n_hv, 2) + 1, 2):
+                    program = make_program(*rng.uniform(0.0, 1.0, max(k, 1) + 1))
+                    rel = RelevanceMatrix(rng.uniform(-1.0, 1.0, (max(k, 1) + 1, p)))
+                    alpha = (0.0, 0.5, 1.0)[cases % 3]
+                    params = RewardParams(alpha, 1.0 - alpha, k)
+                    bf = solve_brute_force(program, inventory, rel, params)
+                    best = best_valid_reward(program, inventory, rel, params)
+                    assert reward(bf.schedule, program, inventory, rel, params) == best
+                    cases += 1
+        assert cases == 316
+
+    def test_ties_go_to_the_first_schedule_enumerated(self):
+        # zero relevance and alpha = 0 score every schedule 0, so the first
+        # subset, its first ordering and the first slot of each block win
+        program = make_program(0.5, 0.5, 0.5)  # M = 2, blocks {1},{2}
+        inventory = make_inventory(0.9, 0.8, 0.2, 0.1)  # a1,a2 HV; a3,a4 LV
+        params = RewardParams(0.0, 1.0, 2)
+        bf = solve_brute_force(program, inventory, const_rel(3, 4, 0.0), params)
+        assert bf.reward == 0.0
+        assert [(e.slot, e.ad_id) for e in bf.schedule.entries] == [(1, "a1"), (2, "a3")]
 
 
 class TestAssignment:
