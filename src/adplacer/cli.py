@@ -87,8 +87,8 @@ def run(args: argparse.Namespace) -> int:
     """Load the instance that ``build_parser()`` parsed into ``args``, solve it,
     and write schedule/report/profile files."""
     try:
-        program = io.load_program(args.program, args.scale)
-        inventory = io.load_inventory(args.inventory, args.scale)
+        program = io.load_program(args.program)
+        inventory = io.load_inventory(args.inventory)
         params = RewardParams(args.alpha, 1.0 - args.alpha, args.k)
 
         started = time.perf_counter()
@@ -164,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="precomputed N x P relevance grid (overrides --features)")
     runp.add_argument("--pairing", choices=["aligned", "all_pairs"], default="aligned",
                       help="frame pairing for relevance from features (default aligned)")
-    runp.add_argument("--scale", choices=["unit", "hundred"], default="unit",
-                      help="valence scale of the input files (default unit)")
     runp.add_argument("--seed", type=int, default=0, help="RNG seed for the trivial baseline")
     runp.add_argument("--out", default="out", metavar="DIR",
                       help="output directory (default ./out)")

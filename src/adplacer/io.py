@@ -4,15 +4,14 @@ Structured data travels as JSON with a ``format`` version header; numeric
 grids (features, relevance) are whitespace-separated UTF-8 text with a ``#``
 header comment.  Each JSON record list (scenes, ads, schedule entries, profile
 points) holds objects with that record's keys, and other keys are ignored.
-Fields are checked here for their JSON type only (and a valence for the
-range of its scale): a wrong type or a missing key names the file, the index
-and the field.  Every other rule belongs to the object built, whose errors
-name the file.  Each fault in a file's content is an ``InputError``, and an
-unreadable file an ``OSError``; ``adplacer.cli`` gives their exit codes.
-``schedule.json`` holds its ``Schedule.mode``.  Floats serialize via
-``repr`` (JSON) or ``%.17g`` (grids), both of which round-trip float64
-exactly, so re-running a solve reproduces ``schedule.json`` and
-``profile.json`` byte for byte; only ``report.json`` holds a time.  From
+Fields are checked here for their JSON type only: a wrong type or a missing
+key names the file, the index and the field.  Every other rule belongs to the
+object built, whose errors name the file.  Each fault in a file's content is
+an ``InputError``, and an unreadable file an ``OSError``; ``adplacer.cli``
+gives their exit codes.  ``schedule.json`` holds its ``Schedule.mode``.
+Floats serialize via ``repr`` (JSON) or ``%.17g`` (grids), both of which
+round-trip float64 exactly, so re-running a solve reproduces ``schedule.json``
+and ``profile.json`` byte for byte; only ``report.json`` holds a time.  From
 ``--features`` that holds for one BLAS build and thread count, because the
 bits of the relevance product depend on BLAS blocking; a ``--rel-file`` run
 uses no BLAS.  Identical creatives (or scenes) tie exactly on any build,
@@ -25,7 +24,7 @@ import json
 import warnings
 from functools import partial
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +49,6 @@ REPORT_FORMAT = "adplacer-report/3"
 PROFILE_FORMAT = "adplacer-profile/1"
 RELEVANCE_HEADER = "adplacer-rel/1"
 FEATURES_HEADER = "adplacer-features/1"
-
-Scale = Literal["unit", "hundred"]
 
 
 def _dump_json(doc: dict, path) -> None:
@@ -97,19 +94,11 @@ def _parse_float(raw) -> float:
         raise InputError(f"is beyond the float range: {raw}") from None
 
 
-def _parse_valence(raw, scale: Scale) -> Valence:
-    """A number on ``scale``, as a unit-scale ``Valence``.
-
-    The range is checked on ``raw``, before dividing: ints and floats compare
-    exactly, so an integer beyond the float range and NaN fail, and so does
-    -1e-322, which ``/ 100`` would round to -0.0.
-    """
+def _parse_valence(raw) -> Valence:
+    """A JSON number, as a ``Valence``, which checks its range."""
     if type(raw) not in (int, float):
         raise InputError(f"is not a number: {raw!r}")
-    limit = 1 if scale == "unit" else 100
-    if not 0 <= raw <= limit:
-        raise InputError(f"{raw} outside [0, {limit}] for scale {scale!r}")
-    return Valence(raw / limit)
+    return Valence(raw)
 
 
 def _load_records(path, format: str, key: str, record, build, **parsers):
@@ -157,12 +146,11 @@ def _dump_entities(path, format: str, key: str, entities, **extra) -> None:
     _dump_json({"format": format, key: records, **extra}, path)
 
 
-def load_program(path, scale: Scale = "unit") -> ProgramSpec:
-    """Parse a program file, normalizing valences to the unit scale."""
+def load_program(path) -> ProgramSpec:
     return _load_records(
         path, PROGRAM_FORMAT, "scenes", Scene,
         lambda doc, scenes: ProgramSpec(scenes, doc.get("slot_count", 0)),
-        id=_parse_str, valence=partial(_parse_valence, scale=scale),
+        id=_parse_str, valence=_parse_valence,
     )
 
 
@@ -172,11 +160,10 @@ def save_program(program: ProgramSpec, path) -> None:
     )
 
 
-def load_inventory(path, scale: Scale = "unit") -> AdInventory:
-    """Parse an ad inventory file, normalizing valences to the unit scale."""
+def load_inventory(path) -> AdInventory:
     return _load_records(
         path, INVENTORY_FORMAT, "ads", Ad, lambda doc, ads: AdInventory(ads),
-        id=_parse_str, valence=partial(_parse_valence, scale=scale),
+        id=_parse_str, valence=_parse_valence,
     )
 
 

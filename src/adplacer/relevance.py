@@ -134,7 +134,7 @@ def build_relevance_matrix(
     """
     if pairing not in ("aligned", "all_pairs"):
         raise ValueError(f"unknown pairing mode {pairing!r}")
-    if not scene_feats or not ad_feats:
+    if not scene_feats:
         return RelevanceMatrix(np.empty((len(scene_feats), len(ad_feats))))
     ref = scene_feats[0]
     n_frames = ref.frames.shape[0] if pairing == "aligned" else 1

@@ -32,19 +32,14 @@ from adplacer.solvers import solve_assignment
 from util import make_inventory, make_program, two_ad_instance
 
 
-def write_two_ad_instance(tmp_path, scale="unit"):
+def write_two_ad_instance(tmp_path):
     """Write ``two_ad_instance()`` to program.json, inventory.json and rel.txt
-    in ``tmp_path``, its valences times 100 when ``scale`` is "hundred"."""
+    in ``tmp_path``."""
     program, inventory, rel, _ = two_ad_instance()
-    factor = 100.0 if scale == "hundred" else 1.0
     paths = tmp_path / "program.json", tmp_path / "inventory.json", tmp_path / "rel.txt"
-    for path, format, key, entities in [
-        (paths[0], io.PROGRAM_FORMAT, "scenes", program.scenes),
-        (paths[1], io.INVENTORY_FORMAT, "ads", inventory.ads),
-    ]:
-        records = [{"id": e.id, "valence": e.valence.value * factor} for e in entities]
-        path.write_text(json.dumps({"format": format, key: records}))
-    np.savetxt(paths[2], rel.values, fmt="%.17g")
+    io.save_program(program, paths[0])
+    io.save_inventory(inventory, paths[1])
+    io.save_relevance(rel, paths[2])
     return paths
 
 
@@ -102,21 +97,6 @@ class TestProgramFiles:
         again = io.load_program(path)
         assert again == program
 
-    def test_hundred_scale(self, tmp_path):
-        doc = {
-            "format": io.PROGRAM_FORMAT,
-            "scenes": [
-                {"id": "s1", "valence": 90},
-                {"id": "s2", "valence": 10},
-                {"id": "s3", "valence": 80},
-            ],
-        }
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(doc))
-        program = io.load_program(path, scale="hundred")
-        assert [s.valence.value for s in program.scenes] == [0.9, 0.1, 0.8]
-        assert program.slot_count == 2
-
     def test_empty_scene_list(self, tmp_path):
         # and an empty ad list: each is an InputError that names the file
         for load, doc in [
@@ -131,12 +111,13 @@ class TestProgramFiles:
     def test_valence_out_of_range(self, tmp_path):
         doc = {
             "format": io.PROGRAM_FORMAT,
-            "scenes": [{"id": "s1", "valence": 120}, {"id": "s2", "valence": 10}],
+            "scenes": [{"id": "s1", "valence": 120}, {"id": "s2", "valence": 0.1}],
         }
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InputError, match=r"'valence' 120 outside \[0, 100\]"):
-            io.load_program(path, scale="hundred")
+        message = re.escape(f"{path}: scenes[0]: 'valence' valence 120 outside [0, 1]")
+        with pytest.raises(InputError, match=f"^{message}$"):
+            io.load_program(path)
 
     @pytest.mark.parametrize("sign", ["", "-"])
     @pytest.mark.parametrize("kind", ["program", "inventory"])
@@ -525,7 +506,10 @@ class TestRunCommand:
         profile = io.load_profile(out / "profile.json")
         assert len(profile) == 5
 
-    @pytest.mark.parametrize("flags", [("--solver", "brute"), ("--cap", 5)], ids=["brute", "cap"])
+    @pytest.mark.parametrize(
+        "flags", [("--solver", "brute"), ("--cap", 5), ("--scale", "hundred")],
+        ids=["brute", "cap", "scale"],
+    )
     def test_brute_force_flags_are_gone(self, tmp_path, capsys, flags):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -764,13 +748,6 @@ class TestRunCommand:
         assert run_cli(program, inventory, "--rel-file", rel) == 4
         assert capsys.readouterr().err.endswith("error: internal error: no profile\n")
 
-    def test_hundred_scale_flag(self, tmp_path):
-        program, inventory, rel = write_two_ad_instance(tmp_path, scale="hundred")
-        out = tmp_path / "out"
-        assert run_cli(program, inventory, "--rel-file", rel, "--scale", "hundred", out=out) == 0
-        report = io.load_report(out / "report.json")
-        assert report["reward"] == pytest.approx(1.3, abs=1e-9)
-
     def test_trivial_with_short_slot_count_exits_0(self, tmp_path):
         program = make_program(*[0.1 * i for i in range(1, 11)], slot_count=3)
         inventory = make_inventory(0.9, 0.1)
@@ -813,26 +790,21 @@ class TestRunCommand:
         program, inventory, _ = write_two_ad_instance(tmp_path)
         assert run_cli(program, inventory, "--alpha", 1.0) == 0
 
-    @pytest.mark.parametrize("scale, token, expected", [
-        ("unit", "0", 0), ("unit", "0.5", 0), ("unit", "1", 0),
-        ("unit", "-0.0", 0), ("unit", "1e-308", 0), ("unit", "-5e-324", 1),
-        ("unit", "1" + "0" * 400, 1), ("unit", "1e400", 1),
-        ("unit", "-1", 1), ("unit", "1.5", 1),
+    @pytest.mark.parametrize("token, expected", [
+        ("0", 0), ("0.5", 0), ("1", 0), ("-0.0", 0), ("1e-308", 0),
+        ("-5e-324", 1), ("-1e-322", 1), ("1" + "0" * 400, 1), ("1e400", 1),
+        ("-1", 1), ("1.5", 1), ("NaN", 1), ("Infinity", 1), ("-Infinity", 1),
         # json.loads refuses an integer of more than 4300 digits with a ValueError
-        ("unit", "1" + "0" * 5000, 1),
-        ("hundred", "100", 0), ("hundred", "100.5", 1),
-        # the range is checked before dividing, which would round these to -0.0
-        ("hundred", "-1e-322", 1), ("hundred", "-5e-324", 1),
-        ("hundred", "1" + "0" * 400, 1),
+        ("1" + "0" * 5000, 1),
     ], ids=lambda v: v if len(str(v)) < 20 else f"10**{len(v) - 1}")
     @pytest.mark.parametrize("kind", ["program", "inventory"])
-    def test_edge_valences(self, tmp_path, capsys, kind, scale, token, expected):
+    def test_edge_valences(self, tmp_path, capsys, kind, token, expected):
         # the extra entity keeps the HV and the LV ad, so k=2 stays feasible
-        program, inventory, _ = write_two_ad_instance(tmp_path, scale=scale)
+        program, inventory, _ = write_two_ad_instance(tmp_path)
         path = program if kind == "program" else inventory
         append_entity(path, kind, token)
         out = tmp_path / "out"
-        code = run_cli(program, inventory, "--alpha", 1, "--scale", scale, out=out)
+        code = run_cli(program, inventory, "--alpha", 1, out=out)
         assert code == expected
         assert out.exists() == (code == 0)
         if code:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from adplacer import relevance
 from adplacer.errors import InputError
 from adplacer.relevance import (
     KeyframeFeatures,
@@ -210,6 +211,15 @@ class TestMatrix:
         assert np.array_equal(rel[:, 3], rel[:, 200])
         assert len(calls) <= 1  # one confirmation, for the one twin
 
+    def test_a_shared_key_still_needs_equal_summaries(self, monkeypatch):
+        # with every summary under one key, only np.array_equal keeps ads apart
+        rng = np.random.default_rng(97)
+        scenes = [feats("s0", rng.normal(size=(2, 4)))]
+        ads = [feats(f"ad{j}", rng.normal(size=(2, 4))) for j in range(3)]
+        expected = build_relevance_matrix(scenes, ads).values
+        monkeypatch.setattr(relevance, "hash", lambda key: 0, raising=False)
+        assert np.array_equal(build_relevance_matrix(scenes, ads).values, expected)
+
     def test_frame_count_mismatch(self):
         rng = np.random.default_rng(67)
         scenes = [feats(f"s{i}", rng.normal(size=(3, 4))) for i in range(2)]
@@ -218,6 +228,13 @@ class TestMatrix:
         with pytest.raises(InputError, match=message):
             build_relevance_matrix(scenes, ads)
         assert build_relevance_matrix(scenes, ads, "all_pairs").values.shape == (2, 2)
+
+    def test_empty_ad_list_still_checks_the_scenes(self):
+        rng = np.random.default_rng(67)
+        scenes = [feats("s0", rng.normal(size=(3, 4))), feats("s1", rng.normal(size=(2, 4)))]
+        message = "^aligned pairing needs equal frame counts: 's0' has 3, 's1' has 2$"
+        with pytest.raises(InputError, match=message):
+            build_relevance_matrix(scenes, [])
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(71)
