@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import reprlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Literal
@@ -57,7 +58,7 @@ class Valence:
     def __post_init__(self) -> None:
         # ints and floats compare exactly: an integer beyond the float range fails, as does NaN
         if not 0 <= self.value <= 1:
-            raise InputError(f"valence {self.value!r} outside [0, 1]")
+            raise InputError(f"valence {reprlib.repr(self.value)} outside [0, 1]")
         object.__setattr__(self, "value", float(self.value) + 0.0)  # -0.0 becomes 0.0
 
 
@@ -108,15 +109,14 @@ class ProgramSpec:
 
     def __post_init__(self) -> None:
         if not _is_integer(self.slot_count):
-            raise ValueError(f"'slot_count' must be an integer, got {self.slot_count!r}")
+            raise ValueError("'slot_count' must be an integer, "
+                             f"got {reprlib.repr(self.slot_count)}")
         scenes, _, valences = _entities(self.scenes, "scene")  # < 2 scenes repeat no id
         if len(scenes) < 2:
             raise ValueError(f"a program needs at least 2 scenes, got {len(scenes)}")
         m = int(self.slot_count) or len(scenes) - 1
         if not 1 <= m <= len(scenes) - 1:
-            raise ValueError(
-                f"slot_count must lie in 1..{len(scenes) - 1}, got {self.slot_count}"
-            )
+            raise ValueError(f"slot_count must lie in 1..{len(scenes) - 1}, got {reprlib.repr(m)}")
         object.__setattr__(self, "scenes", scenes)
         object.__setattr__(self, "slot_count", m)
         object.__setattr__(self, "valences", valences)
@@ -207,7 +207,7 @@ class RewardParams:
         if abs(alpha + beta - 1.0) > 1e-9:
             raise InputError(f"alpha + beta must equal 1, got {alpha + beta!r}")
         if not _is_integer(self.k):
-            raise InputError(f"'k' must be an integer, got {self.k!r}")
+            raise InputError(f"'k' must be an integer, got {reprlib.repr(self.k)}")
         _half(self.k)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
@@ -249,7 +249,8 @@ class Schedule:
 
     def __post_init__(self) -> None:
         if self.mode not in ("strict", "baseline"):
-            raise ValueError(f"'mode' must be 'strict' or 'baseline', got {self.mode!r}")
+            raise ValueError("'mode' must be 'strict' or 'baseline', "
+                             f"got {reprlib.repr(self.mode)}")
         entries = tuple(sorted(self.entries))
         object.__setattr__(self, "entries", entries)
         seen: set[str] = set()
@@ -477,11 +478,12 @@ class ProfilePoint:
 
     def __post_init__(self) -> None:
         if self.position < 1:
-            raise ValueError(f"'position' must be at least 1, got {self.position}")
+            raise ValueError(f"'position' must be at least 1, got {reprlib.repr(self.position)}")
         if self.kind not in ("scene", "ad"):
-            raise ValueError(f"'kind' must be 'scene' or 'ad', got {self.kind!r}")
+            raise ValueError(f"'kind' must be 'scene' or 'ad', got {reprlib.repr(self.kind)}")
         if not 0 <= self.valence_0_100 <= 100:  # NaN fails too
-            raise ValueError(f"'valence_0_100' {self.valence_0_100!r} outside [0, 100]")
+            raise ValueError(f"'valence_0_100' {reprlib.repr(self.valence_0_100)} "
+                             "outside [0, 100]")
 
 
 def build_profile(

@@ -6,7 +6,8 @@ header comment.  Each JSON record list (scenes, ads, schedule entries, profile
 points) holds objects with that record's keys, and other keys are ignored.
 Fields are checked here for their JSON type only: a wrong type or a missing
 key names the file, the index and the field.  Every other rule belongs to the
-object built, whose errors name the file.  Each fault in a file's content is
+object built, whose errors name the file.  A rejected value is echoed in the
+shortened form of ``reprlib.repr``.  Each fault in a file's content is
 an ``InputError``, and an unreadable file an ``OSError``; ``adplacer.cli``
 gives their exit codes.  ``schedule.json`` holds its ``Schedule.mode``.
 Floats serialize via ``repr`` (JSON) or ``%.17g`` (grids), both of which
@@ -21,6 +22,7 @@ because identical frame stacks share one row or column of the product.
 from __future__ import annotations
 
 import json
+import reprlib
 import warnings
 from functools import partial
 from pathlib import Path
@@ -67,7 +69,7 @@ def _load_json(path, expected_format: str) -> dict:
     if doc.get("format") != expected_format:
         raise InputError(
             f"{path}: expected format header {expected_format!r}, "
-            f"got {doc.get('format')!r}"
+            f"got {reprlib.repr(doc.get('format'))}"
         )
     return doc
 
@@ -75,30 +77,21 @@ def _load_json(path, expected_format: str) -> dict:
 def _parse_str(raw) -> str:
     """A JSON string, as every id is; ``str()`` would turn ``null`` into ``"None"``."""
     if not isinstance(raw, str):
-        raise InputError(f"must be a string, got {raw!r}")
+        raise InputError(f"must be a string, got {reprlib.repr(raw)}")
     return raw
 
 
 def _parse_int(raw) -> int:
     if type(raw) is not int:  # json decodes true and false as bool, an int subclass
-        raise InputError(f"must be an integer, got {raw!r}")
+        raise InputError(f"must be an integer, got {reprlib.repr(raw)}")
     return raw
 
 
-def _parse_float(raw) -> float:
+def _parse_number(raw) -> int | float:
+    """A JSON number, unchanged; the object built from it checks its range."""
     if type(raw) not in (int, float):
-        raise InputError(f"must be a number, got {raw!r}")
-    try:
-        return float(raw)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise InputError(f"is beyond the float range: {raw}") from None
-
-
-def _parse_valence(raw) -> Valence:
-    """A JSON number, as a ``Valence``, which checks its range."""
-    if type(raw) not in (int, float):
-        raise InputError(f"is not a number: {raw!r}")
-    return Valence(raw)
+        raise InputError(f"must be a number, got {reprlib.repr(raw)}")
+    return raw
 
 
 def _load_records(path, format: str, key: str, record, build, **parsers):
@@ -107,9 +100,9 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
 
     Each item must be an object holding every key named in ``parsers``; each
     field is read by its parser, and ``record`` takes the results in the
-    order of ``parsers``.  A field's error, or a ``record`` invariant's, names
-    the file, the index and the field; a ``ValueError`` raised by ``build``
-    becomes an ``InputError`` that names the file.
+    order of ``parsers``.  A field's error names the file, the index and the
+    field; a ``ValueError`` raised by ``record`` names the file and the index
+    beside the constructor's own words, and one raised by ``build`` the file.
     """
     doc = _load_json(path, format)
     items = doc.get(key)
@@ -126,12 +119,13 @@ def _load_records(path, format: str, key: str, record, build, **parsers):
         try:
             for name, parse in fields:
                 values.append(parse(item[name]))
-            records.append(record(*values))
         except KeyError:
             raise InputError(f"{path}: {key}[{idx}]: missing key {name!r}") from None
         except InputError as exc:  # the only error a parser raises
             raise InputError(f"{path}: {key}[{idx}]: {name!r} {exc}") from None
-        except ValueError as exc:  # a record's own invariant, which names its field
+        try:
+            records.append(record(*values))
+        except ValueError as exc:  # a record check (InputError is one), in its own words
             raise InputError(f"{path}: {key}[{idx}]: {exc}") from None
     try:
         return build(doc, tuple(records))
@@ -148,9 +142,9 @@ def _dump_entities(path, format: str, key: str, entities, **extra) -> None:
 
 def load_program(path) -> ProgramSpec:
     return _load_records(
-        path, PROGRAM_FORMAT, "scenes", Scene,
+        path, PROGRAM_FORMAT, "scenes", lambda i, v: Scene(i, Valence(v)),
         lambda doc, scenes: ProgramSpec(scenes, doc.get("slot_count", 0)),
-        id=_parse_str, valence=_parse_valence,
+        id=_parse_str, valence=_parse_number,
     )
 
 
@@ -162,8 +156,8 @@ def save_program(program: ProgramSpec, path) -> None:
 
 def load_inventory(path) -> AdInventory:
     return _load_records(
-        path, INVENTORY_FORMAT, "ads", Ad, lambda doc, ads: AdInventory(ads),
-        id=_parse_str, valence=_parse_valence,
+        path, INVENTORY_FORMAT, "ads", lambda i, v: Ad(i, Valence(v)),
+        lambda doc, ads: AdInventory(ads), id=_parse_str, valence=_parse_number,
     )
 
 
@@ -201,7 +195,7 @@ def load_profile(path) -> tuple[ProfilePoint, ...]:
     return _load_records(
         path, PROFILE_FORMAT, "points", ProfilePoint, lambda doc, points: points,
         position=_parse_int, kind=_parse_str, entity_id=_parse_str,
-        valence_0_100=_parse_float,
+        valence_0_100=_parse_number,
     )
 
 

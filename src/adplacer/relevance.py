@@ -9,6 +9,7 @@ unit-norm frames.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -41,7 +42,7 @@ class KeyframeFeatures:
             raise ValueError(f"{self.entity_id!r}: feature values must be finite")
         zero_rows = peak == 0.0
         if np.any(zero_rows):
-            zero = np.flatnonzero(zero_rows).tolist()
+            zero = reprlib.repr(np.flatnonzero(zero_rows).tolist())
             raise InputError(f"{self.entity_id!r}: all-zero frame vector(s) at rows {zero}")
         arr.setflags(write=False)
         object.__setattr__(self, "frames", arr)

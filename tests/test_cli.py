@@ -115,20 +115,24 @@ class TestProgramFiles:
         }
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
-        message = re.escape(f"{path}: scenes[0]: 'valence' valence 120 outside [0, 1]")
+        message = re.escape(f"{path}: scenes[0]: valence 120 outside [0, 1]")
         with pytest.raises(InputError, match=f"^{message}$"):
             io.load_program(path)
 
     @pytest.mark.parametrize("sign", ["", "-"])
     @pytest.mark.parametrize("kind", ["program", "inventory"])
     def test_integer_valence_beyond_float_range(self, tmp_path, kind, sign):
-        # float() of such an integer raises OverflowError, not ValueError
+        # float() of such an integer raises OverflowError, not ValueError;
+        # the message echoes the first and last digits, not all 401
         program, inventory, _ = write_two_ad_instance(tmp_path)
         path = program if kind == "program" else inventory
         append_entity(path, kind, sign + "1" + "0" * 400)
         load = io.load_program if kind == "program" else io.load_inventory
-        with pytest.raises(InputError, match="outside"):
+        shown = {"": "100000000000000000", "-": "-10000000000000000"}[sign] + "..." + "0" * 19
+        record = "scenes[3]" if kind == "program" else "ads[2]"
+        with pytest.raises(InputError) as exc:
             load(path)
+        assert str(exc.value) == f"{path}: {record}: valence {shown} outside [0, 1]"
 
     def test_duplicate_scene_id(self, tmp_path):
         doc = {
@@ -159,7 +163,7 @@ class TestProgramFiles:
         }
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(InputError, match="not a number"):
+        with pytest.raises(InputError, match="'valence' must be a number, got"):
             io.load_program(path)
 
     @pytest.mark.parametrize("raw", ["0.9", " 1e-1 ", None, [0.5]])
@@ -170,7 +174,7 @@ class TestProgramFiles:
         with edit_json(path) as doc:
             doc["scenes" if kind == "program" else "ads"][0]["valence"] = raw
         load = io.load_program if kind == "program" else io.load_inventory
-        with pytest.raises(InputError, match="not a number"):
+        with pytest.raises(InputError, match="'valence' must be a number, got"):
             load(path)
         assert run_cli(program, inventory, "--rel-file", rel) == 1
 
@@ -390,8 +394,10 @@ class TestOtherFormats:
         doc = json.loads(path.read_text())
         doc["points"][0]["valence_0_100"] = "VALENCE"
         path.write_text(json.dumps(doc).replace('"VALENCE"', "1" + "0" * 400))
-        with pytest.raises(InputError, match=r"points\[0\]: 'valence_0_100' is beyond the float range"):
+        with pytest.raises(InputError) as exc:
             io.load_profile(path)
+        shown = "100000000000000000...0000000000000000000"
+        assert str(exc.value) == f"{path}: points[0]: 'valence_0_100' {shown} outside [0, 100]"
 
     @pytest.mark.parametrize("field, raw", [
         ("position", 0), ("position", -7),

@@ -221,6 +221,19 @@ def test_constructor_rejections_are_value_errors(build, input_error):
     assert isinstance(caught.value, InputError) is input_error
 
 
+@pytest.mark.parametrize("build, shown", [
+    (lambda: RewardParams(0.5, 0.5, "k" * 10**6), "'kkkkkkkkkkkk...kkkkkkkkkkkkk'"),
+    (lambda: ProfilePoint(-(10**400), "scene", "s1", 50.0),
+     "-10000000000000000...0000000000000000000"),
+    (lambda: KeyframeFeatures("x", np.zeros((1000, 2))), "[0, 1, 2, 3, 4, 5, ...]"),
+], ids=["k", "position", "zero_rows"])
+def test_rejected_values_are_echoed_shortened(build, shown):
+    # reprlib.repr keeps the ends of a huge value, so its message stays short
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert shown in str(caught.value) and len(str(caught.value)) < 100
+
+
 def test_random_instance_redraws_a_zero_hv_draw(monkeypatch):
     """A draw of exactly 0.0 would give an even ad valence 0.5, which is LV."""
     make_rng = np.random.default_rng

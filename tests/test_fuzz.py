@@ -5,13 +5,16 @@ file or a features directory) and varies them inside and outside the
 documented formats: valence edges, ids, ``slot_count``, k, grid shapes,
 NaN and inf, a byte-order mark and CRLF line ends.  Every run must exit 0,
 1 or 2, with the code its variation calls for; a valid instance must exit 0
-with the optimum of ``solve_brute_force``.
+with the optimum of ``solve_brute_force``.  Huge rejected values must leave a
+short error line that still says where the value was.
 """
 
 import json
 
 import numpy as np
+import pytest
 
+from adplacer import build_profile, io
 from adplacer.cli import main
 from adplacer.core import (
     REWARD_ATOL,
@@ -21,10 +24,14 @@ from adplacer.core import (
     RelevanceMatrix,
     RewardParams,
     Scene,
+    Schedule,
     Valence,
 )
+from adplacer.errors import InputError
 from adplacer.relevance import KeyframeFeatures, build_relevance_matrix
 from adplacer.solvers import solve_brute_force
+
+from util import two_ad_instance
 
 SEED = 20261018
 N_CASES = 150
@@ -192,3 +199,53 @@ def test_format_fuzz(tmp_path, capsys):
     assert not failures, "\n".join(failures)
     # each outcome is drawn often enough to be tested
     assert min(exits.values()) >= 20, exits
+
+
+# values whose full echo would make an error line of 0.4 to 1000 kB
+HUGE = {"string": "x" * 1_000_000, "list": [0] * 100_000, "integer": 10**400}
+# (file, record list or None, field)
+FIELDS = [
+    ("program", None, "format"), ("program", "scenes", "id"), ("inventory", "ads", "id"),
+    ("program", "scenes", "valence"), ("inventory", "ads", "valence"),
+    ("program", None, "slot_count"), ("schedule", "entries", "slot"),
+    ("schedule", None, "mode"), ("profile", "points", "kind"),
+    ("profile", "points", "valence_0_100"),
+]
+# an id may be any string, and a schedule slot any integer
+ACCEPTED = {("id", "string"), ("slot", "integer")}
+
+
+@pytest.mark.parametrize("file, key, field, value", [
+    (*where, value) for where in FIELDS for value in HUGE
+    if (where[2], value) not in ACCEPTED
+])
+def test_huge_rejected_values_are_shortened(tmp_path, capsys, file, key, field, value):
+    program, inventory, rel, _ = two_ad_instance()
+    schedule = Schedule.strict([(1, "a2"), (2, "a1")])
+    paths = {name: tmp_path / f"{name}.json"
+             for name in ("program", "inventory", "schedule", "profile")}
+    io.save_program(program, paths["program"])
+    io.save_inventory(inventory, paths["inventory"])
+    io.save_schedule(schedule, paths["schedule"])
+    io.save_profile(build_profile(schedule, program, inventory), paths["profile"])
+    io.save_relevance(rel, tmp_path / "rel.txt")
+    path = paths[file]
+    doc = json.loads(path.read_text())
+    (doc[key][1] if key else doc)[field] = HUGE[value]
+    path.write_text(json.dumps(doc))
+    if file in ("program", "inventory"):
+        assert main([
+            "run", "--program", str(paths["program"]), "--inventory", str(paths["inventory"]),
+            "--rel-file", str(tmp_path / "rel.txt"), "--k", "2", "--out", str(tmp_path / "out"),
+        ]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+    else:
+        with pytest.raises(InputError) as exc:
+            (io.load_schedule if file == "schedule" else io.load_profile)(path)
+        line = f"error: {exc.value}"
+    assert len(line) <= 300, line[:300]
+    assert line.startswith(f"error: {path}: ")
+    assert not key or f": {key}[1]: " in line
+    assert field in line
+    if value == "integer":  # its first 18 and last 19 characters
+        assert "100000000000000000...0000000000000000000" in line
