@@ -137,18 +137,21 @@ def _kept_columns(g: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
     return np.flatnonzero(kept)
 
 
-def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
-    """The column of each row in a min-cost assignment with k/2 HV columns.
+def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> tuple[np.ndarray, int]:
+    """The column of each row in a min-cost assignment with k/2 HV columns,
+    and the number of Dijkstra pops that found it.
 
     ``cost`` is k x C and non-negative.  This is a min-cost flow of k units
     on source -> row -> column -> polarity hub -> sink, with unit capacities
     except the two hub -> sink edges (k/2 each), solved by k successive
     shortest paths under Johnson potentials (Ahuja, Magnanti & Orlin,
     *Network Flows*, 1993, ch. 9).  Each path comes from one Dijkstra in the
-    manner of Jonker & Volgenant (1987), keyed by reduced distance:
+    manner of Jonker & Volgenant (1987), which pops the column of least key
+    = dist + offset: dist is its path cost, offset minus its potential if it
+    is matched or its hub's if not, and inf once it has popped or retired.
 
-    - the source is the last unmatched row (last first popped fewer nodes than
-      first first), whose edges seed every column in one vector step;
+    - the source is the last unmatched row (last first pops fewer columns
+      than first first), whose edges seed every column in one vector step;
     - a matched column leads over a tight reverse edge to its row, so popping
       it relaxes that row's forward edges to every column;
     - an unmatched column's only out-edge goes to its hub, so its key is the
@@ -158,10 +161,14 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
 
     The source's edges only seed the search and need no reduced-cost bound;
     every other residual edge stays non-negative under the potentials, which
-    start at zero on non-negative costs.  Columns carry path costs (reduced
-    distance plus potential).  A matched row is reached only from its column,
-    over a tight reverse edge, so the row is popped with the column.  A
-    popped node is never relabelled, so round-off cannot break the chain.
+    start at zero on non-negative costs.  A matched row is reached only from
+    its column, over a tight reverse edge, so the row is popped with the
+    column.  Each popped column gets one record, its path cost and
+    predecessor as it pops, and the potentials and the path walk read only
+    that, so round-off in a later relaxation cannot break the chain.
+
+    Augmentation i pops at most its i - 1 matched columns and one unmatched
+    column per hub, whose first pop retires the rest, so pops <= k(k+3)/2.
     """
     k, n = cost.shape
     half = k // 2
@@ -172,54 +179,48 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
     pi_hub = np.zeros(2)
     pi_sink = 0.0
     inf = math.inf
+    key = np.empty(n)
+    pops = 0
     for row in reversed(range(k)):  # one augmenting path per row, last first
         matched = row_of >= 0
-        unmatched_of = [~matched & (pol == p) for p in (0, 1)]
-        matched_of = [np.flatnonzero(matched & (pol == p)) for p in (0, 1)]
-        dist = cost[row].copy()  # path cost to each column; -inf once popped
+        dist = cost[row].copy()  # path cost to each column
         pred = np.full(n, row)  # row feeding each column, or -1 - p for hub p
-        # key: a matched column's reduced distance, or its hub's through an
-        # unmatched one; inf once popped or retired
         offset = np.where(matched, -pi, -pi_hub[pol])
-        key = dist + offset
         hub_d = [inf, inf]
         hub_pred = [-1, -1]
         sink_d, sink_pred = inf, -1
-        popped: list[tuple[int, float]] = []
+        popped: dict[int, tuple[float, int]] = {}  # column -> (dist, pred) as it popped
         while True:
-            j = int(key.argmin())
+            j = int(np.add(dist, offset, out=key).argmin())
             dj = float(key[j])
             if sink_d <= dj:
                 break
             reach = float(dist[j])
-            popped.append((j, reach))
-            dist[j] = -inf
+            popped[j] = (reach, int(pred[j]))
+            offset[j] = inf
             if matched[j]:
-                key[j] = offset[j] = inf
                 b = row_of[j]
                 reach = (reach - cost[b, j]) + cost[b]
                 pred[reach < dist] = b
                 np.minimum(dist, reach, out=dist)
-                np.minimum(key, reach + offset, out=key)
                 continue
             p = pol[j]
             hub_d[p] = dj
             hub_pred[p] = j
-            retired = unmatched_of[p]
-            key[retired] = offset[retired] = inf
-            if len(matched_of[p]) < half and dj + pi_hub[p] - pi_sink < sink_d:
+            offset[(pol == p) & ~matched] = inf
+            idx = np.flatnonzero((pol == p) & matched)
+            if len(idx) < half and dj + pi_hub[p] - pi_sink < sink_d:
                 sink_d, sink_pred = dj + pi_hub[p] - pi_sink, p
             reach = dj + pi_hub[p]
-            idx = matched_of[p]
             upd = idx[dist[idx] > reach]
             dist[upd] = reach
-            key[upd] = reach - pi[upd]
             pred[upd] = -1 - p
         if sink_pred < 0:
             raise RuntimeError("no augmenting path: the flow network is infeasible")
+        pops += len(popped)
 
         shift = np.minimum(dist - pi, sink_d)
-        for j, reach in popped:
+        for j, (reach, _) in popped.items():
             shift[j] = reach - pi[j]
         pi += shift
         pi_hub += np.minimum(hub_d, sink_d)
@@ -227,15 +228,15 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> np.ndarray:
 
         j = hub_pred[sink_pred]
         while True:
-            b = pred[j]
+            b = popped[j][1]
             old = col_of[b]
             col_of[b] = j
             row_of[j] = b
             if old < 0:
                 break
             row_of[old] = -1
-            j = old if pred[old] >= 0 else hub_pred[-1 - pred[old]]
-    return col_of
+            j = old if popped[old][1] >= 0 else hub_pred[-1 - popped[old][1]]
+    return col_of, pops
 
 
 def solve_assignment(
@@ -269,7 +270,7 @@ def solve_assignment(
     is_hv = np.array([p is Polarity.HV for p in inventory.polarities])
     cols = _kept_columns(g, is_hv)
     kept = g[:, cols]
-    picks = cols[_min_cost_assignment(kept.max(initial=0.0) - kept, is_hv[cols])]
+    picks = cols[_min_cost_assignment(kept.max(initial=0.0) - kept, is_hv[cols])[0]]
     ends = starts[1:] + [len(c)]
     # each pick sits on its block's best slot for it, the earliest on ties
     schedule = Schedule.strict(

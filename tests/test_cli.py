@@ -708,7 +708,8 @@ class TestRunCommand:
     def test_solver_repeating_an_ad_exits_4(self, tmp_path, capsys, monkeypatch):
         # a bare ValueError from an internal invariant is not a configuration error
         monkeypatch.setattr(
-            solvers, "_min_cost_assignment", lambda cost, is_hv: np.zeros(len(cost), dtype=int)
+            solvers, "_min_cost_assignment",
+            lambda cost, is_hv: (np.zeros(len(cost), dtype=int), 0),
         )
         program, inventory, rel = write_two_ad_instance(tmp_path)
         assert run_cli(program, inventory, "--rel-file", rel) == 4

@@ -76,6 +76,22 @@ def north_star_instance(k, seed, alpha):
     return program, inventory, rel, RewardParams(alpha, 1.0 - alpha, k)
 
 
+def one_decimal(inventory, rel):
+    """The ads with valences, and the relevance, rounded to one decimal, so
+    that many contributions tie."""
+    ads = tuple(Ad(a.id, Valence(round(a.valence.value, 1))) for a in inventory.ads)
+    return AdInventory(ads), RelevanceMatrix(np.round(rel.values, 1))
+
+
+def flow_pops(program, inventory, rel, params):
+    """The Dijkstra pops of the flow that ``solve_assignment`` runs: the
+    costs max(g) - g on the kept columns of the block reduction."""
+    g, is_hv = block_values(program, inventory, rel, params)
+    cols = solvers._kept_columns(g, is_hv)
+    kept = g[:, cols]
+    return solvers._min_cost_assignment(kept.max(initial=0.0) - kept, is_hv[cols])[1]
+
+
 def assert_same_reward(actual, expected):
     assert math.isclose(actual, expected, rel_tol=1e-12, abs_tol=REWARD_ATOL), (actual, expected)
 
@@ -229,10 +245,7 @@ class TestAssignment:
         for seed in range(8):
             p, m, k = (60, 6, 2) if seed % 2 else (22, 4, 4)
             program, inventory, rel = random_instance(p, m, 4000 + seed)
-            inventory = AdInventory(tuple(
-                Ad(a.id, Valence(round(a.valence.value, 1))) for a in inventory.ads
-            ))
-            rel = RelevanceMatrix(np.round(rel.values, 1))
+            inventory, rel = one_decimal(inventory, rel)
             params = RewardParams(0.5, 0.5, k)
             g, is_hv = block_values(program, inventory, rel, params)
             assert len(solvers._kept_columns(g, is_hv)) <= k * k < p
@@ -240,6 +253,11 @@ class TestAssignment:
             exact = solve_assignment(program, inventory, rel, params)
             assert abs(exact.reward - bf.reward) <= 1e-9
             assert validate_schedule(exact.schedule, program, inventory, params)
+        # and at the north star's scale, with tied relevance: k^2 < P at
+        # k=20, and at k=100 all 1000 ads may be kept
+        for k in (20, 100):
+            g, is_hv = block_values(*north_star_instance(k, 1, 0.5))
+            assert len(solvers._kept_columns(g, is_hv)) <= min(len(is_hv), k * k)
 
     def test_kept_columns_follow_their_docstring(self):
         def kept_by_rule(g, is_hv):
@@ -316,6 +334,41 @@ class TestAssignment:
         kept = AdInventory(tuple(inventory.ads[j] for j in keep))
         again = solve_assignment(program, kept, RelevanceMatrix(rel.values[:, keep]), params)
         assert_same_reward(again.reward, best.reward)
+
+
+# Dijkstra pops of random_instance(P, M, 0) at alpha 0, 0.5 and 1, pinned like
+# the artifact digests: a change that alters one updates it and says why in
+# CHANGES.md.  First block first pops 722 and 4453 at alpha 0.5
+PINNED_POPS = {
+    (24, 11, 8): (20, 34, 36),
+    (400, 120, 40): (111, 600, 820),
+    (1000, 200, 100): (373, 3291, 5050),
+}
+
+
+class TestFlowPops:
+    """The flow's work as a count: augmentation i pops at most i + 1
+    columns, so a solve pops at most k(k+3)/2, whatever P is."""
+
+    @pytest.mark.parametrize("p, m, k", PINNED_POPS)
+    def test_pinned_counts(self, p, m, k):
+        program, inventory, rel = random_instance(p, m, 0)
+        pops = tuple(flow_pops(program, inventory, rel, RewardParams(alpha, 1.0 - alpha, k))
+                     for alpha in (0.0, 0.5, 1.0))
+        assert pops == PINNED_POPS[p, m, k]
+
+    @pytest.mark.parametrize("p, m, k", [*PINNED_POPS, (1000, 200, 200)])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_pops_stay_within_the_bound(self, p, m, k, tied):
+        program, inventory, rel = random_instance(p, m, 1)
+        if tied:
+            inventory, rel = one_decimal(inventory, rel)
+        for alpha in (0.0, 0.5, 1.0):
+            pops = flow_pops(program, inventory, rel, RewardParams(alpha, 1.0 - alpha, k))
+            assert pops <= k * (k + 3) // 2, (alpha, pops)
+            if alpha == 1.0 and not tied:
+                # the worst case: augmentation i pops its i - 1 matched columns and one more
+                assert pops == k * (k + 1) // 2
 
 
 def small_grid():
