@@ -11,11 +11,12 @@ contrasting but content-relevant scene-ad pairs.
 Baseline schedulers use a relaxed *baseline* schedule shape where several
 ads may share one slot (ordered by rank) and the pseudo-slot 0 denotes the
 insertion point before the first scene.  A ``Schedule`` carries its shape
-as ``mode``; validation checks the rules of that shape, and only a strict
-schedule has a reward.  ``build_profile`` exports the valence profile:
-scenes and their scheduled ads in presentation order.  ``random_instance``
-builds seeded random instances for the tests and library users.  Each type
-checks its own arguments, ``slot_count`` and ``k`` being integers.
+as ``mode`` and refuses entries that break it; validation checks how it fits
+an instance, and only a strict schedule has a reward.  ``build_profile``
+exports the valence profile: scenes and their scheduled ads in presentation
+order.  ``random_instance`` builds seeded random instances for the tests and
+library users.  Each type checks its own arguments, ``slot_count`` and ``k``
+being integers.
 """
 
 from __future__ import annotations
@@ -236,12 +237,14 @@ class ScheduleEntry:
 class Schedule:
     """An assignment of ads to slots, in the shape its ``mode`` names.
 
-    The same ad never appears twice.  A ``strict`` schedule is the solvers'
-    decision variable: distinct slots and rank 0 everywhere.  A ``baseline``
-    schedule may stack several ads on one slot, ordered by rank, and use
-    slot 0.  ``entries`` are stored in presentation order (slot, then rank,
-    then ad id) whatever order they were given in, so schedules with the same
-    placements and mode compare equal.
+    A ``strict`` schedule is the solvers' decision variable: rank 0, so one
+    ad per slot.  A ``baseline`` schedule may stack ads on one slot, ordered
+    by non-negative ranks, and use slot 0.  ``entries`` are kept in
+    presentation order (slot, rank, ad id), whatever order they were given
+    in, so schedules with the same placements and mode compare equal.
+    Construction raises ``ValueError`` for, in this order: another mode, an
+    ad placed twice, a rank the mode forbids, and two ads on one (slot, rank)
+    place, which are two equal neighbours in presentation order.
     """
 
     entries: tuple[ScheduleEntry, ...]
@@ -258,6 +261,16 @@ class Schedule:
             if e.ad_id in seen:
                 raise ValueError(f"ad {e.ad_id!r} scheduled more than once")
             seen.add(e.ad_id)
+        strict = self.mode == "strict"
+        for e in entries:
+            if e.rank < 0 or (strict and e.rank != 0):
+                raise ValueError(f"ad {e.ad_id!r} has rank {reprlib.repr(e.rank)}, but a "
+                                 f"{self.mode} schedule needs rank {'0' if strict else '>= 0'}")
+        for prev, e in zip(entries, entries[1:]):
+            place = (e.slot, e.rank)
+            if place == (prev.slot, prev.rank):
+                raise ValueError(f"ads {prev.ad_id!r} and {e.ad_id!r} share the (slot, rank) "
+                                 f"place {reprlib.repr(place)}")
 
     @classmethod
     def strict(cls, placements: Iterable[tuple[int, str]]) -> "Schedule":
@@ -373,18 +386,16 @@ def validate_schedule(
     inventory: AdInventory,
     params: RewardParams,
 ) -> ValidationResult:
-    """Check a schedule against the placement constraints of ``schedule.mode``.
+    """Check how a schedule fits the instance, by the rules of ``schedule.mode``.
 
-    Both modes verify, in order: every ad exists; every slot lies in
+    ``Schedule`` already refused a repeated ad, a forbidden rank and a reused
+    place.  Both modes verify, in order: every ad exists; every slot lies in
     first..M, where first is 1 in strict mode and 0 (before scene 1) in
-    baseline mode; ranks are 0 (strict) or non-negative (baseline); (a) no
-    place holds two ads, a place being a slot in strict mode and a (slot,
-    rank) position in baseline mode; (b) exactly k ads.  Strict mode then
-    requires (c) exactly one ad inside each contiguous slot block and (d)
-    exactly k/2 high- and k/2 low-valence ads.  The checks read
-    ``schedule.entries`` in presentation order, so a reused place is two
-    equal neighbours and a block's ads are one run of slots.  Violations are
-    reported, never raised.
+    baseline mode; (a) exactly k ads.  Strict mode then requires (b) exactly
+    one ad inside each contiguous slot block and (c) exactly k/2 high- and
+    k/2 low-valence ads.  The block check reads ``schedule.entries`` in
+    presentation order, so a block's ads are one run of slots.  Violations
+    are reported, never raised.
     """
     strict = schedule.mode == "strict"
     first, m, k = (1 if strict else 0), program.slot_count, params.k
@@ -396,34 +407,12 @@ def validate_schedule(
     bad = [e.slot for e in entries if not first <= e.slot <= m]
     if bad:
         return ValidationResult("slot_range", f"slots {bad} outside {first}..{m}")
-    if strict:
-        nonzero = [e.ad_id for e in entries if e.rank != 0]
-        if nonzero:
-            return ValidationResult(
-                "rank", f"strict schedules require rank 0, got ranks for {nonzero}"
-            )
-    elif any(e.rank < 0 for e in entries):
-        return ValidationResult("rank", "ranks must be non-negative")
-    # (a) strict ranks are all 0 here, so a (slot, rank) place is its slot
-    reused: list[tuple[int, int]] = []
-    for prev, e in zip(entries, entries[1:]):
-        place = (e.slot, e.rank)
-        if place == (prev.slot, prev.rank) and place not in reused[-1:]:
-            reused.append(place)
-    if reused and strict:
-        return ValidationResult(
-            "slot_capacity", f"slots {[s for s, _ in reused]} hold more than one ad"
-        )
-    if reused:
-        return ValidationResult(
-            "duplicate_position", f"(slot, rank) positions {reused} used more than once"
-        )
-    if len(entries) != k:  # (b)
+    if len(entries) != k:  # (a)
         return ValidationResult("ad_count", f"schedule has {len(entries)} ads, expected k={k}")
     if not strict:
         return ValidationResult()
 
-    # (c) one ad inside each contiguous block
+    # (b) one ad inside each contiguous block
     slots = [e.slot for e in entries]
     for b, block in enumerate(slot_blocks(m, k), start=1):
         inside = bisect_right(slots, block[-1]) - bisect_left(slots, block[0])
@@ -433,7 +422,7 @@ def validate_schedule(
                 f"block {b} (slots {block[0]}..{block[-1]}) holds {inside} ads, expected 1",
             )
 
-    # (d) equal high- and low-valence counts
+    # (c) equal high- and low-valence counts
     hv = sum(1 for e in entries if inventory.ad(e.ad_id).polarity is Polarity.HV)
     lv = len(entries) - hv
     if hv != k // 2 or lv != k // 2:

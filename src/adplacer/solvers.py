@@ -190,7 +190,7 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> tuple[np.ndarra
         hub_pred = [-1, -1]
         sink_d, sink_pred = inf, -1
         popped: dict[int, tuple[float, int]] = {}  # column -> (dist, pred) as it popped
-        while True:
+        for _ in range(n + 1):  # each column pops at most once
             j = int(np.add(dist, offset, out=key).argmin())
             dj = float(key[j])
             if sink_d <= dj:
@@ -215,8 +215,8 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> tuple[np.ndarra
             upd = idx[dist[idx] > reach]
             dist[upd] = reach
             pred[upd] = -1 - p
-        if sink_pred < 0:
-            raise RuntimeError("no augmenting path: the flow network is infeasible")
+        if sink_pred < 0 or not sink_d <= dj:
+            raise RuntimeError(f"no augmenting path within {n} column pops")
         pops += len(popped)
 
         shift = np.minimum(dist - pi, sink_d)
@@ -227,7 +227,7 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> tuple[np.ndarra
         pi_sink += sink_d
 
         j = hub_pred[sink_pred]
-        while True:
+        for _ in popped:  # the path visits each popped column at most once
             b = popped[j][1]
             old = col_of[b]
             col_of[b] = j
@@ -236,6 +236,8 @@ def _min_cost_assignment(cost: np.ndarray, is_hv: np.ndarray) -> tuple[np.ndarra
                 break
             row_of[old] = -1
             j = old if popped[old][1] >= 0 else hub_pred[-1 - popped[old][1]]
+        else:
+            raise RuntimeError(f"augmenting path longer than the {len(popped)} columns popped")
     return col_of, pops
 
 

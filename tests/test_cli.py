@@ -294,6 +294,26 @@ class TestOtherFormats:
             io.load_schedule(path)
         assert str(exc.value).startswith(f"{path}: 'mode' must be 'strict' or 'baseline', got")
 
+    @pytest.mark.parametrize("mode, entry, message", [
+        ("strict", {"slot": 1, "rank": 0, "ad_id": "a2"},
+         "ads 'a1' and 'a2' share the (slot, rank) place (1, 0)"),
+        ("baseline", {"slot": 1, "rank": 0, "ad_id": "a2"},
+         "ads 'a1' and 'a2' share the (slot, rank) place (1, 0)"),
+        ("strict", {"slot": 2, "rank": 1, "ad_id": "a2"},
+         "ad 'a2' has rank 1, but a strict schedule needs rank 0"),
+        ("baseline", {"slot": 2, "rank": -1, "ad_id": "a2"},
+         "ad 'a2' has rank -1, but a baseline schedule needs rank >= 0"),
+    ])
+    def test_schedule_breaking_its_own_rules(self, tmp_path, mode, entry, message):
+        # a file whose entries no Schedule can hold names the file, as a repeated ad does
+        path = tmp_path / "schedule.json"
+        io.save_schedule(Schedule(Schedule.strict([(1, "a1"), (2, "a2")]).entries, mode), path)
+        with edit_json(path) as doc:
+            doc["entries"][1] = entry
+        with pytest.raises(InputError) as exc:
+            io.load_schedule(path)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_relevance_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         from adplacer.core import RelevanceMatrix
@@ -420,7 +440,7 @@ class TestOtherFormats:
         # a slot-0 ad at position 1, and valences 0 and 100 on the profile scale
         program = make_program(0.0, 1.0, 0.5)
         inventory = make_inventory(1.0, 0.0)
-        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 1, "a2")))
+        schedule = Schedule((ScheduleEntry(0, 0, "a1"), ScheduleEntry(0, 1, "a2")), "baseline")
         profile = build_profile(schedule, program, inventory)
         assert [(p.position, p.kind, p.valence_0_100) for p in profile] == [
             (1, "ad", 100.0), (2, "ad", 0.0), (3, "scene", 0.0),
@@ -666,23 +686,40 @@ class TestRunCommand:
         assert len(calls) == 1
 
     def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
-        # two ads stacked on one (slot, rank) break even the baseline contract
-        stacked = Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")), "baseline")
-        monkeypatch.setattr(cli, "trivial_schedule", lambda *args: stacked)
+        # an ad the inventory lacks breaks even the baseline contract
+        unknown = Schedule((ScheduleEntry(0, 0, "ghost"), ScheduleEntry(0, 1, "a2")), "baseline")
+        monkeypatch.setattr(cli, "trivial_schedule", lambda *args: unknown)
         program, inventory, _ = write_two_ad_instance(tmp_path)
         assert run_cli(program, inventory, "--solver", "trivial") == 4
-        assert "violating its own contract" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "error: internal error: trivial emitted a schedule violating its own contract: "
+            "ad 'ghost' not in inventory\n"
+        )
+
+    def test_route_building_a_malformed_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a schedule that breaks its own rules fails as it is built, inside the route
+        def stacked(*args):
+            return Schedule((ScheduleEntry(1, 0, "a1"), ScheduleEntry(1, 0, "a2")), "baseline")
+
+        monkeypatch.setattr(cli, "trivial_schedule", stacked)
+        program, inventory, _ = write_two_ad_instance(tmp_path)
+        assert run_cli(program, inventory, "--solver", "trivial") == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "stacked" in err
+        assert err.endswith(
+            "error: internal error: ads 'a1' and 'a2' share the (slot, rank) place (1, 0)\n"
+        )
 
     def test_exact_route_emitting_a_baseline_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
         # the first entries pass the strict rules, but only a strict schedule is
-        # re-scored; the second are strict but stack both ads on slot 1, which
-        # reward's own validation rejects
+        # re-scored; the second are strict but name an ad the inventory lacks,
+        # which reward's own validation rejects
         solve = cli.solve_assignment
         cases = [
             (lambda schedule: Schedule(schedule.entries, "baseline"),
              "only a strict schedule has a reward, got 'baseline'"),
-            (lambda schedule: Schedule.strict([(1, "a1"), (1, "a2")]),
-             "slot_capacity: slots [1] hold more than one ad"),
+            (lambda schedule: Schedule.strict([(1, "a1"), (2, "ghost")]),
+             "unknown_ad: ad 'ghost' not in inventory"),
         ]
         program, inventory, rel = write_two_ad_instance(tmp_path)
         for corrupt, message in cases:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -226,7 +227,11 @@ def test_constructor_rejections_are_value_errors(build, input_error):
     (lambda: ProfilePoint(-(10**400), "scene", "s1", 50.0),
      "-10000000000000000...0000000000000000000"),
     (lambda: KeyframeFeatures("x", np.zeros((1000, 2))), "[0, 1, 2, 3, 4, 5, ...]"),
-], ids=["k", "position", "zero_rows"])
+    (lambda: Schedule((ScheduleEntry(1, -(10**400), "a"),), "baseline"),
+     "-10000000000000000...0000000000000000000"),
+    (lambda: Schedule((ScheduleEntry(10**400, 0, "a"), ScheduleEntry(10**400, 0, "b"))),
+     "(100000000000000000...0000000000000000000, 0)"),
+], ids=["k", "position", "zero_rows", "rank", "place"])
 def test_rejected_values_are_echoed_shortened(build, shown):
     # reprlib.repr keeps the ends of a huge value, so its message stays short
     with pytest.raises(ValueError) as caught:
@@ -294,23 +299,26 @@ class TestValidation:
 
 
 # M = 6 and k = 4 give the blocks 1..1, 2..3, 4..4 and 5..6; a1, a3, a5 are HV.
-# Each row is (mode, (slot, rank, ad id) entries, constraint, message); the
-# rows that break two rules pin which rule is tried first.
+# Each row is (mode, (slot, rank, ad id) entries, constraint, message).  A row
+# that breaks a rule and every rule after it pins that rule first: rows 2, 4,
+# 5 and 6 for strict, 14 and 16 for baseline.
 VALIDATION_TABLE = [
     ("strict", [(1, 0, "a1"), (2, 0, "a2"), (4, 0, "a3"), (5, 0, "a4")], None, ""),
     ("strict", [(5, 0, "zz"), (1, 0, "ghost"), (4, 0, "a3"), (2, 0, "a2")],
      "unknown_ad", "ad 'ghost' not in inventory"),
-    ("strict", [(0, 1, "ghost")], "unknown_ad", "ad 'ghost' not in inventory"),
+    ("strict", [(0, 0, "ghost"), (2, 0, "a3"), (3, 0, "a5")],
+     "unknown_ad", "ad 'ghost' not in inventory"),
     ("strict", [(0, 0, "a1"), (2, 0, "a2"), (4, 0, "a3"), (7, 0, "a4")],
      "slot_range", "slots [0, 7] outside 1..6"),
-    ("strict", [(7, 1, "a1")], "slot_range", "slots [7] outside 1..6"),
-    ("strict", [(1, 1, "a1"), (2, 0, "a2"), (4, 2, "a3"), (5, 0, "a4")],
-     "rank", "strict schedules require rank 0, got ranks for ['a1', 'a3']"),
-    ("strict", [(1, 1, "a1"), (1, 0, "a2")],
-     "rank", "strict schedules require rank 0, got ranks for ['a1']"),
-    ("strict", [(4, 0, "a1"), (1, 0, "a2"), (4, 0, "a3"), (1, 0, "a4"), (4, 0, "a5")],
-     "slot_capacity", "slots [1, 4] hold more than one ad"),
-    ("strict", [(1, 0, "a1"), (1, 0, "a2")], "slot_capacity", "slots [1] hold more than one ad"),
+    ("strict", [(7, 0, "a1")], "slot_range", "slots [7] outside 1..6"),
+    ("strict", [(1, 0, "a1"), (2, 0, "a3"), (3, 0, "a5")],
+     "ad_count", "schedule has 3 ads, expected k=4"),
+    ("strict", [(1, 0, "a1"), (2, 0, "a3"), (3, 0, "a5"), (5, 0, "a2")],
+     "block_uniformity", "block 2 (slots 2..3) holds 2 ads, expected 1"),
+    ("strict", [(1, 0, "a2"), (2, 0, "a4"), (4, 0, "a6"), (5, 0, "a1")],
+     "polarity_balance", "schedule holds 1 HV and 3 LV ads, expected 2 of each"),
+    ("strict", [(2, 0, "a1"), (3, 0, "a2"), (4, 0, "a3"), (5, 0, "a4")],
+     "block_uniformity", "block 1 (slots 1..1) holds 0 ads, expected 1"),
     ("strict", [(1, 0, "a1"), (2, 0, "a2")], "ad_count", "schedule has 2 ads, expected k=4"),
     ("strict", [(1, 0, "a1"), (2, 0, "a2"), (3, 0, "a3"), (5, 0, "a4")],
      "block_uniformity", "block 2 (slots 2..3) holds 2 ads, expected 1"),
@@ -319,20 +327,18 @@ VALIDATION_TABLE = [
     ("strict", [(1, 0, "a1"), (2, 0, "a3"), (4, 0, "a5"), (5, 0, "a2")],
      "polarity_balance", "schedule holds 3 HV and 1 LV ads, expected 2 of each"),
     ("baseline", [(0, 0, "a1"), (0, 1, "a2"), (6, 0, "a3"), (6, 1, "a4")], None, ""),
-    ("baseline", [(0, 0, "a1"), (3, 0, "ghost"), (-1, -1, "zz")],
+    ("baseline", [(0, 0, "a1"), (3, 0, "ghost"), (-1, 0, "zz")],
      "unknown_ad", "ad 'zz' not in inventory"),
     ("baseline", [(-1, 0, "a1"), (0, 0, "a2"), (6, 0, "a3"), (7, 0, "a4")],
      "slot_range", "slots [-1, 7] outside 0..6"),
-    ("baseline", [(7, -1, "a1")], "slot_range", "slots [7] outside 0..6"),
-    ("baseline", [(0, -1, "a1"), (0, -1, "a2")], "rank", "ranks must be non-negative"),
-    ("baseline", [(3, 1, "a1"), (0, 0, "a2"), (3, 1, "a3"), (0, 0, "a4"), (3, 1, "a5")],
-     "duplicate_position", "(slot, rank) positions [(0, 0), (3, 1)] used more than once"),
-    ("baseline", [(0, 0, "a1"), (0, 0, "a2")],
-     "duplicate_position", "(slot, rank) positions [(0, 0)] used more than once"),
+    ("baseline", [(7, 0, "a1")], "slot_range", "slots [7] outside 0..6"),
+    # blocks and polarity are strict rules only
+    ("baseline", [(1, 0, "a1"), (1, 1, "a3"), (1, 2, "a5"), (2, 0, "a2")], None, ""),
+    ("baseline", [(0, 0, "a1"), (0, 1, "a2"), (0, 2, "a3"), (0, 3, "a4"), (0, 4, "a5")],
+     "ad_count", "schedule has 5 ads, expected k=4"),
+    ("baseline", [(0, 2, "a1"), (0, 5, "a2"), (3, 9, "a3"), (6, 1, "a4")], None, ""),
     ("baseline", [(0, 0, "a1"), (0, 1, "a2"), (3, 0, "a3")],
      "ad_count", "schedule has 3 ads, expected k=4"),
-    # appended last, so that the ids of the rows above keep their indices
-    ("strict", [(1, -1, "a1")], "rank", "strict schedules require rank 0, got ranks for ['a1']"),
 ]
 
 
@@ -343,6 +349,62 @@ def test_validation_messages(mode, entries, constraint, message):
     schedule = Schedule(tuple(ScheduleEntry(*e) for e in entries), mode)
     result = validate_schedule(schedule, program, inventory, RewardParams(0.5, 0.5, 4))
     assert (bool(result), result.constraint, result.message) == (constraint is None, constraint, message)
+
+
+# Entries that break the schedule's own rules, which construction checks in
+# the order mode, repeated ad, rank, place; the first offender in presentation
+# order is named.  Each row is (mode, (slot, rank, ad id) entries, message).
+CONSTRUCTION_TABLE = [
+    pytest.param("strict", [(0, 1, "ghost")],
+                 "ad 'ghost' has rank 1, but a strict schedule needs rank 0",
+                 id="strict-rank-ghost"),
+    pytest.param("strict", [(7, 1, "a1")],
+                 "ad 'a1' has rank 1, but a strict schedule needs rank 0",
+                 id="strict-rank-slot7"),
+    pytest.param("strict", [(1, 1, "a1"), (2, 0, "a2"), (4, 2, "a3"), (5, 0, "a4")],
+                 "ad 'a1' has rank 1, but a strict schedule needs rank 0",
+                 id="strict-ranks"),
+    pytest.param("strict", [(1, 1, "a1"), (1, 0, "a2")],
+                 "ad 'a1' has rank 1, but a strict schedule needs rank 0",
+                 id="strict-rank-stacked"),
+    pytest.param("strict", [(1, -1, "a1")],
+                 "ad 'a1' has rank -1, but a strict schedule needs rank 0",
+                 id="strict-rank-negative"),
+    pytest.param("strict", [(4, 0, "a1"), (1, 0, "a2"), (4, 0, "a3"), (1, 0, "a4"), (4, 0, "a5")],
+                 "ads 'a2' and 'a4' share the (slot, rank) place (1, 0)",
+                 id="strict-places"),
+    pytest.param("strict", [(1, 0, "a1"), (1, 0, "a2")],
+                 "ads 'a1' and 'a2' share the (slot, rank) place (1, 0)",
+                 id="strict-place"),
+    pytest.param("strict", [(2, 0, "a1"), (1, 1, "a1")],
+                 "ad 'a1' scheduled more than once",
+                 id="strict-repeat-before-rank"),
+    pytest.param("baseline", [(0, 0, "a1"), (3, 0, "ghost"), (-1, -1, "zz")],
+                 "ad 'zz' has rank -1, but a baseline schedule needs rank >= 0",
+                 id="baseline-rank-ghost"),
+    pytest.param("baseline", [(7, -1, "a1")],
+                 "ad 'a1' has rank -1, but a baseline schedule needs rank >= 0",
+                 id="baseline-rank-slot7"),
+    pytest.param("baseline", [(0, -1, "a1"), (0, -1, "a2")],
+                 "ad 'a1' has rank -1, but a baseline schedule needs rank >= 0",
+                 id="baseline-rank-before-place"),
+    pytest.param("baseline", [(3, 1, "a1"), (0, 0, "a2"), (3, 1, "a3"), (0, 0, "a4"), (3, 1, "a5")],
+                 "ads 'a2' and 'a4' share the (slot, rank) place (0, 0)",
+                 id="baseline-places"),
+    pytest.param("baseline", [(0, 0, "a1"), (0, 0, "a2")],
+                 "ads 'a1' and 'a2' share the (slot, rank) place (0, 0)",
+                 id="baseline-place"),
+    pytest.param("baseline", [(0, 0, "a1"), (0, 0, "a1")],
+                 "ad 'a1' scheduled more than once",
+                 id="baseline-repeat-before-place"),
+]
+
+
+@pytest.mark.parametrize("mode, entries, message", CONSTRUCTION_TABLE)
+def test_construction_messages(mode, entries, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        Schedule(tuple(ScheduleEntry(*e) for e in entries), mode)
+    assert not isinstance(caught.value, InputError)
 
 
 def test_unknown_mode_raises_before_any_rule():

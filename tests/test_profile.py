@@ -35,7 +35,7 @@ def test_ad_follows_its_slot_scene():
 def test_head_slot_ads_precede_first_scene_in_rank_order():
     program = make_program(0.9, 0.1, 0.8)
     inventory = make_inventory(0.8, 0.2)
-    schedule = Schedule((ScheduleEntry(0, 1, "a2"), ScheduleEntry(0, 0, "a1")))
+    schedule = Schedule((ScheduleEntry(0, 1, "a2"), ScheduleEntry(0, 0, "a1")), "baseline")
     profile = build_profile(schedule, program, inventory)
     assert [p.entity_id for p in profile[:2]] == ["a1", "a2"]
     assert profile[2].kind == "scene"

@@ -285,6 +285,12 @@ class TestAssignment:
         with pytest.raises(RuntimeError, match="no augmenting path"):
             solvers._min_cost_assignment(np.zeros((2, 3)), np.ones(3, dtype=bool))
 
+    def test_flow_on_nan_costs_raises_within_its_bounds(self):
+        # a NaN key is never above the sink's, so an unbounded search pops forever
+        cost = np.array([[0.0, np.nan, 1.0, 2.0], [1.0, 0.0, np.nan, 0.5]])
+        with pytest.raises(RuntimeError, match="no augmenting path within 4 column pops"):
+            solvers._min_cost_assignment(cost, np.array([True, False, True, False]))
+
     def test_matches_quota_padded_linear_sum_assignment(self):
         # an independent oracle beyond brute-force sizes
         optimize = pytest.importorskip("scipy.optimize")
