@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from adplacer import build_profile, io, random_instance
-from adplacer.cli import main
+from adplacer import build_profile, random_instance
 from adplacer.core import (
     Polarity,
     RewardParams,
@@ -85,30 +84,21 @@ def full_scale():
 
 
 def test_oracle_equivalence(pool):
-    records, elapsed = pool
-    mismatches = [r for r in records if abs(r.brute.reward - r.exact.reward) > 1e-9]
-    ok = not mismatches and len(records) >= 200 and elapsed < 60.0
-    _criterion(
-        f"oracle equivalence: the assignment matches brute force on {len(records)} instances",
-        ok,
-        f"{len(mismatches)} mismatches, suite solved in {elapsed:.1f}s",
-    )
-
-
-def test_relaxation_sandwich(pool):
     # the assignment's objective is the optimum of the block-by-ad LP
     # relaxation; it must equal the brute-force optimum and the reward its
     # schedule re-scores to
-    records, _ = pool
-    bad = []
-    for r in records:
-        rescored = reward(r.exact.schedule, r.program, r.inventory, r.rel, r.params)
-        if not (abs(r.exact.reward - r.brute.reward) <= 1e-9 and rescored == r.exact.reward):
-            bad.append(r)
+    records, elapsed = pool
+    mismatches = [
+        r for r in records
+        if abs(r.brute.reward - r.exact.reward) > 1e-9
+        or reward(r.exact.schedule, r.program, r.inventory, r.rel, r.params) != r.exact.reward
+    ]
+    ok = not mismatches and len(records) >= 200 and elapsed < 60.0
     _criterion(
-        "objective sandwich: assignment objective == optimum == re-scored reward",
-        not bad,
-        f"{len(bad)} violations over {len(records)} instances",
+        "oracle equivalence: assignment objective == brute-force optimum == re-scored "
+        f"reward on {len(records)} instances",
+        ok,
+        f"{len(mismatches)} mismatches, suite solved in {elapsed:.1f}s",
     )
 
 
@@ -260,39 +250,4 @@ def test_relevance_against_scalar_oracle():
         "the relevance matrix match scalar loops",
         worst <= 1e-12,
         f"worst relative error {worst:.2e}",
-    )
-
-
-def test_solver_determinism(tmp_path):
-    program, inventory, rel = random_instance(10, 8, 31)
-    io.save_program(program, tmp_path / "program.json")
-    io.save_inventory(inventory, tmp_path / "inventory.json")
-    io.save_relevance(rel, tmp_path / "rel.txt")
-    base = [
-        "run",
-        "--program", str(tmp_path / "program.json"),
-        "--inventory", str(tmp_path / "inventory.json"),
-        "--rel-file", str(tmp_path / "rel.txt"),
-        "--k", "4",
-        "--seed", "5",
-    ]
-    ok = True
-    details = []
-    for solver in ("bnb", "lp", "trivial"):
-        blobs = []
-        for run_idx in range(2):
-            out = tmp_path / f"{solver}-{run_idx}"
-            code = main(base + ["--solver", solver, "--out", str(out)])
-            if code != 0:
-                ok = False
-                details.append(f"{solver} exited {code}")
-                break
-            blobs.append((out / "schedule.json").read_bytes())
-        if blobs and any(b != blobs[0] for b in blobs):
-            ok = False
-            details.append(f"{solver} schedules differ")
-    _criterion(
-        "determinism: repeated runs emit identical schedule files",
-        ok,
-        "; ".join(details) if details else "all byte-identical",
     )

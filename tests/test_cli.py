@@ -81,6 +81,12 @@ def run_cli(program, inventory, *flags, k=2, out=None):
     return code
 
 
+#: The flags of the two routes of ``adplacer run``: the default exact solver,
+#: which ``test_other_solvers_agree`` also reaches as ``bnb`` and ``lp``, and
+#: the trivial baseline.
+ROUTES = {"exact": (), "trivial": ("--solver", "trivial")}
+
+
 def append_entity(path, kind, token):
     """Append an entity whose valence is the raw JSON number ``token``."""
     key = "scenes" if kind == "program" else "ads"
@@ -494,23 +500,6 @@ ERROR_EXIT_CODES = {
     "InfeasibleK": 2,
 }
 
-#: Classes that earlier releases of ``adplacer.errors`` defined, each with the
-#: class that now signals the same faults; ``adplacer run`` keeps their exit code.
-FOLDED_ERRORS = {
-    "DimensionMismatch": "InputError",
-    "DuplicateAdId": "InputError",
-    "DuplicateSceneId": "InputError",
-    "FrameCountMismatch": "InputError",
-    "InfeasibleInventory": "InfeasibleK",
-    "InfeasibleSchedule": "AdPlacerError",
-    "InstanceTooLarge": "AdPlacerError",
-    "MissingEntity": "InputError",
-    "ParseError": "InputError",
-    "UnknownAdId": "AdPlacerError",
-    "ValenceOutOfRange": "InputError",
-    "ZeroNormVector": "InputError",
-}
-
 
 class TestRunCommand:
     def test_brute_force_end_to_end(self, tmp_path, capsys):
@@ -548,13 +537,13 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("solver", ["bnb", "lp"])
     def test_other_solvers_agree(self, tmp_path, solver):
+        # bnb and lp are two spellings of the default exact route
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        out = tmp_path / f"out-{solver}"
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
-        report = io.load_report(out / "report.json")
-        assert report["reward"] == pytest.approx(1.3, abs=1e-9)
-        assert report["solver"] == "assignment"
-        assert "upper_bound" not in report
+        outs = tmp_path / "default", tmp_path / solver
+        assert run_cli(program, inventory, "--rel-file", rel, out=outs[0]) == 0
+        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=outs[1]) == 0
+        for name in ("schedule.json", "profile.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_default_solver_handles_paper_scale(self, tmp_path):
         # 24 ads / 11 slots / k=8 has ~7.9e10 candidate schedules, far over
@@ -591,13 +580,12 @@ class TestRunCommand:
         )
         assert report["reward"] == expected
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp"])
-    def test_objective_disagreeing_with_reward_exits_4(self, tmp_path, capsys, monkeypatch, solver):
+    def test_objective_disagreeing_with_reward_exits_4(self, tmp_path, capsys, monkeypatch):
         # a solver optimizing the wrong objective must be caught by the re-score
         contributions = solvers._contributions
         monkeypatch.setattr(solvers, "_contributions", lambda *args: contributions(*args) + 1.0)
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver) == 4
+        assert run_cli(program, inventory, "--rel-file", rel) == 4
         assert "violating its own contract" in capsys.readouterr().err
 
     def test_rescore_one_ulp_off_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -615,12 +603,12 @@ class TestRunCommand:
         assert run_cli(program, inventory, "--rel-file", rel) == 4
         assert "violating its own contract" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
-    def test_artifact_shape(self, tmp_path, solver):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_artifact_shape(self, tmp_path, route):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
-        trivial = solver == "trivial"
+        assert run_cli(program, inventory, "--rel-file", rel, *ROUTES[route], out=out) == 0
+        trivial = route == "trivial"
         report = io.load_report(out / "report.json")
         keys = {"format", "solver", "reward", "wall_time"}
         assert set(report) == (keys | {"seed"} if trivial else keys)
@@ -632,12 +620,11 @@ class TestRunCommand:
         assert schedule["format"] == "adplacer-schedule/2"
         assert schedule["mode"] == ("baseline" if trivial else "strict")
 
-    @pytest.mark.parametrize("solver, mode", [("bnb", "strict"), ("lp", "strict"),
-                                              ("trivial", "baseline")])
-    def test_saved_schedule_validates_in_its_own_mode(self, tmp_path, solver, mode):
+    @pytest.mark.parametrize("route, mode", [("exact", "strict"), ("trivial", "baseline")])
+    def test_saved_schedule_validates_in_its_own_mode(self, tmp_path, route, mode):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
+        assert run_cli(program, inventory, "--rel-file", rel, *ROUTES[route], out=out) == 0
         # every artifact reads back, and the schedule validates in the mode its file names
         io.load_report(out / "report.json")
         io.load_profile(out / "profile.json")
@@ -649,8 +636,8 @@ class TestRunCommand:
         )
         assert check, check.message
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
-    def test_exact_routes_rescore_the_emitted_schedule_once(self, tmp_path, monkeypatch, solver):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_exact_routes_rescore_the_emitted_schedule_once(self, tmp_path, monkeypatch, route):
         # the public reward is the one scorer; the baseline has no reward to check
         calls = []
         score = cli.reward
@@ -662,16 +649,16 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "reward", counted)
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, out=out) == 0
-        if solver == "trivial":
+        assert run_cli(program, inventory, "--rel-file", rel, *ROUTES[route], out=out) == 0
+        if route == "trivial":
             assert calls == []
         else:
             [scored] = calls
             emitted = io.load_schedule(out / "schedule.json")
             assert (scored.mode, scored.entries) == (emitted.mode, emitted.entries)
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
-    def test_each_emitted_schedule_is_validated_once(self, tmp_path, monkeypatch, solver):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_each_emitted_schedule_is_validated_once(self, tmp_path, monkeypatch, route):
         # reward validates what it scores, so the exact routes add no check of their own
         calls = []
 
@@ -682,7 +669,7 @@ class TestRunCommand:
         monkeypatch.setattr(cli, "validate_schedule", counted)
         monkeypatch.setattr(adplacer.core, "validate_schedule", counted)  # as reward finds it
         program, inventory, rel = write_two_ad_instance(tmp_path)
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver) == 0
+        assert run_cli(program, inventory, "--rel-file", rel, *ROUTES[route]) == 0
         assert len(calls) == 1
 
     def test_invalid_trivial_schedule_exits_4(self, tmp_path, capsys, monkeypatch):
@@ -761,19 +748,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "alpha and beta must lie in [0, 1]" in err
 
-    @pytest.mark.parametrize("name", sorted(ERROR_EXIT_CODES.keys() | FOLDED_ERRORS.keys()))
+    @pytest.mark.parametrize("name", sorted(ERROR_EXIT_CODES))
     def test_exit_code_of_every_package_error(self, tmp_path, capsys, monkeypatch, name):
-        # a folded class is gone, and its faults exit as its replacement does
-        assert hasattr(errors, name) == (name not in FOLDED_ERRORS)
-        cls = getattr(errors, FOLDED_ERRORS.get(name, name))
-
         def failing_solver(*args):
-            raise cls("boom")
+            raise getattr(errors, name)("boom")
 
         monkeypatch.setattr(cli, "solve_assignment", failing_solver)
         program, inventory, rel = write_two_ad_instance(tmp_path)
         code = run_cli(program, inventory, "--rel-file", rel)
-        assert code == ERROR_EXIT_CODES[FOLDED_ERRORS.get(name, name)]
+        assert code == ERROR_EXIT_CODES[name]
         assert ("Traceback" in capsys.readouterr().err) == (code == 4)
 
     def test_every_package_error_has_an_exit_code(self):
@@ -869,7 +852,7 @@ class TestRunCommand:
         assert run_cli(*args, "--solver", "trivial", k=6, out=tmp_path / "t") == 0
         assert len(io.load_schedule(tmp_path / "t" / "schedule.json")) == 6
         capsys.readouterr()
-        assert run_cli(*args, "--solver", "bnb", k=6, out=tmp_path / "b") == 2
+        assert run_cli(*args, k=6, out=tmp_path / "b") == 2
         assert "k=6 exceeds the 5 available slots" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -899,11 +882,10 @@ class TestRunCommand:
         assert code == 2
         assert ("exceeds" if case == "k_over_slots" else "inventory has") in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp"])
-    def test_relevance_missing_an_ad_column_exits_1(self, tmp_path, capsys, solver):
+    def test_relevance_missing_an_ad_column_exits_1(self, tmp_path, capsys):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         np.savetxt(rel, np.ones((3, 1)), fmt="%.17g")
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver) == 1
+        assert run_cli(program, inventory, "--rel-file", rel) == 1
         assert "does not match 3 scenes x 2 ads" in capsys.readouterr().err
 
     def test_out_naming_a_file_exits_1(self, tmp_path):
@@ -1051,11 +1033,11 @@ class TestRunCommand:
         for name in ("schedule.json", "profile.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    @pytest.mark.parametrize("solver", ["bnb", "lp", "trivial"])
-    def test_k_zero_writes_an_empty_schedule(self, tmp_path, solver):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_k_zero_writes_an_empty_schedule(self, tmp_path, route):
         program, inventory, rel = write_two_ad_instance(tmp_path)
         out = tmp_path / "out"
-        assert run_cli(program, inventory, "--rel-file", rel, "--solver", solver, k=0, out=out) == 0
+        assert run_cli(program, inventory, "--rel-file", rel, *ROUTES[route], k=0, out=out) == 0
         doc = json.loads((out / "schedule.json").read_text())
         assert doc["entries"] == []
 
@@ -1191,8 +1173,8 @@ if "numpy.ma" in sys.modules and not ma_at_import:
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("solver", ["bnb", "trivial"])
-def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, solver):
+@pytest.mark.parametrize("route", ROUTES)
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, route):
     # string hashing changes between processes, and the locale picks the
     # default text encoding; no output may follow either
     program, inventory, _ = random_instance(10, 8, 31)
@@ -1213,7 +1195,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, solver):
         result = run_python(
             "-m", "adplacer.cli", "run", "--program", tmp_path / "program.json",
             "--inventory", tmp_path / "inventory.json", "--features", feat_dir,
-            "--k", 4, "--solver", solver, "--out", tmp_path / name, **env,
+            "--k", 4, *ROUTES[route], "--out", tmp_path / name, **env,
         )
         assert result.returncode == 0, result.stderr
     for name in ("schedule.json", "profile.json"):
